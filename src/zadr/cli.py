@@ -11,38 +11,30 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .compositions import (
-    CompositionDataset,
-    CovariateMatrix,
-    alr,
-    make_design,
-    read_csv,
-    zero_pattern,
-)
+from .compositions import make_design, read_covariates, read_csv
 from .dirichlet import ZeroMode
 from .errors import TernaryRequiresThree, ZadrError
 from .inference import (
     bootstrap_bias,
     bootstrap_pvalue,
     diagnostic_T,
-    diagnostic_to_dict,
     fit_metrics,
     run_simulation_study,
+    save_diagnostic,
 )
 from .model import (
     FitOptions,
-    FitStage,
     LinkSpec,
     ModelKind,
     ZadrModel,
     fit,
+    fit_aitchison,
     fitted_values,
     load_model,
-    ols_init,
-    ols_standard_errors,
     save_model,
 )
 
@@ -111,20 +103,8 @@ def cmd_fit(args) -> int:
     ref = _resolve_ref(ds.component_names, args.ref)
 
     if args.kind == "aitchison-ols":
-        mask = ds.zero_free_mask()
-        from .model import _subset, _subset_design  # zero-free baseline only
-
-        ds_free, X_free = _subset(ds, mask), _subset_design(X, mask)
         link = LinkSpec(ref_index=ref, model_kind=ModelKind.AITCHISON)
-        B = ols_init(ds_free, X_free, link)
-        se = ols_standard_errors(ds_free, X_free, link)
-        model = ZadrModel(
-            B=B, precision=None, p_hat=np.ones(ds.D),
-            covariance=np.diag((se**2).ravel()), loglik=None, converged=True,
-            stage=FitStage.FINAL, link=link, zero_mode=ZeroMode(args.zero_mode),
-            seed_provenance=args.seed, component_names=ds.component_names,
-            covariate_names=X.covariate_names,
-        )
+        model = fit_aitchison(ds, X, link, ZeroMode(args.zero_mode), args.seed)
         save_model(model, args.out)
         _print_estimate_table(model)
         return EXIT_OK
@@ -146,27 +126,9 @@ def _initial_path(out_path: str) -> str:
     return out_path + ".initial"
 
 
-def _read_covariates_for_model(path, model: ZadrModel) -> CovariateMatrix:
-    wanted = model.covariate_names[1:]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        records = [row for row in reader if row and any(c.strip() for c in row)]
-    missing = [name for name in wanted if name not in header]
-    if missing:
-        from .errors import SchemaMismatch
-
-        raise SchemaMismatch(f"{path}: covariate columns {missing} not found")
-    cols = [header.index(name) for name in wanted]
-    values = np.array([[float(rec[j]) for j in cols] for rec in records])
-    if values.size == 0:
-        values = np.empty((len(records), 0))
-    return make_design(values, names=wanted)
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    X = _read_covariates_for_model(args.input, model)
+    X = read_covariates(args.input, model.covariate_names[1:])
     fitted = fitted_values(model, X)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -194,14 +156,8 @@ def cmd_diagnose(args) -> int:
     print(f"replicates = {boot.B}  failures = {boot.failures}")
     print(f"p-value = {boot.pvalue:.4f}")
     if args.out:
-        from dataclasses import replace
-        import json
-
-        result = replace(diag, pvalue=boot.pvalue, B_reps=boot.B, seed=args.seed,
-                         failures=boot.failures)
-        with open(args.out, "w") as fh:
-            json.dump(diagnostic_to_dict(result), fh, indent=2)
-            fh.write("\n")
+        save_diagnostic(replace(diag, pvalue=boot.pvalue, B_reps=boot.B, seed=args.seed,
+                                failures=boot.failures), args.out)
     if args.bias:
         bias = bootstrap_bias(final, ds, X, B=args.B, seed=args.seed)
         print(f"{'parameter':>24}  {'estimate':>12}  {'bias':>12}")

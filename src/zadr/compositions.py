@@ -218,6 +218,57 @@ def estimate_p(zp: ZeroPattern) -> np.ndarray:
     return zp.u.mean(axis=0)
 
 
+def _read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Stripped header and non-blank data rows of a CSV file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInput(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        records = [row for row in reader if row and any(cell.strip() for cell in row)]
+    if not records:
+        raise EmptyInput(f"{path}: no data rows")
+    for i, rec in enumerate(records):
+        if len(rec) < len(header):
+            raise SchemaMismatch(
+                f"{path}: data row {i} has {len(rec)} cells but the header has {len(header)}")
+    return header, records
+
+
+def _column_indices(path, header: list[str], names: list[str], role: str) -> list[int]:
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise SchemaMismatch(f"{path}: {role} column {missing[0]!r} not found")
+    return [header.index(name) for name in names]
+
+
+def _parse_columns(path, header, records, cols) -> list[list[float]]:
+    """Numeric cells of the chosen columns, row by row; empty cells are errors."""
+    def parse(cell, row_i, col):
+        cell = cell.strip()
+        if not cell:
+            raise EmptyInput(f"{path}: empty cell at data row {row_i}, column {header[col]!r}")
+        return float(cell)
+
+    return [[parse(rec[j], i, j) for j in cols] for i, rec in enumerate(records)]
+
+
+def _design_from_columns(path, header, records, cols) -> CovariateMatrix:
+    values = np.array(_parse_columns(path, header, records, cols))
+    if values.size == 0:
+        values = np.empty((len(records), 0))
+    return make_design(values, names=[header[j] for j in cols])
+
+
+def read_covariates(path, covariates: list[str]) -> CovariateMatrix:
+    """Design matrix from the named covariate columns of a CSV file."""
+    header, records = _read_table(path)
+    return _design_from_columns(path, header, records,
+                                _column_indices(path, header, covariates, "covariate"))
+
+
 def read_csv(
     path,
     components: list[str] | None = None,
@@ -229,25 +280,11 @@ def read_csv(
     Composition columns are picked by the `components` name list, or by a
     `y:` prefix convention when the list is absent. Remaining numeric columns
     become covariates (all of them, or only those named in `covariates`).
-    Empty cells are errors, not zeros.
+    Empty cells and rows shorter than the header are errors, not zeros.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        records = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not records:
-        raise EmptyInput(f"{path}: no data rows")
-
+    header, records = _read_table(path)
     if components is not None:
-        comp_cols = []
-        for name in components:
-            if name not in header:
-                raise SchemaMismatch(f"{path}: component column {name!r} not found")
-            comp_cols.append(header.index(name))
+        comp_cols = _column_indices(path, header, components, "component")
         comp_names = list(components)
     else:
         comp_cols = [j for j, h in enumerate(header) if h.startswith("y:")]
@@ -256,26 +293,10 @@ def read_csv(
         comp_names = [header[j][2:] for j in comp_cols]
 
     if covariates is not None:
-        cov_cols = []
-        for name in covariates:
-            if name not in header:
-                raise SchemaMismatch(f"{path}: covariate column {name!r} not found")
-            cov_cols.append(header.index(name))
-        cov_names = list(covariates)
+        cov_cols = _column_indices(path, header, covariates, "covariate")
     else:
         cov_cols = [j for j in range(len(header)) if j not in comp_cols]
-        cov_names = [header[j] for j in cov_cols]
 
-    def parse(cell, row_i, col):
-        cell = cell.strip()
-        if not cell:
-            raise EmptyInput(f"{path}: empty cell at data row {row_i}, column {header[col]!r}")
-        return float(cell)
-
-    comp_rows = [[parse(rec[j], i, j) for j in comp_cols] for i, rec in enumerate(records)]
+    comp_rows = _parse_columns(path, header, records, comp_cols)
     ds = load_dataset(comp_rows, names=comp_names, tolerance=tolerance)
-    cov_values = np.array([[parse(rec[j], i, j) for j in cov_cols] for i, rec in enumerate(records)])
-    if cov_values.size == 0:
-        cov_values = np.empty((len(records), 0))
-    X = make_design(cov_values, names=cov_names)
-    return ds, X
+    return ds, _design_from_columns(path, header, records, cov_cols)

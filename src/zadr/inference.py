@@ -40,9 +40,8 @@ from .model import (
     FitOptions,
     ModelKind,
     ZadrModel,
-    alpha_matrix,
+    _row_parameters,
     fit,
-    phi_rows,
 )
 
 _MIN_REPLICATES = 19
@@ -129,11 +128,7 @@ def simulate_response(
     rows with zeros come from the renormalized sub-Dirichlet on their
     positive set, which is the Dirichlet marginality-consistent mechanism.
     """
-    A = alpha_matrix(X.design, model.B, model.link.ref_index)
-    if model.kind is ModelKind.SIMPLE:
-        phis = np.full(X.n, float(model.precision))
-    else:
-        phis = phi_rows(X.design, model.precision)
+    A, phis = _row_parameters(X.design, model.B, model.precision, model.link.ref_index, model.kind)
     alpha = phis[:, None] * A
     g = rng.standard_gamma(alpha)
     g = np.maximum(g, np.finfo(float).tiny)
@@ -149,7 +144,10 @@ def _replicate_seeds(master_seed: int, count: int) -> list[np.random.SeedSequenc
 def _worker_count() -> int:
     env = os.environ.get("ZADR_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"ZADR_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

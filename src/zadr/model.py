@@ -9,6 +9,12 @@ Zeros in the response are handled by restricting each row's Dirichlet
 term to its positive components and adding an independent-Bernoulli term
 for the zero pattern. No value is ever imputed.
 
+One vectorized engine evaluates every likelihood: `_row_parameters` maps
+(B, precision, kind) to row means and precisions, `_core_loglik` sums the
+Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
+four `loglik_*` functions are one-line wrappers whose names fix the kind;
+the fit objective and gradient reuse the pieces on data prepared once.
+
 Free-parameter ordering everywhere (gradients, Hessians, covariances):
 vec(B) in row-major order (one block of p+1 coefficients per non-reference
 component), followed by the precision block (phi or gamma).
@@ -165,7 +171,8 @@ def binary_log_prob(u_row, p) -> float:
     """log of prod p_j^{u_j} (1-p_j)^{1-u_j}, with 0*log(0) = 0.
 
     Impossible events (a zero where p_j = 1, or a nonzero where p_j = 0)
-    yield -inf rather than raising.
+    yield -inf rather than raising. A 2-D `u_row` is a whole indicator
+    matrix; the result is then the sum over its rows.
     """
     u = np.asarray(u_row, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -179,28 +186,37 @@ def binary_log_prob(u_row, p) -> float:
     return float(np.sum(logp + logq))
 
 
-def _binary_total(U: np.ndarray, p: np.ndarray) -> float:
-    return float(sum(binary_log_prob(U[i], p) for i in range(U.shape[0])))
-
-
 # ---------------------------------------------------------------------------
 # vectorized likelihood engine
+
+def _row_parameters(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind):
+    """Row-wise means A (n x D) and precisions phis (n,) of a simple or mixed model."""
+    A = alpha_matrix(Xd, np.asarray(B, dtype=float), ref_index)
+    if kind is ModelKind.SIMPLE:
+        return A, np.full(Xd.shape[0], float(precision))
+    return A, phi_rows(Xd, np.asarray(precision, dtype=float))
+
 
 def _masked_log(Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0)
 
 
 def _core_loglik(A, phis, Y, U, zero_mode: ZeroMode) -> float:
-    """Dirichlet part of the log-likelihood; U marks the retained components."""
+    """Dirichlet part of the log-likelihood; U marks the retained components.
+
+    Extreme line-search probes overflow to a non-finite value, which the
+    objective maps to +inf, so those floating-point warnings are silenced.
+    """
     alpha = phis[:, None] * A
     logY = _masked_log(Y, U)
-    body = np.sum(np.where(U, (alpha - 1.0) * logY - special.gammaln(alpha), 0.0))
-    if zero_mode is ZeroMode.AS_WRITTEN:
-        norm = np.sum(special.gammaln(phis))
-    else:
-        S = np.sum(np.where(U, A, 0.0), axis=1)
-        norm = np.sum(special.gammaln(phis * S))
-    return float(norm + body)
+    with np.errstate(over="ignore", invalid="ignore"):
+        body = np.sum(np.where(U, (alpha - 1.0) * logY - special.gammaln(alpha), 0.0))
+        if zero_mode is ZeroMode.AS_WRITTEN:
+            norm = np.sum(special.gammaln(phis))
+        else:
+            S = np.sum(np.where(U, A, 0.0), axis=1)
+            norm = np.sum(special.gammaln(phis * S))
+        return float(norm + body)
 
 
 def _core_grad(A, phis, Y, U, zero_mode: ZeroMode):
@@ -234,41 +250,39 @@ def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: ZeroPattern | None)
     return ds.values, X.design, zp.u.astype(bool)
 
 
+def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
+            zero_mode: ZeroMode) -> float:
+    """Dirichlet part plus, unless p is None, the Bernoulli zero-pattern term.
+
+    With p None this is the plain Dirichlet likelihood, defined only on
+    zero-free data.
+    """
+    Y, Xd, U = _prepare(ds, X, zp)
+    if p is None and not U.all():
+        raise DomainError(f"loglik_{kind.value} requires a zero-free dataset")
+    if kind is ModelKind.SIMPLE and precision <= 0:
+        raise DomainError("phi must be > 0")
+    value = _core_loglik(*_row_parameters(Xd, B, precision, link.ref_index, kind), Y, U, zero_mode)
+    return value if p is None else value + binary_log_prob(U, p)
+
+
 def loglik_simple(B, phi, ds, X, link: LinkSpec) -> float:
     """Plain Dirichlet regression log-likelihood; requires zero-free data."""
-    Y, Xd, U = _prepare(ds, X, None)
-    if not U.all():
-        raise DomainError("loglik_simple requires a zero-free dataset")
-    if phi <= 0:
-        raise DomainError("phi must be > 0")
-    A = alpha_matrix(Xd, np.asarray(B, dtype=float), link.ref_index)
-    return _core_loglik(A, np.full(Y.shape[0], float(phi)), Y, U, ZeroMode.AS_WRITTEN)
+    return _loglik(ModelKind.SIMPLE, B, phi, None, ds, X, None, link, ZeroMode.AS_WRITTEN)
 
 
 def loglik_mixed(B, gamma, ds, X, link: LinkSpec) -> float:
-    Y, Xd, U = _prepare(ds, X, None)
-    if not U.all():
-        raise DomainError("loglik_mixed requires a zero-free dataset")
-    A = alpha_matrix(Xd, np.asarray(B, dtype=float), link.ref_index)
-    return _core_loglik(A, phi_rows(Xd, np.asarray(gamma, dtype=float)), Y, U, ZeroMode.AS_WRITTEN)
+    return _loglik(ModelKind.MIXED, B, gamma, None, ds, X, None, link, ZeroMode.AS_WRITTEN)
 
 
 def loglik_zadr_simple(B, phi, p, ds, X, zp, link: LinkSpec,
                        zero_mode: ZeroMode = ZeroMode.AS_WRITTEN) -> float:
-    Y, Xd, U = _prepare(ds, X, zp)
-    if phi <= 0:
-        raise DomainError("phi must be > 0")
-    A = alpha_matrix(Xd, np.asarray(B, dtype=float), link.ref_index)
-    dir_part = _core_loglik(A, np.full(Y.shape[0], float(phi)), Y, U, zero_mode)
-    return dir_part + _binary_total(U, np.asarray(p, dtype=float))
+    return _loglik(ModelKind.SIMPLE, B, phi, p, ds, X, zp, link, zero_mode)
 
 
 def loglik_zadr_mixed(B, gamma, p, ds, X, zp, link: LinkSpec,
                       zero_mode: ZeroMode = ZeroMode.AS_WRITTEN) -> float:
-    Y, Xd, U = _prepare(ds, X, zp)
-    A = alpha_matrix(Xd, np.asarray(B, dtype=float), link.ref_index)
-    dir_part = _core_loglik(A, phi_rows(Xd, np.asarray(gamma, dtype=float)), Y, U, zero_mode)
-    return dir_part + _binary_total(U, np.asarray(p, dtype=float))
+    return _loglik(ModelKind.MIXED, B, gamma, p, ds, X, zp, link, zero_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +306,22 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
     return B, theta[d * q:]
 
 
+def _gradient(theta, Y, Xd, U, link: LinkSpec, zero_mode: ZeroMode) -> np.ndarray:
+    """Dirichlet-part gradient on prepared arrays (see `analytic_gradient`)."""
+    D = Y.shape[1]
+    kind = link.model_kind
+    B, precision = unpack_params(theta, D - 1, Xd.shape[1], kind)
+    A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
+    dEta, dphi_row = _core_grad(A, phis, Y, U, zero_mode)
+    nonref = [j for j in range(D) if j != link.ref_index]
+    dB = dEta[:, nonref].T @ Xd
+    if kind is ModelKind.SIMPLE:
+        dprec = np.array([np.sum(dphi_row)])
+    else:
+        dprec = Xd.T @ (dphi_row * phis)
+    return np.concatenate([dB.ravel(), dprec])
+
+
 def analytic_gradient(
     theta: np.ndarray,
     ds: CompositionDataset,
@@ -305,24 +335,7 @@ def analytic_gradient(
     The Bernoulli zero-pattern term carries no free parameters, so the same
     gradient serves both the plain and the zero-adjusted likelihoods.
     """
-    Y, Xd, U = _prepare(ds, X, zp)
-    d = ds.D - 1
-    q = Xd.shape[1]
-    kind = link.model_kind
-    B, precision = unpack_params(theta, d, q, kind)
-    A = alpha_matrix(Xd, B, link.ref_index)
-    if kind is ModelKind.SIMPLE:
-        phis = np.full(Y.shape[0], float(precision))
-    else:
-        phis = phi_rows(Xd, precision)
-    dEta, dphi_row = _core_grad(A, phis, Y, U, zero_mode)
-    nonref = [j for j in range(ds.D) if j != link.ref_index]
-    dB = dEta[:, nonref].T @ Xd
-    if kind is ModelKind.SIMPLE:
-        dprec = np.array([np.sum(dphi_row)])
-    else:
-        dprec = Xd.T @ (dphi_row * phis)
-    return np.concatenate([dB.ravel(), dprec])
+    return _gradient(theta, *_prepare(ds, X, zp), link, zero_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +392,14 @@ def _objective_pair(ds, X, zp, link, zero_mode):
 
     def negloglik(theta):
         B, precision = unpack_params(theta, d, q, kind)
-        if not np.all(np.isfinite(theta)):
+        if not np.all(np.isfinite(theta)) or (kind is ModelKind.SIMPLE and precision <= 0):
             return np.inf
-        A = alpha_matrix(Xd, B, link.ref_index)
-        if kind is ModelKind.SIMPLE:
-            if precision <= 0:
-                return np.inf
-            phis = np.full(Y.shape[0], precision)
-        else:
-            phis = phi_rows(Xd, precision)
+        A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
         value = _core_loglik(A, phis, Y, U, zero_mode)
         return -value if np.isfinite(value) else np.inf
 
     def neggrad(theta):
-        return -analytic_gradient(theta, ds, X, zp, link, zero_mode)
+        return -_gradient(theta, Y, Xd, U, link, zero_mode)
 
     return negloglik, neggrad
 
@@ -453,21 +460,16 @@ def fit(
     B0 = ols_init(ds_free, X_free, link)
     d, q = B0.shape
 
-    # Stage one: plain likelihood on zero-free rows.
+    # Stage one: plain likelihood on zero-free rows. Both kinds start from
+    # the simple-model grid precision; the mixed model anchors its precision
+    # intercept there.
     nll_free, ngrad_free = _objective_pair(ds_free, X_free, zp_free, link, ZeroMode.AS_WRITTEN)
+    simple_link = LinkSpec(link.ref_index, ModelKind.SIMPLE)
+    phi0 = _init_phi_grid(
+        _objective_pair(ds_free, X_free, zp_free, simple_link, ZeroMode.AS_WRITTEN)[0], B0)
     if kind is ModelKind.SIMPLE:
-        phi0 = _init_phi_grid(nll_free, B0)
         theta0 = np.concatenate([B0.ravel(), [phi0]])
     else:
-        # Anchor the precision intercept at the simple-model grid value.
-        def nll_simple(theta):
-            Bm, phim = theta[: d * q].reshape(d, q), theta[d * q]
-            if phim <= 0:
-                return np.inf
-            v = loglik_zadr_simple(Bm, phim, np.ones(ds.D), ds_free, X_free, zp_free, link)
-            return -v if np.isfinite(v) else np.inf
-
-        phi0 = _init_phi_grid(nll_simple, B0)
         gamma0 = np.zeros(q)
         gamma0[0] = np.log(phi0)
         if opts.mixed_precision_init is PrecisionInit.RANDOM_NORMAL and q > 1:
@@ -498,13 +500,12 @@ def fit(
     res_fin = minimize(nll_full, res_ini.argmin, gradient=ngrad_full, opts=opts.optimizer)
     B_fin, prec_fin = unpack_params(res_fin.argmin, d, q, kind)
     cov_fin = _covariance_from_hessian(nll_full, res_fin.argmin) if opts.compute_covariance else None
-    binary_part = _binary_total(zp.u.astype(bool), p_hat)
     final = ZadrModel(
         B=B_fin,
         precision=prec_fin,
         p_hat=p_hat,
         covariance=cov_fin,
-        loglik=-res_fin.value + binary_part,
+        loglik=-res_fin.value + binary_log_prob(zp.u, p_hat),
         converged=res_fin.converged,
         stage=FitStage.FINAL,
         link=link,
@@ -514,6 +515,23 @@ def fit(
         covariate_names=X.covariate_names,
     )
     return initial, final
+
+
+def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
+                  zero_mode: ZeroMode, seed: int) -> ZadrModel:
+    """Aitchison comparison baseline: OLS of the alr responses on the zero-free
+    rows, with squared OLS standard errors as a diagonal covariance."""
+    mask = ds.zero_free_mask()
+    ds_free, X_free = _subset(ds, mask), _subset_design(X, mask)
+    link = LinkSpec(link.ref_index, ModelKind.AITCHISON)
+    B = ols_init(ds_free, X_free, link)
+    se = ols_standard_errors(ds_free, X_free, link)
+    return ZadrModel(
+        B=B, precision=None, p_hat=np.ones(ds.D), covariance=np.diag((se**2).ravel()),
+        loglik=None, converged=True, stage=FitStage.FINAL, link=link, zero_mode=zero_mode,
+        seed_provenance=seed, component_names=ds.component_names,
+        covariate_names=X.covariate_names,
+    )
 
 
 def fitted_values(model: ZadrModel, X: CovariateMatrix) -> CompositionDataset:

@@ -76,6 +76,12 @@ class TestFit:
         model = load_model(out)
         assert model.loglik is None
 
+    def test_short_row_is_validation_error(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("y:a,y:b,logdepth\n0.4,0.6\n")
+        assert run("fit", "--input", str(short), "--out", str(tmp_path / "m.json")) == 2
+        assert "data row 0" in capsys.readouterr().err
+
     def test_deterministic_reruns_byte_identical(self, data_csv, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         for out in (out1, out2):
@@ -109,6 +115,16 @@ class TestPredict:
         bad = tmp_path / "bad.csv"
         bad.write_text("depthx\n1.0\n")
         assert run("predict", "--model", str(model_path), "--input", str(bad),
+                   "--out", str(tmp_path / "p.csv")) == 2
+
+
+    def test_short_row_is_validation_error(self, data_csv, tmp_path):
+        model_path = tmp_path / "m.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--out", str(model_path))
+        short = tmp_path / "short.csv"
+        short.write_text("a,logdepth\n1.0\n")
+        assert run("predict", "--model", str(model_path), "--input", str(short),
                    "--out", str(tmp_path / "p.csv")) == 2
 
 

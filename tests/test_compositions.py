@@ -11,6 +11,7 @@ from zadr.compositions import (
     estimate_p,
     load_dataset,
     make_design,
+    read_covariates,
     read_csv,
     zero_pattern,
 )
@@ -157,6 +158,22 @@ class TestReadCsv:
         self._write(path, ["a", "b", "x"], [[0.4, "", 1.5]])
         with pytest.raises(EmptyInput):
             read_csv(path, components=["a", "b"], covariates=["x"])
+
+    def test_short_row_is_schema_error_naming_the_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self._write(path, ["y:a", "y:b", "x"], [[0.4, 0.6, 1.0], [0.4, 0.6]])
+        with pytest.raises(SchemaMismatch, match="data row 1"):
+            read_csv(path)
+
+    def test_read_covariates(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self._write(path, ["a", "x", "z"], [[0.4, 1.5, 7.0], [0.9, 2.5, 8.0]])
+        X = read_covariates(path, ["z", "x"])
+        assert X.covariate_names == ["intercept", "z", "x"]
+        assert np.array_equal(X.design[:, 1:], [[7.0, 1.5], [8.0, 2.5]])
+        self._write(path, ["a", "x"], [[0.4, ""]])
+        with pytest.raises(EmptyInput):
+            read_covariates(path, ["x"])
 
     def test_unknown_column_is_schema_error(self, tmp_path):
         path = tmp_path / "d.csv"

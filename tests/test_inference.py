@@ -155,6 +155,17 @@ class TestChi2AndLrt:
             lrt(simple, broken)
 
 
+class TestWorkerCount:
+    def test_non_integer_threads_named_in_error(self, monkeypatch):
+        from zadr.inference import _worker_count
+
+        monkeypatch.setenv("ZADR_THREADS", "two")
+        with pytest.raises(ValueError, match="ZADR_THREADS.*'two'"):
+            _worker_count()
+        monkeypatch.setenv("ZADR_THREADS", "3")
+        assert _worker_count() == 3
+
+
 class TestFitMetrics:
     def test_zero_for_identical_matrices(self, small_dataset):
         ds, _ = small_dataset

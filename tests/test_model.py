@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from zadr.model import (
     analytic_gradient,
     binary_log_prob,
     fit,
+    fit_aitchison,
     fitted_values,
     link_alpha,
     link_phi,
@@ -52,6 +54,17 @@ class TestBinaryLogProb:
     def test_rejects_p_outside_unit_interval(self):
         with pytest.raises(DomainError):
             binary_log_prob((1, 1), (0.5, 1.2))
+
+    def test_matrix_equals_sum_of_rows(self):
+        U = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1], [0, 1, 1]])
+        p = np.array([1.0, 0.8, 0.6])
+        rows = [binary_log_prob(u, p) for u in U]
+        assert rows[-1] == -math.inf  # a zero where p_j = 1
+        assert binary_log_prob(U, p) == -math.inf
+        finite = U[:-1]
+        assert abs(binary_log_prob(finite, p) - sum(rows[:-1])) < 1e-12
+        with pytest.raises(DomainError):
+            binary_log_prob(U, np.array([1.0, -0.1, 0.6]))
 
 
 class TestLinks:
@@ -254,6 +267,41 @@ class TestFit:
         F = fitted_values(final, X).values
         F_p = fitted_values(final_p, X).values
         assert np.max(np.abs(F[:, perm] - F_p)) < 1e-4
+
+
+class TestEngine:
+    def test_mixed_fit_makes_at_most_one_bernoulli_call(self, small_dataset, monkeypatch):
+        import zadr.model as model_mod
+
+        calls = []
+        real = model_mod.binary_log_prob
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "binary_log_prob", counted)
+        ds, X = small_dataset
+        fit(ds, X, MIXED_LINK, FitOptions())
+        assert len(calls) <= 1
+
+    def test_large_mixed_fit_raises_no_runtime_warning(self):
+        ds, X = simulate_dataset(n=5000, seed=3, n_zero=833)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, final = fit(ds, X, MIXED_LINK, FitOptions())
+        assert final.converged
+
+    def test_aitchison_baseline_is_ols_on_zero_free_rows(self, small_dataset):
+        ds, X = small_dataset
+        model = fit_aitchison(ds, X, SIMPLE_LINK, ZeroMode.RENORMALIZED, seed=5)
+        mask = ds.zero_free_mask()
+        free = load_dataset(ds.values[mask], names=ds.component_names)
+        X_free = make_design(X.design[mask, 1:], names=X.covariate_names[1:])
+        assert model.kind is ModelKind.AITCHISON
+        assert np.array_equal(model.B, ols_init(free, X_free, SIMPLE_LINK))
+        assert model.loglik is None and model.seed_provenance == 5
+        assert model.covariance.shape == (model.B.size, model.B.size)
 
 
 class TestPacking:

@@ -10,7 +10,7 @@ scripts/make_example_data.py first if you have no dataset at hand.
 import argparse
 
 from zadr.compositions import read_csv
-from zadr.inference import bootstrap_bias, bootstrap_pvalue, diagnostic_T, fit_metrics, lrt
+from zadr.inference import bootstrap_pvalue, diagnostic_T, fit_metrics, lrt
 from zadr.model import FitOptions, LinkSpec, ModelKind, fit, fitted_values
 
 
@@ -39,8 +39,7 @@ def main():
         print(f"  log-likelihood {final.loglik:.3f}  converged {final.converged}")
         print(f"  T = {diag.T:.3f}  p-value = {boot.pvalue:.4f} "
               f"({boot.B} replicates, {boot.failures} failures)")
-        bias = bootstrap_bias(final, ds, X, B=args.B, seed=args.seed)
-        worst = max(abs(b) for b in bias.bias)
+        worst = max(abs(b) for b in boot.bias)
         print(f"  max |bootstrap bias| = {worst:.3f}")
         metrics = fit_metrics(ds, fitted_values(final, X))
         print(f"  KL = {metrics.kl:.3f}  L2 = {metrics.l2:.3f}")

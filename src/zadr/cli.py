@@ -19,7 +19,7 @@ from .compositions import make_design, read_covariates, read_csv
 from .dirichlet import ZeroMode
 from .errors import TernaryRequiresThree, ZadrError
 from .inference import (
-    bootstrap_bias,
+    bootstrap_bias,  # noqa: F401  perfbench/tracing.py patches zadr.cli.bootstrap_bias by name
     bootstrap_pvalue,
     diagnostic_T,
     fit_metrics,
@@ -153,15 +153,16 @@ def cmd_diagnose(args) -> int:
     diag = diagnostic_T(initial, final)
     boot = bootstrap_pvalue(final, ds, X, B=args.B, seed=args.seed, t_observed=diag.T)
     print(f"T = {diag.T:.3f}")
-    print(f"replicates = {boot.B}  failures = {boot.failures}")
+    causes = ", ".join(f"{name}: {count}" for name, count in boot.failure_causes.items())
+    print(f"replicates = {boot.B}  failures = {boot.failures}" + (f" ({causes})" if causes else ""))
     print(f"p-value = {boot.pvalue:.4f}")
     if args.out:
         save_diagnostic(replace(diag, pvalue=boot.pvalue, B_reps=boot.B, seed=args.seed,
-                                failures=boot.failures), args.out)
+                                failures=boot.failures, failure_causes=boot.failure_causes),
+                        args.out)
     if args.bias:
-        bias = bootstrap_bias(final, ds, X, B=args.B, seed=args.seed)
         print(f"{'parameter':>24}  {'estimate':>12}  {'bias':>12}")
-        for name, est, b in zip(final.parameter_names(), final.parameter_vector(), bias.bias):
+        for name, est, b in zip(final.parameter_names(), final.parameter_vector(), boot.bias):
             print(f"{name:>24}  {est:12.3f}  {b:12.3f}")
     return EXIT_OK
 

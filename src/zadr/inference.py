@@ -5,10 +5,12 @@ zero-free-fit parameters and the final zero-adjusted parameters, scaled by
 the sum of the two covariance matrices. Its null distribution is calibrated
 by parametric bootstrap: replicates are regenerated from the fitted model
 with the observed zero pattern preserved row-for-row, then refit end to end.
+One pass of refits gives the p-value of T and the bias of every coefficient.
 
 Replicates are independent work units; each owns a private generator spawned
 from the master seed and results are merged by replicate index, so output is
-independent of execution order. `ZADR_THREADS` caps worker parallelism.
+independent of execution order. Failed replicates are counted by cause. The
+worker count is the least of `ZADR_THREADS`, the cores and the tasks.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import csv
 import json
 import os
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -56,16 +59,18 @@ class DiagnosticResult:
     B_reps: int
     seed: int | None
     failures: int = 0
+    failure_causes: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class BootstrapResult:
     replicate_stats: np.ndarray
-    bias: np.ndarray | None
+    bias: np.ndarray
     pvalue: float | None
     B: int
     master_seed: int
     failures: int
+    failure_causes: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -153,47 +158,52 @@ def _worker_count() -> int:
 
 def _map_indexed(func, args_list):
     """Order-preserving map, optionally across processes."""
-    workers = _worker_count()
-    if workers <= 1 or len(args_list) <= 1:
+    workers = min(_worker_count(), os.cpu_count() or 1, len(args_list))
+    if workers <= 1:
         return [func(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, args_list))
 
 
 def _bootstrap_one(args):
-    model, X, U, seed_seq, fit_opts, want_params = args
+    """Refit one replicate: (failure cause or None, T or None, final parameters)."""
+    model, X, U, seed_seq, fit_opts = args
     rng = np.random.default_rng(seed_seq)
     try:
         ds_rep = simulate_response(model, X, U, rng)
         initial, final = fit(ds_rep, X, model.link, fit_opts)
         if not (initial.converged and final.converged):
-            return None
-        if want_params:
-            return final.parameter_vector()
-        return diagnostic_T(initial, final).T
-    except ZadrError:
-        return None
-    except np.linalg.LinAlgError:
-        return None
+            return "NotConverged", None, None
+        T = diagnostic_T(initial, final).T if fit_opts.compute_covariance else None
+        return None, T, final.parameter_vector()
+    except (ZadrError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, None, None
 
 
-def _run_bootstrap(final, ds, X, B, seed, fit_opts, want_params):
+def _run_bootstrap(final, ds, X, B, seed, fit_opts, t_observed=None) -> BootstrapResult:
+    """Refit B replicates once; the bias and, given t_observed, the p-value share them."""
     if B < _MIN_REPLICATES:
         raise ValueError(f"B must be >= {_MIN_REPLICATES}")
-    if fit_opts is None:
-        fit_opts = FitOptions(zero_mode=final.zero_mode, random_seed=final.seed_provenance,
-                              compute_covariance=not want_params)
     U = zero_pattern(ds).u
-    seeds = _replicate_seeds(seed, B)
-    args = [(final, X, U, s, fit_opts, want_params) for s in seeds]
-    results = _map_indexed(_bootstrap_one, args)
-    successes = [r for r in results if r is not None]
-    failures = B - len(successes)
-    if len(successes) < _MIN_REPLICATES:
+    args = [(final, X, U, s, fit_opts) for s in _replicate_seeds(seed, B)]
+    records = _map_indexed(_bootstrap_one, args)
+    causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
+    kept = [(T, params) for cause, T, params in records if cause is None]
+    if len(kept) < _MIN_REPLICATES:
         raise TooFewSuccessfulReplicates(
-            f"only {len(successes)} converged replicates out of {B}"
+            f"only {len(kept)} converged replicates out of {B}; failures by cause: {causes}"
         )
-    return successes, failures, fit_opts
+    params = np.asarray([p for _, p in kept], dtype=float)
+    stats = params if t_observed is None else np.asarray([T for T, _ in kept], dtype=float)
+    return BootstrapResult(
+        replicate_stats=stats,
+        bias=params.mean(axis=0) - final.parameter_vector(),
+        pvalue=None if t_observed is None else pvalue_from_replicates(stats, t_observed),
+        B=len(kept),
+        master_seed=seed,
+        failures=B - len(kept),
+        failure_causes=causes,
+    )
 
 
 def bootstrap_pvalue(
@@ -207,26 +217,19 @@ def bootstrap_pvalue(
 ) -> BootstrapResult:
     """Parametric-bootstrap p-value for the zero-effect diagnostic.
 
-    Non-converged replicates are dropped from both the exceedance count and
-    the effective replicate total. If t_observed is not given it is
-    recomputed by refitting the observed data.
+    Failed replicates are dropped from both the exceedance count and the
+    effective replicate total. If t_observed is not given it is recomputed by
+    refitting the observed data. replicate_stats holds the replicate T values;
+    the bias comes from the same refits.
     """
+    if fit_opts is None:
+        fit_opts = FitOptions(zero_mode=final.zero_mode, random_seed=final.seed_provenance)
+    if not fit_opts.compute_covariance:
+        raise ValueError("bootstrap_pvalue needs fit_opts.compute_covariance for T")
     if t_observed is None:
-        refit_opts = fit_opts or FitOptions(zero_mode=final.zero_mode,
-                                            random_seed=final.seed_provenance)
-        initial_obs, final_obs = fit(ds, X, final.link, refit_opts)
+        initial_obs, final_obs = fit(ds, X, final.link, fit_opts)
         t_observed = diagnostic_T(initial_obs, final_obs).T
-    stats, failures, _ = _run_bootstrap(final, ds, X, B, seed, fit_opts, want_params=False)
-    stats = np.asarray(stats, dtype=float)
-    pvalue = pvalue_from_replicates(stats, t_observed)
-    return BootstrapResult(
-        replicate_stats=stats,
-        bias=None,
-        pvalue=pvalue,
-        B=len(stats),
-        master_seed=seed,
-        failures=failures,
-    )
+    return _run_bootstrap(final, ds, X, B, seed, fit_opts, t_observed)
 
 
 def pvalue_from_replicates(stats: np.ndarray, t_observed: float) -> float:
@@ -243,18 +246,12 @@ def bootstrap_bias(
     seed: int,
     fit_opts: FitOptions | None = None,
 ) -> BootstrapResult:
-    """Bootstrap bias estimates: mean(replicate estimates) - final estimates."""
-    params, failures, _ = _run_bootstrap(final, ds, X, B, seed, fit_opts, want_params=True)
-    params = np.asarray(params, dtype=float)
-    bias = params.mean(axis=0) - final.parameter_vector()
-    return BootstrapResult(
-        replicate_stats=params,
-        bias=bias,
-        pvalue=None,
-        B=params.shape[0],
-        master_seed=seed,
-        failures=failures,
-    )
+    """Bootstrap bias estimates: mean(replicate estimates) - final estimates.
+    Fits skip the covariance by default; replicate_stats holds the estimates."""
+    if fit_opts is None:
+        fit_opts = FitOptions(zero_mode=final.zero_mode, random_seed=final.seed_provenance,
+                              compute_covariance=False)
+    return _run_bootstrap(final, ds, X, B, seed, fit_opts)
 
 
 def chi2_sf(stat: float, df: int) -> float:
@@ -309,9 +306,7 @@ def _simulation_one(args):
             return None
         err = final.parameter_vector() - model.parameter_vector()
         return err**2
-    except ZadrError:
-        return None
-    except np.linalg.LinAlgError:
+    except (ZadrError, np.linalg.LinAlgError):
         return None
 
 
@@ -370,6 +365,7 @@ def diagnostic_to_dict(result: DiagnosticResult) -> dict:
         "B_reps": result.B_reps,
         "seed": result.seed,
         "failures": result.failures,
+        "failure_causes": result.failure_causes,
     }
 
 

@@ -353,9 +353,9 @@ def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.n
     return coeffs.T
 
 
-def ols_standard_errors(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
-    """Per-equation OLS standard errors matching the ols_init layout."""
-    B = ols_init(ds, X, link)
+def ols_standard_errors(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
+                        B: np.ndarray) -> np.ndarray:
+    """Per-equation OLS standard errors of the ols_init coefficients B."""
     Z = alr(ds, link.ref_index)
     resid = Z - X.design @ B.T
     dof = max(ds.n - (X.p + 1), 1)
@@ -525,7 +525,7 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
     ds_free, X_free = _subset(ds, mask), _subset_design(X, mask)
     link = LinkSpec(link.ref_index, ModelKind.AITCHISON)
     B = ols_init(ds_free, X_free, link)
-    se = ols_standard_errors(ds_free, X_free, link)
+    se = ols_standard_errors(ds_free, X_free, link, B)
     return ZadrModel(
         B=B, precision=None, p_hat=np.ones(ds.D), covariance=np.diag((se**2).ravel()),
         loglik=None, converged=True, stage=FitStage.FINAL, link=link, zero_mode=zero_mode,

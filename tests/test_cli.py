@@ -1,14 +1,18 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import COMPONENTS, simulate_dataset
 
+import zadr.inference
 from zadr import cli
+from zadr.errors import NonFiniteObjective
 from zadr.model import fitted_values, load_model
 
 
@@ -143,6 +147,46 @@ class TestDiagnose:
         printed = capsys.readouterr().out
         assert "p-value" in printed
 
+    def _diagnose_counting_fits(self, data_csv, tmp_path, monkeypatch, fail_every=0):
+        """Run `diagnose --B 28 --bias`; returns (replicate fit calls, JSON)."""
+        model_path = tmp_path / "m.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--out", str(model_path))
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        real_fit = zadr.inference.fit
+        calls = []
+
+        def counted_fit(*args):
+            calls.append(1)
+            if fail_every and len(calls) % fail_every == 0:
+                raise NonFiniteObjective("injected")
+            return real_fit(*args)
+
+        monkeypatch.setattr(zadr.inference, "fit", counted_fit)
+        out = tmp_path / "diag.json"
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "28", "--seed", "2", "--bias", "--out", str(out)) == 0
+        return len(calls), json.loads(out.read_text())
+
+    def test_bias_table_comes_from_the_one_bootstrap_pass(self, data_csv, tmp_path, capsys,
+                                                          monkeypatch):
+        calls, doc = self._diagnose_counting_fits(data_csv, tmp_path, monkeypatch)
+        assert calls == 28
+        assert doc["failures"] == 0 and doc["failure_causes"] == {}
+        lines = capsys.readouterr().out.splitlines()
+        table = lines[lines.index(f"{'parameter':>24}  {'estimate':>12}  {'bias':>12}") + 1:]
+        names = load_model(tmp_path / "m.json").parameter_names()
+        assert [row.split()[0] for row in table] == names
+        assert all(np.isfinite(float(row.split()[2])) for row in table)
+
+    def test_failures_printed_and_saved_by_cause(self, data_csv, tmp_path, capsys,
+                                                 monkeypatch):
+        calls, doc = self._diagnose_counting_fits(data_csv, tmp_path, monkeypatch,
+                                                  fail_every=4)
+        assert calls == 28
+        assert doc["failures"] == 7 and doc["failure_causes"] == {"NonFiniteObjective": 7}
+        assert "replicates = 21  failures = 7 (NonFiniteObjective: 7)" in capsys.readouterr().out
+
     def test_small_B_rejected(self, data_csv, tmp_path):
         model_path = tmp_path / "m.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
@@ -218,7 +262,10 @@ class TestPlot:
 
 class TestEntryPoint:
     def test_console_script(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "zadr.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "fit" in proc.stdout and "diagnose" in proc.stdout

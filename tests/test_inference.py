@@ -5,7 +5,13 @@ from scipy import stats
 from conftest import depth_design, simulate_dataset, truth_model
 
 from zadr.compositions import load_dataset, zero_pattern
-from zadr.errors import KindMismatch, NegativeStat, ShapeMismatch, TooFewSuccessfulReplicates
+from zadr.errors import (
+    KindMismatch,
+    NegativeStat,
+    NonFiniteObjective,
+    ShapeMismatch,
+    TooFewSuccessfulReplicates,
+)
 from zadr.inference import (
     DiagnosticResult,
     bootstrap_bias,
@@ -102,6 +108,59 @@ class TestBootstrap:
         assert result.bias.shape == final.parameter_vector().shape
         assert np.all(np.isfinite(result.bias))
 
+    def test_pvalue_pass_carries_the_bias(self, small_dataset):
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        one_pass = bootstrap_pvalue(final, ds, X, B=19, seed=5)
+        assert np.array_equal(one_pass.bias, bootstrap_bias(final, ds, X, B=19, seed=5).bias)
+
+    def test_seeded_results_do_not_depend_on_worker_count(self, small_dataset, monkeypatch):
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZADR_THREADS", threads)
+            results.append(bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0))
+        one, two = results
+        assert one.pvalue == two.pvalue
+        assert np.array_equal(one.replicate_stats, two.replicate_stats)
+        assert np.array_equal(one.bias, two.bias)
+
+    def test_pvalue_without_covariance_rejected_before_refitting(self, small_dataset,
+                                                                 monkeypatch):
+        import zadr.inference as inference_mod
+
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        calls = []
+        monkeypatch.setattr(inference_mod, "fit", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="compute_covariance"):
+            bootstrap_pvalue(final, ds, X, B=19, seed=5,
+                             fit_opts=FitOptions(compute_covariance=False))
+        assert calls == []
+
+    def test_failures_counted_by_cause(self, small_dataset, monkeypatch):
+        import zadr.inference as inference_mod
+
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        calls = []
+
+        def every_fourth_fails(*args):
+            calls.append(1)
+            if len(calls) % 4 == 0:
+                raise NonFiniteObjective("injected")
+            return fit(*args)
+
+        monkeypatch.setattr(inference_mod, "fit", every_fourth_fails)
+        result = bootstrap_bias(final, ds, X, B=28, seed=5)
+        assert result.failure_causes == {"NonFiniteObjective": 7}
+        assert result.failures == sum(result.failure_causes.values())
+        assert result.B == 21
+        with pytest.raises(TooFewSuccessfulReplicates, match="NonFiniteObjective"):
+            bootstrap_bias(final, ds, X, B=19, seed=5)
+
     def test_replicates_preserve_zero_pattern(self, small_dataset):
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
@@ -164,6 +223,30 @@ class TestWorkerCount:
             _worker_count()
         monkeypatch.setenv("ZADR_THREADS", "3")
         assert _worker_count() == 3
+
+    def test_pool_never_larger_than_task_count(self, monkeypatch):
+        import zadr.inference as inference_mod
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, args):
+                return map(func, args)
+
+        monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(inference_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.setenv("ZADR_THREADS", "64")
+        assert inference_mod._map_indexed(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert asked == [3]
 
 
 class TestFitMetrics:

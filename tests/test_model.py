@@ -303,6 +303,21 @@ class TestEngine:
         assert model.loglik is None and model.seed_provenance == 5
         assert model.covariance.shape == (model.B.size, model.B.size)
 
+    def test_aitchison_baseline_solves_ols_once(self, small_dataset, monkeypatch):
+        import zadr.model as model_mod
+
+        calls = []
+        real = model_mod.ols_init
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model_mod, "ols_init", counted)
+        ds, X = small_dataset
+        fit_aitchison(ds, X, SIMPLE_LINK, ZeroMode.RENORMALIZED, seed=5)
+        assert len(calls) == 1
+
 
 class TestPacking:
     def test_round_trip_simple(self):

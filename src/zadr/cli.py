@@ -19,6 +19,7 @@ from .compositions import make_design, read_covariates, read_csv
 from .dirichlet import ZeroMode
 from .errors import TernaryRequiresThree, ZadrError
 from .inference import (
+    MIN_REPLICATES,
     bootstrap_bias,  # noqa: F401  perfbench/tracing.py patches zadr.cli.bootstrap_bias by name
     bootstrap_pvalue,
     diagnostic_T,
@@ -35,6 +36,7 @@ from .model import (
     fit_aitchison,
     fitted_values,
     load_model,
+    refit_options,
     save_model,
 )
 
@@ -139,8 +141,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.B < 19:
-        print("error: B must be >= 19", file=sys.stderr)
+    if args.B < MIN_REPLICATES:
+        print(f"error: B must be >= {MIN_REPLICATES}", file=sys.stderr)
         return EXIT_VALIDATION
     model = load_model(args.model)
     if model.kind is ModelKind.AITCHISON:
@@ -148,8 +150,7 @@ def cmd_diagnose(args) -> int:
         return EXIT_VALIDATION
     ds, X = read_csv(args.input, components=model.component_names,
                      covariates=model.covariate_names[1:])
-    opts = FitOptions(zero_mode=model.zero_mode, random_seed=model.seed_provenance)
-    initial, final = fit(ds, X, model.link, opts)
+    initial, final = fit(ds, X, model.link, refit_options(model))
     diag = diagnostic_T(initial, final)
     boot = bootstrap_pvalue(final, ds, X, B=args.B, seed=args.seed, t_observed=diag.T)
     print(f"T = {diag.T:.3f}")

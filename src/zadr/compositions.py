@@ -9,7 +9,7 @@ positive entries.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +95,12 @@ def make_design(covariates: np.ndarray, names: list[str] | None = None) -> Covar
 
 @dataclass(frozen=True)
 class ZeroPattern:
-    """Per-row binary indicators of nonzero components.
+    """Binary indicators of nonzero components: u[i, j] = 1 iff values[i, j] > 0.
 
-    u[i, j] = 1 iff values[i, j] > 0. nonzero_sets[i] is the index tuple of
-    positive components of row i (kept as an index set, never materialized
-    as a selection matrix).
+    u is an n x D int8 matrix, read-only once constructed.
     """
 
     u: np.ndarray
-    nonzero_sets: list[tuple[int, ...]] = field(repr=False)
-    zero_row_indices: tuple[int, ...]
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -160,11 +156,8 @@ def load_dataset(
 
 
 def zero_pattern(ds: CompositionDataset) -> ZeroPattern:
-    """Extract the binary nonzero-indicator matrix and per-row index sets."""
-    u = (ds.values > 0.0).astype(np.int8)
-    nonzero_sets = [tuple(np.flatnonzero(row)) for row in u]
-    zero_rows = tuple(int(i) for i in np.flatnonzero((u == 0).any(axis=1)))
-    return ZeroPattern(u=u, nonzero_sets=nonzero_sets, zero_row_indices=zero_rows)
+    """Extract the binary nonzero-indicator matrix."""
+    return ZeroPattern(u=(ds.values > 0.0).astype(np.int8))
 
 
 def alr(ds_or_values, ref_index: int = 0) -> np.ndarray:

@@ -45,9 +45,10 @@ from .model import (
     ZadrModel,
     _row_parameters,
     fit,
+    refit_options,
 )
 
-_MIN_REPLICATES = 19
+MIN_REPLICATES = 19
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,14 @@ def _bootstrap_one(args):
 
 def _run_bootstrap(final, ds, X, B, seed, fit_opts, t_observed=None) -> BootstrapResult:
     """Refit B replicates once; the bias and, given t_observed, the p-value share them."""
-    if B < _MIN_REPLICATES:
-        raise ValueError(f"B must be >= {_MIN_REPLICATES}")
+    if B < MIN_REPLICATES:
+        raise ValueError(f"B must be >= {MIN_REPLICATES}")
     U = zero_pattern(ds).u
     args = [(final, X, U, s, fit_opts) for s in _replicate_seeds(seed, B)]
     records = _map_indexed(_bootstrap_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
-    if len(kept) < _MIN_REPLICATES:
+    if len(kept) < MIN_REPLICATES:
         raise TooFewSuccessfulReplicates(
             f"only {len(kept)} converged replicates out of {B}; failures by cause: {causes}"
         )
@@ -223,7 +224,7 @@ def bootstrap_pvalue(
     the bias comes from the same refits.
     """
     if fit_opts is None:
-        fit_opts = FitOptions(zero_mode=final.zero_mode, random_seed=final.seed_provenance)
+        fit_opts = refit_options(final)
     if not fit_opts.compute_covariance:
         raise ValueError("bootstrap_pvalue needs fit_opts.compute_covariance for T")
     if t_observed is None:
@@ -249,8 +250,7 @@ def bootstrap_bias(
     """Bootstrap bias estimates: mean(replicate estimates) - final estimates.
     Fits skip the covariance by default; replicate_stats holds the estimates."""
     if fit_opts is None:
-        fit_opts = FitOptions(zero_mode=final.zero_mode, random_seed=final.seed_provenance,
-                              compute_covariance=False)
+        fit_opts = refit_options(final, compute_covariance=False)
     return _run_bootstrap(final, ds, X, B, seed, fit_opts)
 
 
@@ -329,8 +329,7 @@ def run_simulation_study(
         raise ValueError("reps must be >= 1 and sizes nonempty")
     if not 0.0 <= zero_fraction < 1.0:
         raise ValueError("zero_fraction must be in [0, 1)")
-    fit_opts = FitOptions(zero_mode=true_model.zero_mode, random_seed=true_model.seed_provenance,
-                          compute_covariance=False)
+    fit_opts = refit_options(true_model, compute_covariance=False)
     seeds = _replicate_seeds(seed, len(sizes) * reps)
     mse: dict[int, np.ndarray] = {}
     successes: dict[int, int] = {}

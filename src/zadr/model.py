@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -46,10 +46,13 @@ from .errors import (
     NoZeroFreeRows,
     SingularDesign,
 )
-from .numerics import OptimizerOptions, minimize, numerical_hessian
+from .numerics import minimize, numerical_hessian
 
 _LINPRED_CLAMP = 700.0
 _COND_LIMIT = 1e12
+# Standard deviation of the random-normal start of the mixed model's
+# precision slopes, drawn from default_rng(FitOptions.random_seed).
+_MIXED_SLOPE_SD = 0.1
 
 
 class ModelKind(enum.Enum):
@@ -64,11 +67,6 @@ class FitStage(enum.Enum):
     FINAL = "final"
 
 
-class PrecisionInit(enum.Enum):
-    RANDOM_NORMAL = "random-normal"
-    ZEROS = "zeros"
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     ref_index: int = 0
@@ -77,20 +75,18 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class FitOptions:
-    # Fitting defaults to the renormalized sub-Dirichlet mode: with the
-    # as-written normalizer the zero-adjusted likelihood is unbounded in the
-    # precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
-    # large phi, S < 1 the retained mean mass), so no MLE exists.
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
+    """How `fit` treats zeros, seeds the mixed start and whether it computes
+    covariances. The optimizer always runs with its default options.
+
+    Fitting defaults to the renormalized sub-Dirichlet mode: with the
+    as-written normalizer the zero-adjusted likelihood is unbounded in the
+    precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
+    large phi, S < 1 the retained mean mass), so no MLE exists.
+    """
+
     zero_mode: ZeroMode = ZeroMode.RENORMALIZED
-    mixed_precision_init: PrecisionInit = PrecisionInit.RANDOM_NORMAL
-    mixed_precision_scale: float = 0.1
     random_seed: int = 0
     compute_covariance: bool = True
-
-    def __post_init__(self):
-        if self.mixed_precision_scale <= 0:
-            raise ValueError("mixed_precision_scale must be > 0")
 
 
 @dataclass(frozen=True)
@@ -429,6 +425,31 @@ def _init_phi_grid(negloglik, B0: np.ndarray) -> float:
     return best_phi
 
 
+def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: FitOptions,
+               stage: FitStage, p_hat: np.ndarray, loglik_offset: float = 0.0) -> ZadrModel:
+    """Maximize one stage's Dirichlet-part likelihood under `zero_mode` from
+    theta0 and wrap the optimum as a model; loglik_offset adds back the
+    Bernoulli term. The model records `opts.zero_mode`, the mode of the fit."""
+    negloglik, neggrad = _objective_pair(ds, X, zp, link, zero_mode)
+    res = minimize(negloglik, theta0, gradient=neggrad)
+    B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
+    covariance = _covariance_from_hessian(negloglik, res.argmin) if opts.compute_covariance else None
+    return ZadrModel(
+        B=B,
+        precision=precision,
+        p_hat=p_hat,
+        covariance=covariance,
+        loglik=-res.value + loglik_offset,
+        converged=res.converged,
+        stage=stage,
+        link=link,
+        zero_mode=opts.zero_mode,
+        seed_provenance=opts.random_seed,
+        component_names=ds.component_names,
+        covariate_names=X.covariate_names,
+    )
+
+
 def fit(
     ds: CompositionDataset,
     X: CovariateMatrix,
@@ -444,7 +465,6 @@ def fit(
     through their closed-form estimates and are held fixed: the Bernoulli
     term is additively separable from the Dirichlet term.
     """
-    kind = link.model_kind
     zp = zero_pattern(ds)
     p_hat = estimate_p(zp)
     mask = ds.zero_free_mask()
@@ -455,66 +475,39 @@ def fit(
         raise InsufficientRows(f"need at least p+2={X.p + 2} zero-free rows, have {n_free}")
     ds_free = _subset(ds, mask)
     X_free = _subset_design(X, mask)
-    zp_free = zero_pattern(ds_free)
+    zp_free = ZeroPattern(u=zp.u[mask])
 
     B0 = ols_init(ds_free, X_free, link)
-    d, q = B0.shape
+    q = B0.shape[1]
 
     # Stage one: plain likelihood on zero-free rows. Both kinds start from
     # the simple-model grid precision; the mixed model anchors its precision
-    # intercept there.
-    nll_free, ngrad_free = _objective_pair(ds_free, X_free, zp_free, link, ZeroMode.AS_WRITTEN)
+    # intercept there and draws its slopes at random.
     simple_link = LinkSpec(link.ref_index, ModelKind.SIMPLE)
     phi0 = _init_phi_grid(
         _objective_pair(ds_free, X_free, zp_free, simple_link, ZeroMode.AS_WRITTEN)[0], B0)
-    if kind is ModelKind.SIMPLE:
-        theta0 = np.concatenate([B0.ravel(), [phi0]])
+    if link.model_kind is ModelKind.SIMPLE:
+        precision0 = [phi0]
     else:
-        gamma0 = np.zeros(q)
-        gamma0[0] = np.log(phi0)
-        if opts.mixed_precision_init is PrecisionInit.RANDOM_NORMAL and q > 1:
+        precision0 = np.zeros(q)
+        precision0[0] = np.log(phi0)
+        if q > 1:
             rng = np.random.default_rng(opts.random_seed)
-            gamma0[1:] = rng.normal(0.0, opts.mixed_precision_scale, size=q - 1)
-        theta0 = np.concatenate([B0.ravel(), gamma0])
-
-    res_ini = minimize(nll_free, theta0, gradient=ngrad_free, opts=opts.optimizer)
-    B_ini, prec_ini = unpack_params(res_ini.argmin, d, q, kind)
-    cov_ini = _covariance_from_hessian(nll_free, res_ini.argmin) if opts.compute_covariance else None
-    initial = ZadrModel(
-        B=B_ini,
-        precision=prec_ini,
-        p_hat=np.ones(ds.D),
-        covariance=cov_ini,
-        loglik=-res_ini.value,
-        converged=res_ini.converged,
-        stage=FitStage.ZERO_FREE_INITIAL,
-        link=link,
-        zero_mode=opts.zero_mode,
-        seed_provenance=opts.random_seed,
-        component_names=ds.component_names,
-        covariate_names=X.covariate_names,
-    )
+            precision0[1:] = rng.normal(0.0, _MIXED_SLOPE_SD, size=q - 1)
+    theta0 = np.concatenate([B0.ravel(), precision0])
+    initial = _fit_stage(ds_free, X_free, zp_free, link, ZeroMode.AS_WRITTEN, theta0, opts,
+                         FitStage.ZERO_FREE_INITIAL, np.ones(ds.D))
 
     # Stage two: zero-adjusted likelihood on the full data.
-    nll_full, ngrad_full = _objective_pair(ds, X, zp, link, opts.zero_mode)
-    res_fin = minimize(nll_full, res_ini.argmin, gradient=ngrad_full, opts=opts.optimizer)
-    B_fin, prec_fin = unpack_params(res_fin.argmin, d, q, kind)
-    cov_fin = _covariance_from_hessian(nll_full, res_fin.argmin) if opts.compute_covariance else None
-    final = ZadrModel(
-        B=B_fin,
-        precision=prec_fin,
-        p_hat=p_hat,
-        covariance=cov_fin,
-        loglik=-res_fin.value + binary_log_prob(zp.u, p_hat),
-        converged=res_fin.converged,
-        stage=FitStage.FINAL,
-        link=link,
-        zero_mode=opts.zero_mode,
-        seed_provenance=opts.random_seed,
-        component_names=ds.component_names,
-        covariate_names=X.covariate_names,
-    )
+    final = _fit_stage(ds, X, zp, link, opts.zero_mode, initial.parameter_vector(), opts,
+                       FitStage.FINAL, p_hat, binary_log_prob(zp.u, p_hat))
     return initial, final
+
+
+def refit_options(model: ZadrModel, compute_covariance: bool = True) -> FitOptions:
+    """Options that refit data the way `model` was fitted: same zero mode and seed."""
+    return FitOptions(zero_mode=model.zero_mode, random_seed=model.seed_provenance,
+                      compute_covariance=compute_covariance)
 
 
 def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,

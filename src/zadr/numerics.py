@@ -52,7 +52,6 @@ class OptimizerOptions:
     gradient_tolerance: float = 1e-6
     step_tolerance: float = 1e-12
     function_tolerance: float = 1e-12
-    verbose: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -137,7 +136,10 @@ def minimize(objective, x0, gradient=None, opts: OptimizerOptions | None = None)
     """BFGS with Armijo backtracking line search.
 
     The objective may return +inf outside its domain; the line search simply
-    shrinks the step until it is finite again. Deterministic given inputs.
+    shrinks the step until it is finite again. Without `gradient`, central
+    finite differences of the objective stand in. `opts` defaults to
+    `OptimizerOptions()`, which is what model fitting uses. Deterministic
+    given inputs.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -223,9 +225,6 @@ def minimize(objective, x0, gradient=None, opts: OptimizerOptions | None = None)
 
         f_change = abs(fx - fx_new)
         x, fx, g = x_new, fx_new, g_new
-
-        if opts.verbose:
-            print(f"iter {iteration}: f={fx:.10g} |g|={np.max(np.abs(g)):.3e} t={t:.3e}")
 
         if np.max(np.abs(g)) < opts.gradient_tolerance:
             reason = TerminationReason.GRADIENT_TOL

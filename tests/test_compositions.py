@@ -70,8 +70,6 @@ class TestZeroPattern:
         ds = load_dataset([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         zp = zero_pattern(ds)
         assert zp.u.tolist() == [[1, 1, 0], [1, 1, 1]]
-        assert zp.nonzero_sets == [(0, 1), (0, 1, 2)]
-        assert zp.zero_row_indices == (0,)
 
     def test_magnitude_of_positive_values_is_irrelevant(self):
         a = load_dataset([[0.999, 0.001, 0.0]])

@@ -268,6 +268,48 @@ class TestFit:
         F_p = fitted_values(final_p, X).values
         assert np.max(np.abs(F[:, perm] - F_p)) < 1e-4
 
+    def test_mixed_start_anchors_intercept_and_draws_slopes(self, small_dataset, monkeypatch):
+        import zadr.model as model_mod
+
+        class Started(Exception):
+            pass
+
+        starts = []
+
+        def capture(objective, x0, gradient=None, opts=None):
+            starts.append(np.array(x0))
+            raise Started
+
+        monkeypatch.setattr(model_mod, "minimize", capture)
+        ds, X = small_dataset
+        x = X.design[:, 1]
+        X2 = make_design(np.column_stack([x, x**2]), names=["x1", "x2"])
+        for link in (SIMPLE_LINK, MIXED_LINK):
+            with pytest.raises(Started):
+                fit(ds, X2, link, FitOptions(random_seed=11))
+        simple0, mixed0 = starts
+        dq = (ds.D - 1) * X2.design.shape[1]
+        phi0 = simple0[dq]
+        assert phi0 in np.exp(np.linspace(np.log(0.5), np.log(500.0), 30))
+        assert np.array_equal(mixed0[:dq], simple0[:dq])
+        assert mixed0[dq] == np.log(phi0)
+        assert np.array_equal(mixed0[dq + 1:], np.random.default_rng(11).normal(0.0, 0.1, 2))
+
+    def test_fit_extracts_the_zero_pattern_once(self, small_dataset, monkeypatch):
+        import zadr.model as model_mod
+
+        calls = []
+        real = model_mod.zero_pattern
+
+        def counted(ds):
+            calls.append(ds.n)
+            return real(ds)
+
+        monkeypatch.setattr(model_mod, "zero_pattern", counted)
+        ds, X = small_dataset
+        fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        assert calls == [ds.n]
+
 
 class TestEngine:
     def test_mixed_fit_makes_at_most_one_bernoulli_call(self, small_dataset, monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .compositions import make_design, read_covariates, read_csv
 from .dirichlet import ZeroMode
-from .errors import TernaryRequiresThree, ZadrError
+from .errors import SchemaMismatch, TernaryRequiresThree, ZadrError
 from .inference import (
     MIN_REPLICATES,
     bootstrap_bias,  # noqa: F401  perfbench/tracing.py patches zadr.cli.bootstrap_bias by name
@@ -171,8 +171,7 @@ def cmd_diagnose(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.input:
-        _, X = read_csv(args.input, components=model.component_names,
-                        covariates=model.covariate_names[1:])
+        X = read_covariates(args.input, model.covariate_names[1:])
     else:
         # Default design: log water depth 1..30 metres.
         depth = np.log(np.arange(1, 31, dtype=float))
@@ -228,7 +227,7 @@ def _ternary_svg(obs_xy, fit_xy, labels, path):
         fh.write("\n".join(parts) + "\n")
 
 
-def _bar_svg(order_vals, observed, names, path):
+def _bar_svg(observed, names, path):
     n, D = observed.shape
     w, h, pad = max(480, 12 * n + 80), 360, 40
     bar_w = (w - 2 * pad) / n
@@ -254,12 +253,10 @@ def _bar_svg(order_vals, observed, names, path):
 def cmd_plot(args) -> int:
     ds, X = _read_data(args)
     model = load_model(args.model) if args.model else None
-    fitted = fitted_values(model, X).values if model is not None else None
+    fitted = fitted_values(model, X) if model is not None else None
 
     if args.order_by:
         if args.order_by not in X.covariate_names:
-            from .errors import SchemaMismatch
-
             raise SchemaMismatch(f"--order-by column {args.order_by!r} not a covariate")
         order_vals = X.design[:, X.covariate_names.index(args.order_by)]
     else:
@@ -268,7 +265,7 @@ def cmd_plot(args) -> int:
 
     if args.ternary:
         obs_xy = barycentric_xy(ds.values)
-        fit_xy = barycentric_xy(fitted[order]) if fitted is not None else None
+        fit_xy = barycentric_xy(fitted.values[order]) if fitted is not None else None
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "x", "y"])
@@ -291,13 +288,13 @@ def cmd_plot(args) -> int:
                 row = [ds.row_ids[i], _fmt(order_vals[i])]
                 row += [_fmt(v) for v in ds.values[i]]
                 if fitted is not None:
-                    row += [_fmt(v) for v in fitted[i]]
+                    row += [_fmt(v) for v in fitted.values[i]]
                 writer.writerow(row)
         if args.svg:
-            _bar_svg(order_vals[order], ds.values[order], ds.component_names, args.svg)
+            _bar_svg(ds.values[order], ds.component_names, args.svg)
 
     if fitted is not None:
-        metrics = fit_metrics(ds, fitted_values(model, X))
+        metrics = fit_metrics(ds, fitted)
         print(f"KL = {metrics.kl:.3f}  L2 = {metrics.l2:.3f}")
     return EXIT_OK
 

@@ -7,10 +7,17 @@ by parametric bootstrap: replicates are regenerated from the fitted model
 with the observed zero pattern preserved row-for-row, then refit end to end.
 One pass of refits gives the p-value of T and the bias of every coefficient.
 
-Replicates are independent work units; each owns a private generator spawned
-from the master seed and results are merged by replicate index, so output is
-independent of execution order. Failed replicates are counted by cause. The
-worker count is the least of `ZADR_THREADS`, the cores and the tasks.
+The bootstrap and the simulation study are the same Monte Carlo step: draw
+a response from a model with a fixed zero pattern and refit it end to end.
+One worker, `_replicate_one`, does that step for both, and a replicate
+counts only when both fit stages converged. Each replicate owns a private
+generator spawned from the master seed. The simulation study draws each
+replicate's design rows and zero pattern in the parent, from that
+replicate's generator, and hands the same generator to the worker for the
+response. Results are merged by replicate index, so output is independent
+of execution order. Failed replicates are counted by cause. Each command
+starts at most one process pool, whose worker count is the least of
+`ZADR_THREADS`, the cores and the tasks.
 """
 
 from __future__ import annotations
@@ -166,10 +173,12 @@ def _map_indexed(func, args_list):
         return list(pool.map(func, args_list))
 
 
-def _bootstrap_one(args):
-    """Refit one replicate: (failure cause or None, T or None, final parameters)."""
-    model, X, U, seed_seq, fit_opts = args
-    rng = np.random.default_rng(seed_seq)
+def _replicate_one(args):
+    """Draw a response from `model` with pattern U and refit it.
+
+    Returns (failure cause or None, T or None, final parameters or None).
+    """
+    model, X, U, rng, fit_opts = args
     try:
         ds_rep = simulate_response(model, X, U, rng)
         initial, final = fit(ds_rep, X, model.link, fit_opts)
@@ -186,8 +195,8 @@ def _run_bootstrap(final, ds, X, B, seed, fit_opts, t_observed=None) -> Bootstra
     if B < MIN_REPLICATES:
         raise ValueError(f"B must be >= {MIN_REPLICATES}")
     U = zero_pattern(ds).u
-    args = [(final, X, U, s, fit_opts) for s in _replicate_seeds(seed, B)]
-    records = _map_indexed(_bootstrap_one, args)
+    args = [(final, X, U, np.random.default_rng(s), fit_opts) for s in _replicate_seeds(seed, B)]
+    records = _map_indexed(_replicate_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
     if len(kept) < MIN_REPLICATES:
@@ -288,28 +297,6 @@ def fit_metrics(observed: CompositionDataset, fitted: CompositionDataset) -> Fit
     return FitMetrics(kl=kl, l2=l2)
 
 
-def _simulation_one(args):
-    model, base_design, cov_names, n, zero_fraction, seed_seq, fit_opts = args
-    rng = np.random.default_rng(seed_seq)
-    design = base_design[rng.integers(0, base_design.shape[0], size=n)]
-    X = CovariateMatrix(design=design, covariate_names=cov_names)
-    D = model.D
-    U = np.ones((n, D), dtype=np.int8)
-    n_zero = int(round(zero_fraction * n))
-    if n_zero > 0 and D >= 3:
-        zero_rows = rng.choice(n, size=n_zero, replace=False)
-        U[zero_rows, rng.integers(0, D, size=n_zero)] = 0
-    try:
-        ds = simulate_response(model, X, U, rng)
-        _, final = fit(ds, X, model.link, fit_opts)
-        if not final.converged:
-            return None
-        err = final.parameter_vector() - model.parameter_vector()
-        return err**2
-    except (ZadrError, np.linalg.LinAlgError):
-        return None
-
-
 def run_simulation_study(
     true_model: ZadrModel,
     design: CovariateMatrix,
@@ -323,28 +310,40 @@ def run_simulation_study(
     Covariates for each replicate are resampled with replacement from the
     rows of `design`; a `zero_fraction` share of rows gets one randomly
     placed zero component, drawn by zeroing a full-Dirichlet draw and
-    renormalizing (the marginality-consistent mechanism).
+    renormalizing (the marginality-consistent mechanism). The MSE averages
+    over the replicates whose two fit stages both converged.
     """
     if reps < 1 or not sizes:
         raise ValueError("reps must be >= 1 and sizes nonempty")
+    for n in sizes:
+        if n < 1 or sizes.count(n) > 1:
+            raise ValueError(f"sizes must be distinct and positive, got {n}")
     if not 0.0 <= zero_fraction < 1.0:
         raise ValueError("zero_fraction must be in [0, 1)")
     fit_opts = refit_options(true_model, compute_covariance=False)
-    seeds = _replicate_seeds(seed, len(sizes) * reps)
+    D = true_model.D
+    args = []
+    for n, seed_seq in zip(np.repeat(sizes, reps), _replicate_seeds(seed, len(sizes) * reps)):
+        rng = np.random.default_rng(seed_seq)
+        rows = design.design[rng.integers(0, design.design.shape[0], size=n)]
+        U = np.ones((n, D), dtype=np.int8)
+        n_zero = int(round(zero_fraction * n))
+        if n_zero > 0 and D >= 3:
+            zero_rows = rng.choice(n, size=n_zero, replace=False)
+            U[zero_rows, rng.integers(0, D, size=n_zero)] = 0
+        X = CovariateMatrix(design=rows, covariate_names=design.covariate_names)
+        args.append((true_model, X, U, rng, fit_opts))
+    records = _map_indexed(_replicate_one, args)
+    truth = true_model.parameter_vector()
     mse: dict[int, np.ndarray] = {}
     successes: dict[int, int] = {}
     for k, n in enumerate(sizes):
-        args = [
-            (true_model, design.design, design.covariate_names, n, zero_fraction,
-             seeds[k * reps + r], fit_opts)
-            for r in range(reps)
-        ]
-        results = [r for r in _map_indexed(_simulation_one, args) if r is not None]
-        successes[n] = len(results)
-        if results:
-            mse[n] = np.mean(np.asarray(results), axis=0)
+        kept = [p for cause, _, p in records[k * reps:(k + 1) * reps] if cause is None]
+        successes[n] = len(kept)
+        if kept:
+            mse[n] = np.mean((np.asarray(kept) - truth) ** 2, axis=0)
         else:
-            mse[n] = np.full(true_model.parameter_vector().size, np.nan)
+            mse[n] = np.full(truth.size, np.nan)
     return SimulationReport(
         sizes=list(sizes),
         parameter_names=true_model.parameter_names(),

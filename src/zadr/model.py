@@ -574,13 +574,11 @@ def model_from_dict(doc: dict) -> ZadrModel:
     B = np.array(doc["B"], dtype=float).reshape(d, q)
     if kind is ModelKind.SIMPLE:
         precision = float(doc["precision"]["phi"])
-        m = d * q + 1
     elif kind is ModelKind.MIXED:
         precision = np.array(doc["precision"]["gamma"], dtype=float)
-        m = d * q + q
     else:
         precision = None
-        m = d * q
+    m = pack_params(B, precision, kind).size
     cov = doc.get("covariance")
     covariance = None if cov is None else np.array(cov, dtype=float).reshape(m, m)
     return ZadrModel(

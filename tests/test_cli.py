@@ -214,6 +214,25 @@ class TestSimulate:
         assert lines[0] == "n,parameter,MSE,successes"
         assert len(lines) == 8  # 7 parameters for D=4, p=1
 
+    def test_covariates_only_design(self, data_csv, tmp_path):
+        model_path = tmp_path / "m.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--out", str(model_path))
+        design = tmp_path / "design.csv"
+        design.write_text("logdepth\n" + "".join(f"{float(np.log(d))!r}\n" for d in range(1, 31)))
+        out = tmp_path / "mse.csv"
+        assert run("simulate", "--model", str(model_path), "--input", str(design),
+                   "--sizes", "30", "--reps", "2", "--seed", "1", "--out", str(out)) == 0
+        assert len(out.read_text().strip().splitlines()) == 8
+
+    def test_repeated_size_is_validation_error(self, data_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--out", str(model_path))
+        assert run("simulate", "--model", str(model_path), "--sizes", "30,30",
+                   "--reps", "2", "--out", str(tmp_path / "mse.csv")) == 2
+        assert "got 30" in capsys.readouterr().err
+
 
 class TestPlot:
     def _model(self, data_csv, tmp_path):

@@ -214,6 +214,34 @@ class TestChi2AndLrt:
             lrt(simple, broken)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool with an in-process one on a 64-core machine.
+
+    Returns the list of worker counts the pools were asked for, one per pool.
+    """
+    import zadr.inference as inference_mod
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, args):
+            return map(func, args)
+
+    monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(inference_mod.os, "cpu_count", lambda: 64)
+    return asked
+
+
 class TestWorkerCount:
     def test_non_integer_threads_named_in_error(self, monkeypatch):
         from zadr.inference import _worker_count
@@ -224,29 +252,12 @@ class TestWorkerCount:
         monkeypatch.setenv("ZADR_THREADS", "3")
         assert _worker_count() == 3
 
-    def test_pool_never_larger_than_task_count(self, monkeypatch):
+    def test_pool_never_larger_than_task_count(self, serial_pool, monkeypatch):
         import zadr.inference as inference_mod
 
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, args):
-                return map(func, args)
-
-        monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(inference_mod.os, "cpu_count", lambda: 64)
         monkeypatch.setenv("ZADR_THREADS", "64")
         assert inference_mod._map_indexed(abs, [-1, -2, -3]) == [1, 2, 3]
-        assert asked == [3]
+        assert serial_pool == [3]
 
 
 class TestFitMetrics:
@@ -298,3 +309,40 @@ class TestSimulationStudy:
         with pytest.raises(ValueError):
             run_simulation_study(model, depth_design(), sizes=[30], reps=3,
                                  zero_fraction=1.5, seed=1)
+        for sizes, named in (([30, 30], "30"), ([-5], "-5"), ([0], "0")):
+            with pytest.raises(ValueError, match=f"got {named}$"):
+                run_simulation_study(model, depth_design(), sizes=sizes, reps=3,
+                                     zero_fraction=0.1, seed=1)
+
+    def test_one_pool_for_all_sizes(self, serial_pool, monkeypatch):
+        monkeypatch.setenv("ZADR_THREADS", "2")
+        report = run_simulation_study(truth_model(), depth_design(), sizes=[20, 30, 40],
+                                      reps=2, zero_fraction=1.0 / 6.0, seed=3)
+        assert serial_pool == [2]
+        assert sorted(report.mse) == [20, 30, 40]
+
+    def test_report_does_not_depend_on_worker_count(self, monkeypatch):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZADR_THREADS", threads)
+            reports.append(run_simulation_study(truth_model(), depth_design(), sizes=[20, 30],
+                                                reps=2, zero_fraction=1.0 / 6.0, seed=3))
+        one, two = reports
+        assert one.successes == two.successes
+        for n in (20, 30):
+            assert np.array_equal(one.mse[n], two.mse[n])
+
+    def test_replicate_needs_both_stages_converged(self, monkeypatch):
+        import zadr.inference as inference_mod
+        from dataclasses import replace
+
+        def zero_free_stage_unconverged(*args):
+            initial, final = fit(*args)
+            return replace(initial, converged=False), final
+
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        monkeypatch.setattr(inference_mod, "fit", zero_free_stage_unconverged)
+        report = run_simulation_study(truth_model(), depth_design(), sizes=[30], reps=2,
+                                      zero_fraction=1.0 / 6.0, seed=3)
+        assert report.successes == {30: 0}
+        assert np.all(np.isnan(report.mse[30]))

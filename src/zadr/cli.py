@@ -2,7 +2,8 @@
 
 Subcommands: fit, predict, diagnose, simulate, plot. Exit codes are a
 stable contract: 0 success, 1 I/O error, 2 validation/schema error,
-3 fit did not converge (outputs are still written).
+3 fit did not converge (outputs are still written). `diagnose` reads the
+two stage files that `fit` wrote and refits only bootstrap replicates.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .model import (
     LinkSpec,
     ModelKind,
     ZadrModel,
+    check_fitted_to,
     fit,
     fit_aitchison,
     fitted_values,
     load_model,
-    refit_options,
     save_model,
 )
 
@@ -144,13 +145,14 @@ def cmd_diagnose(args) -> int:
     if args.B < MIN_REPLICATES:
         print(f"error: B must be >= {MIN_REPLICATES}", file=sys.stderr)
         return EXIT_VALIDATION
-    model = load_model(args.model)
-    if model.kind is ModelKind.AITCHISON:
+    final = load_model(args.model)
+    if final.kind is ModelKind.AITCHISON:
         print("error: diagnose requires a simple or mixed ZADR model", file=sys.stderr)
         return EXIT_VALIDATION
-    ds, X = read_csv(args.input, components=model.component_names,
-                     covariates=model.covariate_names[1:])
-    initial, final = fit(ds, X, model.link, refit_options(model))
+    initial = load_model(_initial_path(args.model))
+    ds, X = read_csv(args.input, components=final.component_names,
+                     covariates=final.covariate_names[1:])
+    check_fitted_to(initial, final, ds, X)
     diag = diagnostic_T(initial, final)
     boot = bootstrap_pvalue(final, ds, X, B=args.B, seed=args.seed, t_observed=diag.T)
     print(f"T = {diag.T:.3f}")
@@ -170,19 +172,22 @@ def cmd_diagnose(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
+    covariates = model.covariate_names[1:]
     if args.input:
-        X = read_covariates(args.input, model.covariate_names[1:])
+        X = read_covariates(args.input, covariates)
+    elif len(covariates) > 1:
+        print(f"error: a model with {len(covariates)} covariates needs a design CSV; "
+              "pass --input", file=sys.stderr)
+        return EXIT_VALIDATION
     else:
-        # Default design: log water depth 1..30 metres.
+        # Default design: log water depth 1..30 metres, or the intercept alone.
         depth = np.log(np.arange(1, 31, dtype=float))
-        cov = np.column_stack([depth] * max(len(model.covariate_names) - 1, 0)) \
-            if len(model.covariate_names) > 1 else np.empty((30, 0))
-        X = make_design(cov, names=model.covariate_names[1:])
+        X = make_design(depth if covariates else np.empty((30, 0)), names=covariates)
     sizes = [int(s) for s in args.sizes.split(",")]
     report = run_simulation_study(model, X, sizes=sizes, reps=args.reps,
                                   zero_fraction=args.zero_fraction, seed=args.seed)
     report.to_csv(args.out)
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if 0 in report.successes.values() else EXIT_OK
 
 
 _TRI_V = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -322,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--out", required=True)
     p_pred.set_defaults(func=cmd_predict)
 
-    p_diag = sub.add_parser("diagnose", help="zero-effect diagnostic with bootstrap p-value")
+    p_diag = sub.add_parser(
+        "diagnose", help="zero-effect diagnostic with bootstrap p-value",
+        description="Diagnose a saved fit: read --model and the <model>.initial.json next to "
+                    "it and check both against --input. Exit 1 if a file is missing, exit 2 "
+                    "(ModelDataMismatch) if they were fitted to other data.")
     p_diag.add_argument("--input", required=True)
     p_diag.add_argument("--model", required=True)
     p_diag.add_argument("--B", type=int, default=99)
@@ -331,9 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--out")
     p_diag.set_defaults(func=cmd_diagnose)
 
-    p_sim = sub.add_parser("simulate", help="parameter-recovery MSE study")
+    p_sim = sub.add_parser("simulate", help="parameter-recovery MSE study",
+                           description="Parameter-recovery MSE study. Exit 3, with the CSV "
+                                       "written, if a size has no successful replicate.")
     p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--input", help="design CSV (default: log-depth 1..30)")
+    p_sim.add_argument("--input", help="design CSV; required for two or more covariates "
+                                       "(default: log-depth 1..30)")
     p_sim.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--zero-fraction", type=float, default=1.0 / 6.0)
@@ -366,7 +378,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ZadrError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

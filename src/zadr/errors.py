@@ -57,6 +57,10 @@ class SchemaMismatch(ZadrError):
     pass
 
 
+class ModelDataMismatch(ZadrError):
+    """A saved model's log-likelihood does not recompute on the given data."""
+
+
 class TooFewSuccessfulReplicates(ZadrError):
     pass
 

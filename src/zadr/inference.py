@@ -47,6 +47,7 @@ from .errors import (
     ZadrError,
 )
 from .model import (
+    _COND_LIMIT,
     FitOptions,
     ModelKind,
     ZadrModel,
@@ -118,7 +119,7 @@ def diagnostic_T(initial: ZadrModel, final: ZadrModel) -> DiagnosticResult:
     delta = initial.parameter_vector() - final.parameter_vector()
     sigma2 = initial.covariance + final.covariance
     cond = np.linalg.cond(sigma2)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         warnings.warn(
             f"combined covariance condition number {cond:.3e}; using pseudo-inverse",
             RuntimeWarning,

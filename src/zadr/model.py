@@ -43,6 +43,7 @@ from .dirichlet import ZeroMode
 from .errors import (
     DomainError,
     InsufficientRows,
+    ModelDataMismatch,
     NoZeroFreeRows,
     SingularDesign,
 )
@@ -50,6 +51,11 @@ from .numerics import minimize, numerical_hessian
 
 _LINPRED_CLAMP = 700.0
 _COND_LIMIT = 1e12
+# Largest relative gap between a saved stage's log-likelihood and its value
+# recomputed on the data. On the data it was fitted to, the recomputation
+# differs at most by summation order (about 1e-14 relative); data from any
+# other draw moves the log-likelihood by whole percents.
+_LOGLIK_RTOL = 1e-9
 # Standard deviation of the random-normal start of the mixed model's
 # precision slopes, drawn from default_rng(FitOptions.random_seed).
 _MIXED_SLOPE_SD = 0.1
@@ -193,18 +199,13 @@ def _row_parameters(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKin
     return A, phi_rows(Xd, np.asarray(precision, dtype=float))
 
 
-def _masked_log(Y: np.ndarray, U: np.ndarray) -> np.ndarray:
-    return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0)
-
-
-def _core_loglik(A, phis, Y, U, zero_mode: ZeroMode) -> float:
-    """Dirichlet part of the log-likelihood; U marks the retained components.
+def _core_loglik(A, phis, logY, U, zero_mode: ZeroMode) -> float:
+    """Dirichlet part of the log-likelihood on `_prepare`d data.
 
     Extreme line-search probes overflow to a non-finite value, which the
     objective maps to +inf, so those floating-point warnings are silenced.
     """
     alpha = phis[:, None] * A
-    logY = _masked_log(Y, U)
     with np.errstate(over="ignore", invalid="ignore"):
         body = np.sum(np.where(U, (alpha - 1.0) * logY - special.gammaln(alpha), 0.0))
         if zero_mode is ZeroMode.AS_WRITTEN:
@@ -215,14 +216,13 @@ def _core_loglik(A, phis, Y, U, zero_mode: ZeroMode) -> float:
         return float(norm + body)
 
 
-def _core_grad(A, phis, Y, U, zero_mode: ZeroMode):
+def _core_grad(A, phis, logY, U, zero_mode: ZeroMode):
     """Returns (dEta, dphi_row): gradient pieces of the Dirichlet part.
 
     dEta is n x D (w.r.t. the linear predictors, reference column included);
     dphi_row is the per-row derivative w.r.t. that row's precision.
     """
     alpha = phis[:, None] * A
-    logY = _masked_log(Y, U)
     psi_alpha = np.where(U, special.digamma(np.where(U, alpha, 1.0)), 0.0)
     g = np.where(U, phis[:, None] * (logY - psi_alpha), 0.0)
     if zero_mode is ZeroMode.AS_WRITTEN:
@@ -239,11 +239,13 @@ def _core_grad(A, phis, Y, U, zero_mode: ZeroMode):
 
 
 def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: ZeroPattern | None):
+    """(logY, design, U); U marks the retained components, logY is log(y) there, 0 elsewhere."""
     if X.n != ds.n:
         raise DomainError("design and dataset row counts differ")
     if zp is None:
         zp = zero_pattern(ds)
-    return ds.values, X.design, zp.u.astype(bool)
+    U = zp.u.astype(bool)
+    return np.where(U, np.log(np.where(U, ds.values, 1.0)), 0.0), X.design, U
 
 
 def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
@@ -253,13 +255,35 @@ def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
     With p None this is the plain Dirichlet likelihood, defined only on
     zero-free data.
     """
-    Y, Xd, U = _prepare(ds, X, zp)
+    logY, Xd, U = _prepare(ds, X, zp)
     if p is None and not U.all():
         raise DomainError(f"loglik_{kind.value} requires a zero-free dataset")
     if kind is ModelKind.SIMPLE and precision <= 0:
         raise DomainError("phi must be > 0")
-    value = _core_loglik(*_row_parameters(Xd, B, precision, link.ref_index, kind), Y, U, zero_mode)
+    value = _core_loglik(*_row_parameters(Xd, B, precision, link.ref_index, kind), logY, U, zero_mode)
     return value if p is None else value + binary_log_prob(U, p)
+
+
+def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset,
+                    X: CovariateMatrix) -> None:
+    """Raise ModelDataMismatch unless both saved fit stages describe (ds, X).
+
+    Each stage's stored log-likelihood is recomputed: the final stage
+    zero-adjusted on all rows under its zero mode, the initial stage plain
+    Dirichlet on the zero-free rows.
+    """
+    mask = ds.zero_free_mask()
+    recomputed = [
+        (final, _loglik(final.kind, final.B, final.precision, final.p_hat, ds, X, None,
+                        final.link, final.zero_mode)),
+        (initial, _loglik(initial.kind, initial.B, initial.precision, None, _subset(ds, mask),
+                          _subset_design(X, mask), None, initial.link, ZeroMode.AS_WRITTEN)),
+    ]
+    for model, value in recomputed:
+        if not abs(value - model.loglik) <= _LOGLIK_RTOL * abs(model.loglik):
+            raise ModelDataMismatch(
+                f"the {model.stage.value} model's stored log-likelihood {model.loglik!r} "
+                f"recomputes as {value!r} on these data; it was fitted to other data")
 
 
 def loglik_simple(B, phi, ds, X, link: LinkSpec) -> float:
@@ -302,13 +326,13 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
     return B, theta[d * q:]
 
 
-def _gradient(theta, Y, Xd, U, link: LinkSpec, zero_mode: ZeroMode) -> np.ndarray:
+def _gradient(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode) -> np.ndarray:
     """Dirichlet-part gradient on prepared arrays (see `analytic_gradient`)."""
-    D = Y.shape[1]
+    D = logY.shape[1]
     kind = link.model_kind
     B, precision = unpack_params(theta, D - 1, Xd.shape[1], kind)
     A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
-    dEta, dphi_row = _core_grad(A, phis, Y, U, zero_mode)
+    dEta, dphi_row = _core_grad(A, phis, logY, U, zero_mode)
     nonref = [j for j in range(D) if j != link.ref_index]
     dB = dEta[:, nonref].T @ Xd
     if kind is ModelKind.SIMPLE:
@@ -384,18 +408,18 @@ def _objective_pair(ds, X, zp, link, zero_mode):
     d = ds.D - 1
     q = X.design.shape[1]
     kind = link.model_kind
-    Y, Xd, U = _prepare(ds, X, zp)
+    logY, Xd, U = _prepare(ds, X, zp)
 
     def negloglik(theta):
         B, precision = unpack_params(theta, d, q, kind)
         if not np.all(np.isfinite(theta)) or (kind is ModelKind.SIMPLE and precision <= 0):
             return np.inf
         A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
-        value = _core_loglik(A, phis, Y, U, zero_mode)
+        value = _core_loglik(A, phis, logY, U, zero_mode)
         return -value if np.isfinite(value) else np.inf
 
     def neggrad(theta):
-        return -_gradient(theta, Y, Xd, U, link, zero_mode)
+        return -_gradient(theta, logY, Xd, U, link, zero_mode)
 
     return negloglik, neggrad
 
@@ -468,11 +492,8 @@ def fit(
     zp = zero_pattern(ds)
     p_hat = estimate_p(zp)
     mask = ds.zero_free_mask()
-    n_free = int(mask.sum())
-    if n_free == 0:
+    if not mask.any():
         raise NoZeroFreeRows("no zero-free rows to warm-start from")
-    if n_free < X.p + 2:
-        raise InsufficientRows(f"need at least p+2={X.p + 2} zero-free rows, have {n_free}")
     ds_free = _subset(ds, mask)
     X_free = _subset_design(X, mask)
     zp_free = ZeroPattern(u=zp.u[mask])

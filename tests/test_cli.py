@@ -1,25 +1,26 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import COMPONENTS, simulate_dataset
+from conftest import COMPONENTS, TRUE_B, simulate_dataset, truth_model
 
 import zadr.inference
 from zadr import cli
 from zadr.errors import NonFiniteObjective
-from zadr.model import fitted_values, load_model
+from zadr.inference import diagnostic_T
+from zadr.model import fitted_values, load_model, save_model
 
 
-@pytest.fixture
-def data_csv(tmp_path):
-    ds, X = simulate_dataset(n=30, seed=12, n_zero=5)
-    path = tmp_path / "data.csv"
+def write_data_csv(path, seed):
+    ds, X = simulate_dataset(n=30, seed=seed, n_zero=5)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(COMPONENTS + ["logdepth"])
@@ -27,6 +28,28 @@ def data_csv(tmp_path):
             w.writerow([repr(float(v)) for v in ds.values[i]]
                        + [repr(float(X.design[i, 1]))])
     return path
+
+
+@pytest.fixture
+def data_csv(tmp_path):
+    return write_data_csv(tmp_path / "data.csv", seed=12)
+
+
+def count_replicate_fits(monkeypatch, fail_every=0):
+    """Route zadr.inference.fit through a counter in this process, failing every
+    `fail_every`-th call; returns the list of calls."""
+    monkeypatch.setenv("ZADR_THREADS", "1")
+    real_fit = zadr.inference.fit
+    calls = []
+
+    def counted_fit(*args):
+        calls.append(1)
+        if fail_every and len(calls) % fail_every == 0:
+            raise NonFiniteObjective("injected")
+        return real_fit(*args)
+
+    monkeypatch.setattr(zadr.inference, "fit", counted_fit)
+    return calls
 
 
 COMP_ARG = ",".join(COMPONENTS)
@@ -152,17 +175,7 @@ class TestDiagnose:
         model_path = tmp_path / "m.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--out", str(model_path))
-        monkeypatch.setenv("ZADR_THREADS", "1")
-        real_fit = zadr.inference.fit
-        calls = []
-
-        def counted_fit(*args):
-            calls.append(1)
-            if fail_every and len(calls) % fail_every == 0:
-                raise NonFiniteObjective("injected")
-            return real_fit(*args)
-
-        monkeypatch.setattr(zadr.inference, "fit", counted_fit)
+        calls = count_replicate_fits(monkeypatch, fail_every)
         out = tmp_path / "diag.json"
         assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
                    "--B", "28", "--seed", "2", "--bias", "--out", str(out)) == 0
@@ -201,6 +214,60 @@ class TestDiagnose:
         assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
                    "--B", "19") == 2
 
+    def _fit(self, data_csv, model_path):
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--out", str(model_path)) == 0
+        return model_path
+
+    def test_observed_data_is_not_refitted(self, data_csv, tmp_path, monkeypatch):
+        model_path = self._fit(data_csv, tmp_path / "m.json")
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("diagnose refitted the observed data")
+
+        monkeypatch.setattr(cli, "fit", no_refit)
+        calls = count_replicate_fits(monkeypatch)
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "19", "--seed", "2") == 0
+        assert len(calls) == 19
+
+    def test_T_comes_from_the_model_files(self, data_csv, tmp_path):
+        model_path = self._fit(data_csv, tmp_path / "m.json")
+        # A covariance the observed data would not give back: only the file knows it.
+        final = load_model(model_path)
+        save_model(replace(final, covariance=2.0 * final.covariance), model_path)
+        out = tmp_path / "diag.json"
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "19", "--seed", "2", "--out", str(out)) == 0
+        expected = diagnostic_T(load_model(tmp_path / "m.initial.json"), load_model(model_path))
+        assert json.loads(out.read_text())["T"] == expected.T
+
+    @pytest.mark.parametrize("stale", ["final", "initial"])
+    def test_model_fitted_to_other_data_is_rejected(self, data_csv, tmp_path, monkeypatch,
+                                                    capsys, stale):
+        other_csv = write_data_csv(tmp_path / "other.csv", seed=13)
+        model_path = self._fit(data_csv, tmp_path / "m.json")
+        self._fit(other_csv, tmp_path / "other.json")
+        if stale == "final":
+            data = other_csv
+        else:
+            shutil.copy(tmp_path / "other.initial.json", tmp_path / "m.initial.json")
+            data = data_csv
+        capsys.readouterr()
+        calls = count_replicate_fits(monkeypatch)
+        assert run("diagnose", "--input", str(data), "--model", str(model_path),
+                   "--B", "19") == 2
+        assert "ModelDataMismatch" in capsys.readouterr().err
+        assert calls == []
+
+    def test_missing_initial_model_is_io_error(self, data_csv, tmp_path, capsys):
+        model_path = self._fit(data_csv, tmp_path / "m.json")
+        (tmp_path / "m.initial.json").unlink()
+        capsys.readouterr()
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "19") == 1
+        assert "m.initial.json" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_mse_csv_schema(self, data_csv, tmp_path):
@@ -232,6 +299,30 @@ class TestSimulate:
         assert run("simulate", "--model", str(model_path), "--sizes", "30,30",
                    "--reps", "2", "--out", str(tmp_path / "mse.csv")) == 2
         assert "got 30" in capsys.readouterr().err
+
+    def test_two_covariates_need_input(self, tmp_path, monkeypatch, capsys):
+        truth = truth_model()
+        model_path = tmp_path / "m.json"
+        save_model(replace(truth, B=np.column_stack([TRUE_B, np.zeros(3)]),
+                           covariate_names=["intercept", "x1", "x2"]), model_path)
+        calls = count_replicate_fits(monkeypatch)
+        out = tmp_path / "mse.csv"
+        assert run("simulate", "--model", str(model_path), "--sizes", "30",
+                   "--reps", "3", "--out", str(out)) == 2
+        assert "--input" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_size_without_successes_exits_3_with_csv(self, data_csv, tmp_path, monkeypatch):
+        model_path = tmp_path / "m.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--out", str(model_path))
+        calls = count_replicate_fits(monkeypatch, fail_every=1)
+        out = tmp_path / "mse.csv"
+        assert run("simulate", "--model", str(model_path), "--sizes", "30,40",
+                   "--reps", "2", "--seed", "1", "--out", str(out)) == 3
+        assert len(calls) == 4
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 14 and all(row["successes"] == "0" for row in rows)
 
 
 class TestPlot:

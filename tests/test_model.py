@@ -239,6 +239,13 @@ class TestFit:
         with pytest.raises(NoZeroFreeRows):
             fit(ds, X, SIMPLE_LINK, FitOptions())
 
+    def test_too_few_zero_free_rows(self):
+        rows = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.7, 0.0, 0.3], [0.1, 0.6, 0.3]]
+        ds = load_dataset(rows)
+        X = make_design(np.arange(4.0)[:, None], names=["x"])
+        with pytest.raises(InsufficientRows, match="need at least p\\+2=3 zero-free rows, have 2"):
+            fit(ds, X, SIMPLE_LINK, FitOptions())
+
     def test_deterministic(self, small_dataset):
         ds, X = small_dataset
         _, a = fit(ds, X, SIMPLE_LINK, FitOptions(random_seed=7))

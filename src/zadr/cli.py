@@ -18,7 +18,7 @@ import numpy as np
 
 from .compositions import make_design, read_covariates, read_csv
 from .dirichlet import ZeroMode
-from .errors import SchemaMismatch, TernaryRequiresThree, ZadrError
+from .errors import KindMismatch, SchemaMismatch, TernaryRequiresThree, ZadrError
 from .inference import (
     MIN_REPLICATES,
     bootstrap_bias,  # noqa: F401  perfbench/tracing.py patches zadr.cli.bootstrap_bias by name
@@ -129,6 +129,14 @@ def _initial_path(out_path: str) -> str:
     return out_path + ".initial"
 
 
+def _load_zadr_model(path: str, command: str) -> ZadrModel:
+    """Load a simple or mixed model; the Aitchison baseline has no likelihood to refit."""
+    model = load_model(path)
+    if model.kind is ModelKind.AITCHISON:
+        raise KindMismatch(f"{command} requires a simple or mixed ZADR model")
+    return model
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     X = read_covariates(args.input, model.covariate_names[1:])
@@ -145,10 +153,7 @@ def cmd_diagnose(args) -> int:
     if args.B < MIN_REPLICATES:
         print(f"error: B must be >= {MIN_REPLICATES}", file=sys.stderr)
         return EXIT_VALIDATION
-    final = load_model(args.model)
-    if final.kind is ModelKind.AITCHISON:
-        print("error: diagnose requires a simple or mixed ZADR model", file=sys.stderr)
-        return EXIT_VALIDATION
+    final = _load_zadr_model(args.model, "diagnose")
     initial = load_model(_initial_path(args.model))
     ds, X = read_csv(args.input, components=final.component_names,
                      covariates=final.covariate_names[1:])
@@ -171,7 +176,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
+    model = _load_zadr_model(args.model, "simulate")
     covariates = model.covariate_names[1:]
     if args.input:
         X = read_covariates(args.input, covariates)

@@ -45,9 +45,11 @@ from .errors import (
     InsufficientRows,
     ModelDataMismatch,
     NoZeroFreeRows,
+    SchemaMismatch,
     SingularDesign,
 )
-from .numerics import minimize, numerical_hessian
+from .numerics import finite_diff_gradient, minimize
+from .numerics import numerical_hessian  # noqa: F401  perfbench/tracing.py patches it here
 
 _LINPRED_CLAMP = 700.0
 _COND_LIMIT = 1e12
@@ -82,7 +84,8 @@ class LinkSpec:
 @dataclass(frozen=True)
 class FitOptions:
     """How `fit` treats zeros, seeds the mixed start and whether it computes
-    covariances. The optimizer always runs with its default options.
+    covariances: the inverse observed information, differenced from the
+    analytic gradient. The optimizer always runs with its default options.
 
     Fitting defaults to the renormalized sub-Dirichlet mode: with the
     as-written normalizer the zero-adjusted likelihood is unbounded in the
@@ -276,8 +279,8 @@ def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset
     recomputed = [
         (final, _loglik(final.kind, final.B, final.precision, final.p_hat, ds, X, None,
                         final.link, final.zero_mode)),
-        (initial, _loglik(initial.kind, initial.B, initial.precision, None, _subset(ds, mask),
-                          _subset_design(X, mask), None, initial.link, ZeroMode.AS_WRITTEN)),
+        (initial, _loglik(initial.kind, initial.B, initial.precision, None, *_subset(ds, X, mask),
+                          None, initial.link, ZeroMode.AS_WRITTEN)),
     ]
     for model, value in recomputed:
         if not abs(value - model.loglik) <= _LOGLIK_RTOL * abs(model.loglik):
@@ -387,16 +390,14 @@ def ols_standard_errors(ds: CompositionDataset, X: CovariateMatrix, link: LinkSp
 # ---------------------------------------------------------------------------
 # fitting pipeline
 
-def _subset(ds: CompositionDataset, mask: np.ndarray) -> CompositionDataset:
-    return CompositionDataset(
+def _subset(ds: CompositionDataset, X: CovariateMatrix, mask: np.ndarray):
+    """The rows of a dataset and of its design where `mask` holds."""
+    rows = CompositionDataset(
         values=ds.values[mask].copy(),
         component_names=ds.component_names,
         row_ids=[r for r, keep in zip(ds.row_ids, mask) if keep],
     )
-
-
-def _subset_design(X: CovariateMatrix, mask: np.ndarray) -> CovariateMatrix:
-    return CovariateMatrix(design=X.design[mask].copy(), covariate_names=X.covariate_names)
+    return rows, CovariateMatrix(design=X.design[mask].copy(), covariate_names=X.covariate_names)
 
 
 def _objective_pair(ds, X, zp, link, zero_mode):
@@ -424,10 +425,11 @@ def _objective_pair(ds, X, zp, link, zero_mode):
     return negloglik, neggrad
 
 
-def _covariance_from_hessian(negloglik, theta: np.ndarray) -> np.ndarray:
-    """Inverse observed information; pseudo-inverse with a warning when
-    the information matrix is ill-conditioned."""
-    H = numerical_hessian(negloglik, theta)  # = -Hessian of the log-likelihood
+def _covariance_from_hessian(neggrad, theta: np.ndarray) -> np.ndarray:
+    """Inverse observed information, differenced from the analytic gradient;
+    pseudo-inverse with a warning when it is ill-conditioned."""
+    J = finite_diff_gradient(neggrad, theta)  # = -Hessian of the log-likelihood
+    H = 0.5 * (J + J.T)
     cond = np.linalg.cond(H)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         warnings.warn(
@@ -457,7 +459,7 @@ def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: Fit
     negloglik, neggrad = _objective_pair(ds, X, zp, link, zero_mode)
     res = minimize(negloglik, theta0, gradient=neggrad)
     B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
-    covariance = _covariance_from_hessian(negloglik, res.argmin) if opts.compute_covariance else None
+    covariance = _covariance_from_hessian(neggrad, res.argmin) if opts.compute_covariance else None
     return ZadrModel(
         B=B,
         precision=precision,
@@ -494,8 +496,7 @@ def fit(
     mask = ds.zero_free_mask()
     if not mask.any():
         raise NoZeroFreeRows("no zero-free rows to warm-start from")
-    ds_free = _subset(ds, mask)
-    X_free = _subset_design(X, mask)
+    ds_free, X_free = _subset(ds, X, mask)
     zp_free = ZeroPattern(u=zp.u[mask])
 
     B0 = ols_init(ds_free, X_free, link)
@@ -536,7 +537,7 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
     """Aitchison comparison baseline: OLS of the alr responses on the zero-free
     rows, with squared OLS standard errors as a diagonal covariance."""
     mask = ds.zero_free_mask()
-    ds_free, X_free = _subset(ds, mask), _subset_design(X, mask)
+    ds_free, X_free = _subset(ds, X, mask)
     link = LinkSpec(link.ref_index, ModelKind.AITCHISON)
     B = ols_init(ds_free, X_free, link)
     se = ols_standard_errors(ds_free, X_free, link, B)
@@ -626,4 +627,8 @@ def save_model(model: ZadrModel, path) -> None:
 
 def load_model(path) -> ZadrModel:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return model_from_dict(doc if isinstance(doc, dict) else {})
+    except KeyError as exc:
+        raise SchemaMismatch(f"{path} is not a model file: it has no key {exc}") from None

@@ -70,25 +70,22 @@ class OptimResult:
     termination_reason: TerminationReason
 
 
-def _fd_steps(x: np.ndarray) -> np.ndarray:
-    return np.maximum(1e-6, 1e-6 * np.abs(x))
-
-
 def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with magnitude-scaled steps."""
+    """Central differences with magnitude-scaled steps: the gradient of a scalar
+    f, or the Jacobian of a vector-valued f with row i holding df/dx_i."""
     x = np.asarray(x, dtype=float)
-    h = _fd_steps(x)
-    g = np.empty_like(x)
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    rows = []
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h[i]
         xm[i] -= h[i]
         fp, fm = f(xp), f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise NonFiniteObjective(f"non-finite objective near component {i}")
-        g[i] = (fp - fm) / (2.0 * h[i])
-    return g
+        rows.append((fp - fm) / (2.0 * h[i]))
+    return np.array(rows)
 
 
 def numerical_hessian(f, x: np.ndarray) -> np.ndarray:
@@ -132,20 +129,17 @@ _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 
 
-def minimize(objective, x0, gradient=None, opts: OptimizerOptions | None = None) -> OptimResult:
+def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> OptimResult:
     """BFGS with Armijo backtracking line search.
 
     The objective may return +inf outside its domain; the line search simply
-    shrinks the step until it is finite again. Without `gradient`, central
-    finite differences of the objective stand in. `opts` defaults to
-    `OptimizerOptions()`, which is what model fitting uses. Deterministic
-    given inputs.
+    shrinks the step until it is finite again. `gradient(x)` returns its
+    gradient. `opts` defaults to `OptimizerOptions()`, which is what model
+    fitting uses. Deterministic given inputs.
     """
     if opts is None:
         opts = OptimizerOptions()
     x = np.asarray(x0, dtype=float).copy()
-    if gradient is None:
-        gradient = lambda v: finite_diff_gradient(objective, v)  # noqa: E731
 
     fx = objective(x)
     if not np.isfinite(fx):

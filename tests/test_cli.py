@@ -15,7 +15,7 @@ from conftest import COMPONENTS, TRUE_B, simulate_dataset, truth_model
 import zadr.inference
 from zadr import cli
 from zadr.errors import NonFiniteObjective
-from zadr.inference import diagnostic_T
+from zadr.inference import diagnostic_T, save_diagnostic
 from zadr.model import fitted_values, load_model, save_model
 
 
@@ -144,6 +144,21 @@ class TestPredict:
         assert run("predict", "--model", str(model_path), "--input", str(bad),
                    "--out", str(tmp_path / "p.csv")) == 2
 
+    def test_file_that_is_not_a_model_is_schema_error(self, data_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--out", str(model_path))
+        diag = tmp_path / "diag.json"
+        save_diagnostic(diagnostic_T(load_model(tmp_path / "m.initial.json"),
+                                     load_model(model_path)), diag)
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2]\n")
+        for path in (diag, listing):
+            capsys.readouterr()
+            assert run("predict", "--model", str(path), "--input", str(data_csv),
+                       "--out", str(tmp_path / "p.csv")) == 2
+            err = capsys.readouterr().err
+            assert "SchemaMismatch" in err and "model_kind" in err and str(path) in err
 
     def test_short_row_is_validation_error(self, data_csv, tmp_path):
         model_path = tmp_path / "m.json"
@@ -310,6 +325,18 @@ class TestSimulate:
         assert run("simulate", "--model", str(model_path), "--sizes", "30",
                    "--reps", "3", "--out", str(out)) == 2
         assert "--input" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_aitchison_model_rejected_before_any_fit(self, data_csv, tmp_path, monkeypatch,
+                                                     capsys):
+        model_path = tmp_path / "ait.json"
+        run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+            "--covariates", "logdepth", "--kind", "aitchison-ols", "--out", str(model_path))
+        calls = count_replicate_fits(monkeypatch)
+        out = tmp_path / "mse.csv"
+        assert run("simulate", "--model", str(model_path), "--sizes", "30",
+                   "--reps", "2", "--out", str(out)) == 2
+        assert "simulate requires a simple or mixed ZADR model" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
     def test_size_without_successes_exits_3_with_csv(self, data_csv, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from conftest import COMPONENTS, TRUE_B, TRUE_PHI, simulate_dataset
 from oracle import oracle_loglik
 
-from zadr.compositions import estimate_p, load_dataset, make_design, zero_pattern
+from zadr.compositions import CovariateMatrix, estimate_p, load_dataset, make_design, zero_pattern
 from zadr.dirichlet import ZeroMode
 from zadr.errors import DomainError, InsufficientRows, NoZeroFreeRows, SingularDesign
 from zadr.model import (
@@ -34,7 +34,7 @@ from zadr.model import (
     save_model,
     unpack_params,
 )
-from zadr.numerics import finite_diff_gradient
+from zadr.numerics import finite_diff_gradient, numerical_hessian
 
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
 MIXED_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.MIXED)
@@ -316,6 +316,50 @@ class TestFit:
         ds, X = small_dataset
         fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
         assert calls == [ds.n]
+
+
+class TestCovariance:
+    """inv(covariance) is the observed information: the finite-difference
+    Hessian of the stage's negative log-likelihood at its optimum."""
+
+    LOGLIKS = {ModelKind.SIMPLE: (loglik_zadr_simple, loglik_simple),
+               ModelKind.MIXED: (loglik_zadr_mixed, loglik_mixed)}
+
+    @staticmethod
+    def information_error(model, loglik):
+        """Max-abs gap between inv(covariance) and the objective's Hessian,
+        relative to its largest entry."""
+        d, q = model.B.shape
+        H = numerical_hessian(lambda t: -loglik(*unpack_params(t, d, q, model.kind)),
+                              model.parameter_vector())
+        return np.max(np.abs(np.linalg.inv(model.covariance) - H)) / np.max(np.abs(H))
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    @pytest.mark.parametrize("mode, n_zero", [(ZeroMode.RENORMALIZED, 5),
+                                              (ZeroMode.AS_WRITTEN, 0)])
+    def test_inverse_covariance_is_observed_information(self, kind, mode, n_zero):
+        ds, X = simulate_dataset(n=30, seed=12, n_zero=n_zero)
+        link = LinkSpec(ref_index=0, model_kind=kind)
+        initial, final = fit(ds, X, link, FitOptions(zero_mode=mode))
+        zadr_loglik, plain_loglik = self.LOGLIKS[kind]
+        zp = zero_pattern(ds)
+        mask = ds.zero_free_mask()
+        ds_free = load_dataset(ds.values[mask], names=list(COMPONENTS))
+        X_free = CovariateMatrix(design=X.design[mask], covariate_names=X.covariate_names)
+        final_err = self.information_error(
+            final, lambda B, prec: zadr_loglik(B, prec, final.p_hat, ds, X, zp, link, mode))
+        initial_err = self.information_error(
+            initial, lambda B, prec: plain_loglik(B, prec, ds_free, X_free, link))
+        assert final_err < 1e-5 and initial_err < 1e-5
+
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK])
+    def test_fit_takes_no_hessian_of_the_objective(self, small_dataset, monkeypatch, link):
+        def no_hessian(*args):
+            raise AssertionError("the fit took a finite-difference Hessian of the objective")
+
+        monkeypatch.setattr("zadr.model.numerical_hessian", no_hessian)
+        initial, final = fit(*small_dataset, link, FitOptions())
+        assert initial.covariance is not None and final.covariance is not None
 
 
 class TestEngine:

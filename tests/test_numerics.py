@@ -66,12 +66,33 @@ class TestDerivativeHelpers:
         ])
         assert np.max(np.abs(H - expected)) < 1e-4
 
+    def test_jacobian_of_linear_map_is_its_matrix(self):
+        # row i holds the derivative along x[i], so x -> x @ M has Jacobian M
+        M = np.array([[1.0, -2.0], [0.5, 3.0], [4.0, 0.25]])
+        J = finite_diff_gradient(lambda x: x @ M, np.array([0.3, -1.2, 2.0]))
+        assert J.shape == (3, 2)
+        assert np.max(np.abs(J - M)) < 1e-8
+
+    def test_nonfinite_component_of_vector_output_raises(self):
+        f = lambda x: np.array([x[0], np.inf if x[1] > 0 else 0.0])
+        with pytest.raises(NonFiniteObjective):
+            finite_diff_gradient(f, np.zeros(2))
+
     def test_steps_scale_with_magnitude(self):
         # a quadratic with a huge coordinate still differentiates cleanly
         f = lambda x: 0.5 * np.sum(x**2)
         x = np.array([1e6, 1.0])
         g = finite_diff_gradient(f, x)
         assert abs(g[0] - x[0]) / x[0] < 1e-7
+
+
+def rosenbrock(x):
+    return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+
+
+def rosenbrock_gradient(x):
+    return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                     200 * (x[1] - x[0] ** 2)])
 
 
 class TestMinimize:
@@ -91,21 +112,13 @@ class TestMinimize:
                 assert np.max(np.abs(res.argmin - np.linalg.solve(Q, b))) < 1e-5
 
     def test_rosenbrock(self):
-        f = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-        res = minimize(f, np.array([-1.2, 1.0]),
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gradient=rosenbrock_gradient,
                        opts=OptimizerOptions(max_iterations=2000))
         assert res.converged
         assert np.max(np.abs(res.argmin - 1.0)) < 1e-6
 
-    def test_works_without_analytic_gradient(self):
-        f = lambda x: (x[0] - 3.0) ** 2 + (x[1] + 1.0) ** 2
-        res = minimize(f, np.zeros(2))
-        assert res.converged
-        assert np.max(np.abs(res.argmin - [3.0, -1.0])) < 1e-5
-
     def test_max_iterations_means_not_converged(self):
-        f = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-        res = minimize(f, np.array([-1.2, 1.0]),
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gradient=rosenbrock_gradient,
                        opts=OptimizerOptions(max_iterations=3))
         assert not res.converged
         assert res.termination_reason is TerminationReason.MAX_ITER
@@ -117,14 +130,14 @@ class TestMinimize:
                 return np.inf
             return x[0] - math.log(x[0])
 
-        res = minimize(f, np.array([5.0]))
+        res = minimize(f, np.array([5.0]), gradient=lambda x: 1.0 - 1.0 / x)
         assert res.converged
         assert abs(res.argmin[0] - 1.0) < 1e-5
 
     def test_nonfinite_start_raises(self):
         f = lambda x: np.inf
         with pytest.raises(NonFiniteObjective):
-            minimize(f, np.zeros(2))
+            minimize(f, np.zeros(2), gradient=lambda x: np.zeros(2))
 
     def test_option_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .compositions import (  # noqa: F401
     CompositionDataset,
     CovariateMatrix,
-    ZeroPattern,
     alr,
     alr_inv,
     estimate_p,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .model import (
     fitted_values,
     load_model,
     save_model,
+    unpack_params,
 )
 
 EXIT_OK = 0
@@ -70,27 +70,26 @@ def _print_estimate_table(model: ZadrModel, out=None) -> None:
     """Constant/slope rows per non-reference component, then the precision."""
     if out is None:
         out = sys.stdout
-    q = len(model.covariate_names)
-    se = None
+    se_B = se_precision = None
     if model.covariance is not None:
         se = np.sqrt(np.maximum(np.diag(model.covariance), 0.0))
+        se_B, se_precision = unpack_params(se, model.D - 1, len(model.covariate_names), model.kind)
     comp = [c for j, c in enumerate(model.component_names) if j != model.link.ref_index]
     header = ["Response"] + [model.covariate_names[0].capitalize()] + model.covariate_names[1:]
     print("  ".join(f"{h:>16}" for h in header), file=out)
 
-    def cell(value, idx):
-        if se is None:
-            return f"{value:.3f}"
-        return f"{value:.3f} ({se[idx]:.3f})"
+    def row(label, values, ses):
+        if ses is None:
+            cells = [f"{v:.3f}" for v in values]
+        else:
+            cells = [f"{v:.3f} ({s:.3f})" for v, s in zip(values, ses)]
+        print("  ".join(f"{c:>16}" for c in [label, *cells]), file=out)
 
     for i, name in enumerate(comp):
-        cells = [cell(model.B[i, k], i * q + k) for k in range(q)]
-        print("  ".join([f"{name:>16}"] + [f"{c:>16}" for c in cells]), file=out)
-    if model.kind is ModelKind.SIMPLE:
-        print("  ".join([f"{'phi':>16}", f"{cell(model.precision, model.B.size):>16}"]), file=out)
-    elif model.kind is ModelKind.MIXED:
-        cells = [cell(model.precision[k], model.B.size + k) for k in range(q)]
-        print("  ".join([f"{'phi':>16}"] + [f"{c:>16}" for c in cells]), file=out)
+        row(name, model.B[i], None if se_B is None else se_B[i])
+    if model.kind is not ModelKind.AITCHISON:
+        row("phi", np.atleast_1d(model.precision),
+            None if se_precision is None else np.atleast_1d(se_precision))
 
 
 def _read_data(args):
@@ -151,8 +150,7 @@ def cmd_predict(args) -> int:
 
 def cmd_diagnose(args) -> int:
     if args.B < MIN_REPLICATES:
-        print(f"error: B must be >= {MIN_REPLICATES}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"B must be >= {MIN_REPLICATES}")
     final = _load_zadr_model(args.model, "diagnose")
     initial = load_model(_initial_path(args.model))
     ds, X = read_csv(args.input, components=final.component_names,
@@ -165,9 +163,7 @@ def cmd_diagnose(args) -> int:
     print(f"replicates = {boot.B}  failures = {boot.failures}" + (f" ({causes})" if causes else ""))
     print(f"p-value = {boot.pvalue:.4f}")
     if args.out:
-        save_diagnostic(replace(diag, pvalue=boot.pvalue, B_reps=boot.B, seed=args.seed,
-                                failures=boot.failures, failure_causes=boot.failure_causes),
-                        args.out)
+        save_diagnostic(diag, boot, args.out)
     if args.bias:
         print(f"{'parameter':>24}  {'estimate':>12}  {'bias':>12}")
         for name, est, b in zip(final.parameter_names(), final.parameter_vector(), boot.bias):
@@ -181,9 +177,8 @@ def cmd_simulate(args) -> int:
     if args.input:
         X = read_covariates(args.input, covariates)
     elif len(covariates) > 1:
-        print(f"error: a model with {len(covariates)} covariates needs a design CSV; "
-              "pass --input", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"a model with {len(covariates)} covariates needs a design CSV; "
+                         "pass --input")
     else:
         # Default design: log water depth 1..30 metres, or the intercept alone.
         depth = np.log(np.arange(1, 31, dtype=float))
@@ -295,7 +290,7 @@ def cmd_plot(args) -> int:
                 header += [f"fitted:{c}" for c in ds.component_names]
             writer.writerow(header)
             for i in order:
-                row = [ds.row_ids[i], _fmt(order_vals[i])]
+                row = [str(i), _fmt(order_vals[i])]
                 row += [_fmt(v) for v in ds.values[i]]
                 if fitted is not None:
                     row += [_fmt(v) for v in fitted.values[i]]

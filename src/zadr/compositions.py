@@ -3,7 +3,9 @@
 A composition is a vector of nonnegative proportions summing to 1. Exact
 zeros are meaningful here (structural absence of a component) and are never
 imputed or perturbed; renormalization of noisy row sums touches only the
-positive entries.
+positive entries. A dataset's zero pattern is the read-only int8 array of
+its indicators u[i, j] = 1[y_ij > 0], derived from the values on demand.
+Rows are identified by their index.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRow,
+    DomainError,
     EmptyInput,
     NegativeEntry,
     RowSumViolation,
@@ -27,7 +30,7 @@ DEFAULT_ROW_SUM_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class CompositionDataset:
-    """An n x D matrix of proportions on the simplex, with labels.
+    """An n x D matrix of proportions on the simplex, with component names.
 
     Immutable after construction; build instances through :func:`load_dataset`
     which validates and renormalizes.
@@ -35,7 +38,6 @@ class CompositionDataset:
 
     values: np.ndarray
     component_names: list[str]
-    row_ids: list[str]
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -93,30 +95,16 @@ def make_design(covariates: np.ndarray, names: list[str] | None = None) -> Covar
     return CovariateMatrix(design=design, covariate_names=["intercept", *names])
 
 
-@dataclass(frozen=True)
-class ZeroPattern:
-    """Binary indicators of nonzero components: u[i, j] = 1 iff values[i, j] > 0.
-
-    u is an n x D int8 matrix, read-only once constructed.
-    """
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.u.setflags(write=False)
-
-
 def load_dataset(
     rows,
     names: list[str] | None = None,
     tolerance: float = DEFAULT_ROW_SUM_TOLERANCE,
-    row_ids: list[str] | None = None,
 ) -> CompositionDataset:
     """Validate and normalize raw proportion rows into a dataset.
 
-    Rows whose sum deviates from 1 by at most `tolerance` are renormalized;
-    the renormalization divides only the positive entries so exact zeros are
-    preserved bit-exactly.
+    Non-finite and negative entries are rejected. Rows whose sum deviates
+    from 1 by at most `tolerance` are renormalized; the renormalization
+    divides only the positive entries so exact zeros are preserved bit-exactly.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
@@ -127,9 +115,12 @@ def load_dataset(
         values = values[None, :]
     if values.ndim != 2:
         raise EmptyInput("composition rows must form a rectangular matrix")
-    n, D = values.shape
+    D = values.shape[1]
     if D < 2:
         raise DegenerateRow("compositions need at least 2 components")
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DomainError(f"non-finite entry {values[i, j]} at row {i}, column {j}")
     if np.any(values < 0):
         i, j = np.argwhere(values < 0)[0]
         raise NegativeEntry(f"negative entry {values[i, j]} at row {i}, column {j}")
@@ -148,16 +139,14 @@ def load_dataset(
         names = [f"c{j + 1}" for j in range(D)]
     if len(names) != D:
         raise ValueError("component name count must equal D")
-    if row_ids is None:
-        row_ids = [str(i) for i in range(n)]
-    if len(row_ids) != n:
-        raise ValueError("row_ids length must equal n")
-    return CompositionDataset(values=values, component_names=list(names), row_ids=list(row_ids))
+    return CompositionDataset(values=values, component_names=list(names))
 
 
-def zero_pattern(ds: CompositionDataset) -> ZeroPattern:
-    """Extract the binary nonzero-indicator matrix."""
-    return ZeroPattern(u=(ds.values > 0.0).astype(np.int8))
+def zero_pattern(ds: CompositionDataset) -> np.ndarray:
+    """Read-only n x D int8 indicators: u[i, j] = 1 iff values[i, j] > 0."""
+    u = (ds.values > 0.0).astype(np.int8)
+    u.setflags(write=False)
+    return u
 
 
 def alr(ds_or_values, ref_index: int = 0) -> np.ndarray:
@@ -203,12 +192,12 @@ def alr_inv(
     y = expo / expo.sum(axis=1, keepdims=True)
     if component_names is None:
         component_names = [f"c{j + 1}" for j in range(D)]
-    return CompositionDataset(values=y, component_names=list(component_names), row_ids=[str(i) for i in range(n)])
+    return CompositionDataset(values=y, component_names=list(component_names))
 
 
-def estimate_p(zp: ZeroPattern) -> np.ndarray:
+def estimate_p(u: np.ndarray) -> np.ndarray:
     """Per-component proportion of nonzero observations (closed-form MLE)."""
-    return zp.u.mean(axis=0)
+    return u.mean(axis=0)
 
 
 def _read_table(path) -> tuple[list[str], list[list[str]]]:
@@ -266,7 +255,6 @@ def read_csv(
     path,
     components: list[str] | None = None,
     covariates: list[str] | None = None,
-    tolerance: float = DEFAULT_ROW_SUM_TOLERANCE,
 ) -> tuple[CompositionDataset, CovariateMatrix]:
     """Read a dataset CSV: header row, composition columns plus covariates.
 
@@ -291,5 +279,5 @@ def read_csv(
         cov_cols = [j for j in range(len(header)) if j not in comp_cols]
 
     comp_rows = _parse_columns(path, header, records, comp_cols)
-    ds = load_dataset(comp_rows, names=comp_names, tolerance=tolerance)
+    ds = load_dataset(comp_rows, names=comp_names)
     return ds, _design_from_columns(path, header, records, cov_cols)

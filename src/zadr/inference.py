@@ -6,6 +6,10 @@ the sum of the two covariance matrices. Its null distribution is calibrated
 by parametric bootstrap: replicates are regenerated from the fitted model
 with the observed zero pattern preserved row-for-row, then refit end to end.
 One pass of refits gives the p-value of T and the bias of every coefficient.
+Replicates are refitted with the zero mode and seed of the fitted model
+(`refit_options`), and with covariance matrices only when T is wanted. A
+saved diagnosis is T (`DiagnosticResult`) together with the bootstrap that
+calibrates it (`BootstrapResult`).
 
 The bootstrap and the simulation study are the same Monte Carlo step: draw
 a response from a model with a fixed zero pattern and refit it end to end.
@@ -28,7 +32,7 @@ import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -48,7 +52,6 @@ from .errors import (
 )
 from .model import (
     _COND_LIMIT,
-    FitOptions,
     ModelKind,
     ZadrModel,
     _row_parameters,
@@ -64,11 +67,6 @@ class DiagnosticResult:
     T: float
     delta: np.ndarray
     sigma2: np.ndarray
-    pvalue: float | None
-    B_reps: int
-    seed: int | None
-    failures: int = 0
-    failure_causes: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def diagnostic_T(initial: ZadrModel, final: ZadrModel) -> DiagnosticResult:
         T = float(delta @ np.linalg.pinv(sigma2) @ delta)
     else:
         T = float(delta @ np.linalg.solve(sigma2, delta))
-    return DiagnosticResult(T=T, delta=delta, sigma2=sigma2, pvalue=None, B_reps=0, seed=None)
+    return DiagnosticResult(T=T, delta=delta, sigma2=sigma2)
 
 
 def simulate_response(
@@ -191,11 +189,12 @@ def _replicate_one(args):
         return type(exc).__name__, None, None
 
 
-def _run_bootstrap(final, ds, X, B, seed, fit_opts, t_observed=None) -> BootstrapResult:
+def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
     """Refit B replicates once; the bias and, given t_observed, the p-value share them."""
     if B < MIN_REPLICATES:
         raise ValueError(f"B must be >= {MIN_REPLICATES}")
-    U = zero_pattern(ds).u
+    fit_opts = refit_options(final, compute_covariance=t_observed is not None)
+    U = zero_pattern(ds)
     args = [(final, X, U, np.random.default_rng(s), fit_opts) for s in _replicate_seeds(seed, B)]
     records = _map_indexed(_replicate_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
@@ -224,7 +223,6 @@ def bootstrap_pvalue(
     B: int,
     seed: int,
     t_observed: float | None = None,
-    fit_opts: FitOptions | None = None,
 ) -> BootstrapResult:
     """Parametric-bootstrap p-value for the zero-effect diagnostic.
 
@@ -233,14 +231,9 @@ def bootstrap_pvalue(
     refitting the observed data. replicate_stats holds the replicate T values;
     the bias comes from the same refits.
     """
-    if fit_opts is None:
-        fit_opts = refit_options(final)
-    if not fit_opts.compute_covariance:
-        raise ValueError("bootstrap_pvalue needs fit_opts.compute_covariance for T")
     if t_observed is None:
-        initial_obs, final_obs = fit(ds, X, final.link, fit_opts)
-        t_observed = diagnostic_T(initial_obs, final_obs).T
-    return _run_bootstrap(final, ds, X, B, seed, fit_opts, t_observed)
+        t_observed = diagnostic_T(*fit(ds, X, final.link, refit_options(final))).T
+    return _run_bootstrap(final, ds, X, B, seed, t_observed)
 
 
 def pvalue_from_replicates(stats: np.ndarray, t_observed: float) -> float:
@@ -255,13 +248,10 @@ def bootstrap_bias(
     X: CovariateMatrix,
     B: int,
     seed: int,
-    fit_opts: FitOptions | None = None,
 ) -> BootstrapResult:
     """Bootstrap bias estimates: mean(replicate estimates) - final estimates.
-    Fits skip the covariance by default; replicate_stats holds the estimates."""
-    if fit_opts is None:
-        fit_opts = refit_options(final, compute_covariance=False)
-    return _run_bootstrap(final, ds, X, B, seed, fit_opts)
+    Fits skip the covariance; replicate_stats holds the estimates."""
+    return _run_bootstrap(final, ds, X, B, seed)
 
 
 def chi2_sf(stat: float, df: int) -> float:
@@ -355,20 +345,21 @@ def run_simulation_study(
     )
 
 
-def diagnostic_to_dict(result: DiagnosticResult) -> dict:
+def diagnostic_to_dict(diag: DiagnosticResult, boot: BootstrapResult) -> dict:
+    """The diagnosis as JSON: T from `diag`, its bootstrap calibration from `boot`."""
     return {
-        "T": result.T,
-        "delta": result.delta.tolist(),
-        "sigma2": result.sigma2.ravel().tolist(),
-        "pvalue": result.pvalue,
-        "B_reps": result.B_reps,
-        "seed": result.seed,
-        "failures": result.failures,
-        "failure_causes": result.failure_causes,
+        "T": diag.T,
+        "delta": diag.delta.tolist(),
+        "sigma2": diag.sigma2.ravel().tolist(),
+        "pvalue": boot.pvalue,
+        "B_reps": boot.B,
+        "seed": boot.master_seed,
+        "failures": boot.failures,
+        "failure_causes": boot.failure_causes,
     }
 
 
-def save_diagnostic(result: DiagnosticResult, path) -> None:
+def save_diagnostic(diag: DiagnosticResult, boot: BootstrapResult, path) -> None:
     with open(path, "w") as fh:
-        json.dump(diagnostic_to_dict(result), fh, indent=2)
+        json.dump(diagnostic_to_dict(diag, boot), fh, indent=2)
         fh.write("\n")

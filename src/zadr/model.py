@@ -34,7 +34,6 @@ from . import __version__ as _library_version
 from .compositions import (
     CompositionDataset,
     CovariateMatrix,
-    ZeroPattern,
     alr,
     estimate_p,
     zero_pattern,
@@ -241,13 +240,13 @@ def _core_grad(A, phis, logY, U, zero_mode: ZeroMode):
     return dEta, dphi_row
 
 
-def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: ZeroPattern | None):
+def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
     """(logY, design, U); U marks the retained components, logY is log(y) there, 0 elsewhere."""
     if X.n != ds.n:
         raise DomainError("design and dataset row counts differ")
     if zp is None:
         zp = zero_pattern(ds)
-    U = zp.u.astype(bool)
+    U = zp.astype(bool)
     return np.where(U, np.log(np.where(U, ds.values, 1.0)), 0.0), X.design, U
 
 
@@ -349,7 +348,7 @@ def analytic_gradient(
     theta: np.ndarray,
     ds: CompositionDataset,
     X: CovariateMatrix,
-    zp: ZeroPattern | None,
+    zp: np.ndarray | None,
     link: LinkSpec,
     zero_mode: ZeroMode = ZeroMode.AS_WRITTEN,
 ) -> np.ndarray:
@@ -392,11 +391,7 @@ def ols_standard_errors(ds: CompositionDataset, X: CovariateMatrix, link: LinkSp
 
 def _subset(ds: CompositionDataset, X: CovariateMatrix, mask: np.ndarray):
     """The rows of a dataset and of its design where `mask` holds."""
-    rows = CompositionDataset(
-        values=ds.values[mask].copy(),
-        component_names=ds.component_names,
-        row_ids=[r for r, keep in zip(ds.row_ids, mask) if keep],
-    )
+    rows = CompositionDataset(values=ds.values[mask].copy(), component_names=ds.component_names)
     return rows, CovariateMatrix(design=X.design[mask].copy(), covariate_names=X.covariate_names)
 
 
@@ -491,13 +486,13 @@ def fit(
     through their closed-form estimates and are held fixed: the Bernoulli
     term is additively separable from the Dirichlet term.
     """
-    zp = zero_pattern(ds)
-    p_hat = estimate_p(zp)
+    u = zero_pattern(ds)
+    p_hat = estimate_p(u)
     mask = ds.zero_free_mask()
     if not mask.any():
         raise NoZeroFreeRows("no zero-free rows to warm-start from")
     ds_free, X_free = _subset(ds, X, mask)
-    zp_free = ZeroPattern(u=zp.u[mask])
+    u_free = u[mask]
 
     B0 = ols_init(ds_free, X_free, link)
     q = B0.shape[1]
@@ -507,7 +502,7 @@ def fit(
     # intercept there and draws its slopes at random.
     simple_link = LinkSpec(link.ref_index, ModelKind.SIMPLE)
     phi0 = _init_phi_grid(
-        _objective_pair(ds_free, X_free, zp_free, simple_link, ZeroMode.AS_WRITTEN)[0], B0)
+        _objective_pair(ds_free, X_free, u_free, simple_link, ZeroMode.AS_WRITTEN)[0], B0)
     if link.model_kind is ModelKind.SIMPLE:
         precision0 = [phi0]
     else:
@@ -517,12 +512,12 @@ def fit(
             rng = np.random.default_rng(opts.random_seed)
             precision0[1:] = rng.normal(0.0, _MIXED_SLOPE_SD, size=q - 1)
     theta0 = np.concatenate([B0.ravel(), precision0])
-    initial = _fit_stage(ds_free, X_free, zp_free, link, ZeroMode.AS_WRITTEN, theta0, opts,
+    initial = _fit_stage(ds_free, X_free, u_free, link, ZeroMode.AS_WRITTEN, theta0, opts,
                          FitStage.ZERO_FREE_INITIAL, np.ones(ds.D))
 
     # Stage two: zero-adjusted likelihood on the full data.
-    final = _fit_stage(ds, X, zp, link, opts.zero_mode, initial.parameter_vector(), opts,
-                       FitStage.FINAL, p_hat, binary_log_prob(zp.u, p_hat))
+    final = _fit_stage(ds, X, u, link, opts.zero_mode, initial.parameter_vector(), opts,
+                       FitStage.FINAL, p_hat, binary_log_prob(u, p_hat))
     return initial, final
 
 
@@ -552,11 +547,7 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
 def fitted_values(model: ZadrModel, X: CovariateMatrix) -> CompositionDataset:
     """Row-wise Dirichlet means; a valid zero-free composition matrix."""
     A = alpha_matrix(X.design, model.B, model.link.ref_index)
-    return CompositionDataset(
-        values=A,
-        component_names=model.component_names,
-        row_ids=[str(i) for i in range(A.shape[0])],
-    )
+    return CompositionDataset(values=A, component_names=model.component_names)
 
 
 # ---------------------------------------------------------------------------

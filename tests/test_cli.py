@@ -15,7 +15,7 @@ from conftest import COMPONENTS, TRUE_B, simulate_dataset, truth_model
 import zadr.inference
 from zadr import cli
 from zadr.errors import NonFiniteObjective
-from zadr.inference import diagnostic_T, save_diagnostic
+from zadr.inference import diagnostic_T
 from zadr.model import fitted_values, load_model, save_model
 
 
@@ -109,6 +109,19 @@ class TestFit:
         assert run("fit", "--input", str(short), "--out", str(tmp_path / "m.json")) == 2
         assert "data row 0" in capsys.readouterr().err
 
+    def test_nan_cell_is_validation_error(self, data_csv, tmp_path, capsys):
+        lines = data_csv.read_text().splitlines()
+        cells = lines[4].split(",")  # data row 3
+        cells[1] = "nan"
+        lines[4] = ",".join(cells)
+        data_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError:") and "row 3, column 1" in err
+        assert not out.exists()
+
     def test_deterministic_reruns_byte_identical(self, data_csv, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         for out in (out1, out2):
@@ -149,8 +162,8 @@ class TestPredict:
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--out", str(model_path))
         diag = tmp_path / "diag.json"
-        save_diagnostic(diagnostic_T(load_model(tmp_path / "m.initial.json"),
-                                     load_model(model_path)), diag)
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "19", "--out", str(diag)) == 0
         listing = tmp_path / "list.json"
         listing.write_text("[1, 2]\n")
         for path in (diag, listing):
@@ -215,12 +228,18 @@ class TestDiagnose:
         assert doc["failures"] == 7 and doc["failure_causes"] == {"NonFiniteObjective": 7}
         assert "replicates = 21  failures = 7 (NonFiniteObjective: 7)" in capsys.readouterr().out
 
-    def test_small_B_rejected(self, data_csv, tmp_path):
+    def test_small_B_rejected(self, data_csv, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--out", str(model_path))
+        capsys.readouterr()
         assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
                    "--B", "5") == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: B must be >= 19")
+        # The check comes before any file is read: missing files are not reached.
+        assert run("diagnose", "--input", str(tmp_path / "none.csv"),
+                   "--model", str(tmp_path / "none.json"), "--B", "5") == 2
+        assert capsys.readouterr().err.startswith("error: ValueError:")
 
     def test_aitchison_model_rejected(self, data_csv, tmp_path):
         model_path = tmp_path / "ait.json"
@@ -324,7 +343,8 @@ class TestSimulate:
         out = tmp_path / "mse.csv"
         assert run("simulate", "--model", str(model_path), "--sizes", "30",
                    "--reps", "3", "--out", str(out)) == 2
-        assert "--input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "--input" in err
         assert calls == [] and not out.exists()
 
     def test_aitchison_model_rejected_before_any_fit(self, data_csv, tmp_path, monkeypatch,

@@ -17,6 +17,7 @@ from zadr.compositions import (
 )
 from zadr.errors import (
     DegenerateRow,
+    DomainError,
     EmptyInput,
     NegativeEntry,
     RowSumViolation,
@@ -41,6 +42,11 @@ class TestLoadDataset:
         with pytest.raises(NegativeEntry):
             load_dataset([[0.5, 0.6, -0.1]])
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, cell):
+        with pytest.raises(DomainError, match="row 1, column 2"):
+            load_dataset([[0.5, 0.3, 0.2], [0.5, 0.5, cell]])
+
     def test_rejects_bad_row_sum(self):
         with pytest.raises(RowSumViolation):
             load_dataset([[0.5, 0.4, 0.2]])
@@ -62,23 +68,27 @@ class TestLoadDataset:
     def test_default_names_and_ids(self):
         ds = load_dataset([[0.5, 0.5]])
         assert ds.component_names == ["c1", "c2"]
-        assert ds.row_ids == ["0"]
 
 
 class TestZeroPattern:
     def test_indicator_matches_positivity(self):
         ds = load_dataset([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-        zp = zero_pattern(ds)
-        assert zp.u.tolist() == [[1, 1, 0], [1, 1, 1]]
+        assert zero_pattern(ds).tolist() == [[1, 1, 0], [1, 1, 1]]
+
+    def test_read_only_int8_array(self):
+        u = zero_pattern(load_dataset([[0.5, 0.5, 0.0]]))
+        assert isinstance(u, np.ndarray) and u.dtype == np.int8
+        with pytest.raises(ValueError):
+            u[0, 0] = 0
 
     def test_magnitude_of_positive_values_is_irrelevant(self):
         a = load_dataset([[0.999, 0.001, 0.0]])
         b = load_dataset([[0.001, 0.999, 0.0]])
-        assert np.array_equal(zero_pattern(a).u, zero_pattern(b).u)
+        assert np.array_equal(zero_pattern(a), zero_pattern(b))
 
     def test_idempotent_and_deterministic(self):
         ds = load_dataset([[0.5, 0.5, 0.0]])
-        assert np.array_equal(zero_pattern(ds).u, zero_pattern(ds).u)
+        assert np.array_equal(zero_pattern(ds), zero_pattern(ds))
 
     def test_estimate_p_all_ones_without_zeros(self):
         ds = load_dataset([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])

@@ -13,6 +13,7 @@ from zadr.errors import (
     TooFewSuccessfulReplicates,
 )
 from zadr.inference import (
+    BootstrapResult,
     DiagnosticResult,
     bootstrap_bias,
     bootstrap_pvalue,
@@ -64,10 +65,15 @@ class TestDiagnosticT:
             diagnostic_T(simple, mixed)
 
     def test_serialization(self):
-        result = DiagnosticResult(T=1.5, delta=np.array([0.1]), sigma2=np.eye(1),
-                                  pvalue=0.2, B_reps=99, seed=1, failures=0)
-        doc = diagnostic_to_dict(result)
-        assert doc["T"] == 1.5 and doc["B_reps"] == 99
+        diag = DiagnosticResult(T=1.5, delta=np.array([0.1]), sigma2=np.eye(1))
+        boot = BootstrapResult(replicate_stats=np.zeros(99), bias=np.zeros(1), pvalue=0.2,
+                               B=99, master_seed=1, failures=2,
+                               failure_causes={"NotConverged": 2})
+        doc = diagnostic_to_dict(diag, boot)
+        assert list(doc) == ["T", "delta", "sigma2", "pvalue", "B_reps", "seed", "failures",
+                             "failure_causes"]
+        assert doc["T"] == 1.5 and doc["pvalue"] == 0.2 and doc["B_reps"] == 99
+        assert doc["seed"] == 1 and doc["failure_causes"] == {"NotConverged": 2}
 
 
 class TestPvalueFormula:
@@ -126,18 +132,25 @@ class TestBootstrap:
         assert np.array_equal(one.replicate_stats, two.replicate_stats)
         assert np.array_equal(one.bias, two.bias)
 
-    def test_pvalue_without_covariance_rejected_before_refitting(self, small_dataset,
-                                                                 monkeypatch):
+    def test_refits_take_the_model_options_and_covariance_only_for_T(self, small_dataset,
+                                                                     monkeypatch):
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
-        calls = []
-        monkeypatch.setattr(inference_mod, "fit", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="compute_covariance"):
-            bootstrap_pvalue(final, ds, X, B=19, seed=5,
-                             fit_opts=FitOptions(compute_covariance=False))
-        assert calls == []
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions(random_seed=4))
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        seen = []
+
+        def recording_fit(ds, X, link, opts):
+            seen.append(opts)
+            return fit(ds, X, link, opts)
+
+        monkeypatch.setattr(inference_mod, "fit", recording_fit)
+        bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
+        assert set(seen) == {FitOptions(final.zero_mode, 4, compute_covariance=True)}
+        seen.clear()
+        bootstrap_bias(final, ds, X, B=19, seed=5)
+        assert set(seen) == {FitOptions(final.zero_mode, 4, compute_covariance=False)}
 
     def test_failures_counted_by_cause(self, small_dataset, monkeypatch):
         import zadr.inference as inference_mod
@@ -164,10 +177,10 @@ class TestBootstrap:
     def test_replicates_preserve_zero_pattern(self, small_dataset):
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
-        U = zero_pattern(ds).u
+        U = zero_pattern(ds)
         rng = np.random.default_rng(3)
         rep = simulate_response(final, X, U, rng)
-        assert np.array_equal(zero_pattern(rep).u, U)
+        assert np.array_equal(zero_pattern(rep), U)
 
 
 class TestChi2AndLrt:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: fit, predict, diagnose, simulate, plot. Exit codes are a
-stable contract: 0 success, 1 I/O error, 2 validation/schema error,
-3 fit did not converge (outputs are still written). `diagnose` reads the
-two stage files that `fit` wrote and refits only bootstrap replicates.
+stable contract: 0 success, 1 I/O error, 2 validation/schema error, 3 a fit
+stage failed the gradient test (outputs are still written). `diagnose` reads
+the two stage files that `fit` wrote and refits only bootstrap replicates.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .errors import (
     ZeroInTransform,
 )
 
-DEFAULT_ROW_SUM_TOLERANCE = 1e-8
+ROW_SUM_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,14 @@ class CovariateMatrix:
         design = self.design
         if design.ndim != 2 or design.shape[1] < 1:
             raise EmptyInput("design matrix must be 2-D with >= 1 column")
-        if not np.all(np.isfinite(design)):
-            raise ValueError("design matrix contains non-finite values")
-        if not np.all(design[:, 0] == 1.0):
-            raise ValueError("first design column must be the intercept (all ones)")
         if len(self.covariate_names) != design.shape[1]:
             raise ValueError("covariate_names length must match design columns")
+        if not np.all(np.isfinite(design)):
+            i, j = np.argwhere(~np.isfinite(design))[0]
+            raise DomainError(f"non-finite covariate {design[i, j]} at row {i}, "
+                              f"column {self.covariate_names[j]!r}")
+        if not np.all(design[:, 0] == 1.0):
+            raise ValueError("first design column must be the intercept (all ones)")
         design.setflags(write=False)
 
     @property
@@ -95,19 +97,14 @@ def make_design(covariates: np.ndarray, names: list[str] | None = None) -> Covar
     return CovariateMatrix(design=design, covariate_names=["intercept", *names])
 
 
-def load_dataset(
-    rows,
-    names: list[str] | None = None,
-    tolerance: float = DEFAULT_ROW_SUM_TOLERANCE,
-) -> CompositionDataset:
+def load_dataset(rows, names: list[str] | None = None) -> CompositionDataset:
     """Validate and normalize raw proportion rows into a dataset.
 
     Non-finite and negative entries are rejected. Rows whose sum deviates
-    from 1 by at most `tolerance` are renormalized; the renormalization
-    divides only the positive entries so exact zeros are preserved bit-exactly.
+    from 1 by at most `ROW_SUM_TOLERANCE` are renormalized; the
+    renormalization divides only the positive entries so exact zeros are
+    preserved bit-exactly.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
     values = np.array(rows, dtype=float)
     if values.size == 0:
         raise EmptyInput("no composition rows supplied")
@@ -125,10 +122,10 @@ def load_dataset(
         i, j = np.argwhere(values < 0)[0]
         raise NegativeEntry(f"negative entry {values[i, j]} at row {i}, column {j}")
     sums = values.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tolerance
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise RowSumViolation(f"row {i} sums to {sums[i]}, off by more than {tolerance}")
+        raise RowSumViolation(f"row {i} sums to {sums[i]}, off by more than {ROW_SUM_TOLERANCE}")
     positive_counts = (values > 0).sum(axis=1)
     if np.any(positive_counts < 2):
         i = int(np.argmax(positive_counts < 2))

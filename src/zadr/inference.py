@@ -146,7 +146,7 @@ def simulate_response(
     g = np.maximum(g, np.finfo(float).tiny)
     g = np.where(U.astype(bool), g, 0.0)
     values = g / g.sum(axis=1, keepdims=True)
-    return load_dataset(values, names=model.component_names, tolerance=1e-6)
+    return load_dataset(values, names=model.component_names)
 
 
 def _replicate_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:

@@ -47,10 +47,12 @@ from .errors import (
     SchemaMismatch,
     SingularDesign,
 )
-from .numerics import finite_diff_gradient, minimize
+from .numerics import OptimizerOptions, finite_diff_gradient, minimize
 from .numerics import numerical_hessian  # noqa: F401  perfbench/tracing.py patches it here
 
 _LINPRED_CLAMP = 700.0
+# Objective and gradient are sums over rows, so their size and rounding both grow with n.
+_GRADIENT_TOL_PER_ROW = 1e-6
 _COND_LIMIT = 1e12
 # Largest relative gap between a saved stage's log-likelihood and its value
 # recomputed on the data. On the data it was fitted to, the recomputation
@@ -84,7 +86,8 @@ class LinkSpec:
 class FitOptions:
     """How `fit` treats zeros, seeds the mixed start and whether it computes
     covariances: the inverse observed information, differenced from the
-    analytic gradient. The optimizer always runs with its default options.
+    analytic gradient. Each stage's optimizer stops, and counts as converged,
+    only once max|gradient| < 1e-6 per row fitted in that stage.
 
     Fitting defaults to the renormalized sub-Dirichlet mode: with the
     as-written normalizer the zero-adjusted likelihood is unbounded in the
@@ -452,7 +455,8 @@ def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: Fit
     theta0 and wrap the optimum as a model; loglik_offset adds back the
     Bernoulli term. The model records `opts.zero_mode`, the mode of the fit."""
     negloglik, neggrad = _objective_pair(ds, X, zp, link, zero_mode)
-    res = minimize(negloglik, theta0, gradient=neggrad)
+    res = minimize(negloglik, theta0, gradient=neggrad,
+                   opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * ds.n))
     B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
     covariance = _covariance_from_hessian(neggrad, res.argmin) if opts.compute_covariance else None
     return ZadrModel(

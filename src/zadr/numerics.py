@@ -42,7 +42,6 @@ def trigamma_fn(x):
 class TerminationReason(enum.Enum):
     GRADIENT_TOL = "GradientTol"
     STEP_TOL = "StepTol"
-    FUNCTION_TOL = "FunctionTol"
     MAX_ITER = "MaxIter"
 
 
@@ -50,14 +49,12 @@ class TerminationReason(enum.Enum):
 class OptimizerOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-6
-    step_tolerance: float = 1e-12
-    function_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if min(self.gradient_tolerance, self.step_tolerance, self.function_tolerance) <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.gradient_tolerance <= 0:
+            raise ValueError("gradient_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,12 @@ class OptimResult:
     value: float
     gradient_norm: float
     iterations: int
-    converged: bool
     termination_reason: TerminationReason
+
+    @property
+    def converged(self) -> bool:
+        """True only when the gradient test passed."""
+        return self.termination_reason is TerminationReason.GRADIENT_TOL
 
 
 def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
@@ -134,8 +135,14 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
 
     The objective may return +inf outside its domain; the line search simply
     shrinks the step until it is finite again. `gradient(x)` returns its
-    gradient. `opts` defaults to `OptimizerOptions()`, which is what model
-    fitting uses. Deterministic given inputs.
+    gradient. `opts` defaults to `OptimizerOptions()`. Deterministic given
+    inputs.
+
+    There is one success test: max|gradient| < `opts.gradient_tolerance`,
+    which ends the run with GradientTol, the only reason that counts as
+    converged. StepTol means the line search found no Armijo decrease even
+    at its smallest step (a stall short of the tolerance); MaxIter means
+    `opts.max_iterations` iterations ran without passing the test.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -151,13 +158,13 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
 
     reason = TerminationReason.MAX_ITER
     iterations = 0
-    for iteration in range(1, opts.max_iterations + 1):
-        iterations = iteration
-        gnorm = np.max(np.abs(g))
-        if gnorm < opts.gradient_tolerance:
-            iterations = iteration - 1
+    while True:
+        if np.max(np.abs(g)) < opts.gradient_tolerance:
             reason = TerminationReason.GRADIENT_TOL
             break
+        if iterations == opts.max_iterations:
+            break
+        iterations += 1
 
         d = -H @ g
         slope = float(d @ g)
@@ -203,7 +210,6 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
             reason = TerminationReason.STEP_TOL
             break
 
-        step = t * d
         g_new = np.asarray(gradient(x_new), dtype=float)
         s = x_new - x
         y = g_new - g
@@ -217,24 +223,12 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
             H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
             H += (rho * rho * float(y @ Hy) + rho) * np.outer(s, s)
 
-        f_change = abs(fx - fx_new)
         x, fx, g = x_new, fx_new, g_new
-
-        if np.max(np.abs(g)) < opts.gradient_tolerance:
-            reason = TerminationReason.GRADIENT_TOL
-            break
-        if np.max(np.abs(step)) < opts.step_tolerance:
-            reason = TerminationReason.STEP_TOL
-            break
-        if f_change < opts.function_tolerance * (1.0 + abs(fx)):
-            reason = TerminationReason.FUNCTION_TOL
-            break
 
     return OptimResult(
         argmin=x,
         value=float(fx),
         gradient_norm=float(np.max(np.abs(g))),
         iterations=iterations,
-        converged=reason is not TerminationReason.MAX_ITER,
         termination_reason=reason,
     )

@@ -57,7 +57,7 @@ def simulate_dataset(
         rows = rng.choice(n, size=n_zero, replace=False)
         g[rows, rng.integers(1, A.shape[1], size=n_zero)] = 0.0
     Y = g / g.sum(axis=1, keepdims=True)
-    ds = load_dataset(Y, names=list(COMPONENTS), tolerance=1e-6)
+    ds = load_dataset(Y, names=list(COMPONENTS))
     return ds, X
 
 

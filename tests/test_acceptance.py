@@ -75,7 +75,7 @@ def random_instance(rng, with_zeros):
         for i in rng.choice(n, size=min(2, n), replace=False):
             Y[i, rng.integers(0, D)] = 0.0
     Y = Y / Y.sum(axis=1, keepdims=True)
-    ds = load_dataset(Y, tolerance=1e-6)
+    ds = load_dataset(Y)
     return ds, X, B, phi, gamma
 
 

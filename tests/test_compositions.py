@@ -138,6 +138,11 @@ class TestDesign:
         assert X.design.shape == (4, 1)
         assert X.p == 0
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_covariate_naming_row_and_column(self, cell):
+        with pytest.raises(DomainError, match="row 1, column 'x'"):
+            make_design(np.array([[2.0, 0.5], [3.0, cell]]), names=["w", "x"])
+
 
 class TestReadCsv:
     def _write(self, path, header, rows):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from zadr.model import (
 )
 from zadr.numerics import finite_diff_gradient, numerical_hessian
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
 MIXED_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.MIXED)
 
@@ -217,6 +219,26 @@ class TestFit:
         _, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
         assert np.max(np.abs(final.B - TRUE_B)) < 0.25
         assert abs(final.precision - TRUE_PHI) / TRUE_PHI < 0.15
+
+    def test_both_stages_meet_the_row_scaled_gradient_test(self, monkeypatch):
+        # The fit-large benchmark input at seed 14, where a function-change
+        # stop once left the final stage 2.7e-5 * n from a zero gradient.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import inputs
+
+        Y, design = inputs.simulate_rows(5000, 833, 14)
+        ds = load_dataset(Y, names=list(COMPONENTS))
+        X = make_design(design[:, 1:], names=["logdepth"])
+        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        mask = ds.zero_free_mask()
+        stages = [
+            (initial, load_dataset(Y[mask]), make_design(design[mask, 1:]), ZeroMode.AS_WRITTEN),
+            (final, ds, X, final.zero_mode),
+        ]
+        for model, rows, Xs, mode in stages:
+            assert model.converged
+            grad = analytic_gradient(model.parameter_vector(), rows, Xs, None, SIMPLE_LINK, mode)
+            assert np.max(np.abs(grad)) <= 1e-6 * rows.n
 
     def test_mixed_fit(self, small_dataset):
         ds, X = small_dataset

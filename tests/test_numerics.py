@@ -134,6 +134,13 @@ class TestMinimize:
         assert res.converged
         assert abs(res.argmin[0] - 1.0) < 1e-5
 
+    def test_stalled_line_search_is_not_converged(self):
+        # a flat objective with a nonzero gradient: no step gives an Armijo decrease
+        res = minimize(lambda x: 0.0, np.zeros(2), gradient=lambda x: np.ones(2))
+        assert res.termination_reason is TerminationReason.STEP_TOL
+        assert res.termination_reason.value == "StepTol"
+        assert res.converged is False
+
     def test_nonfinite_start_raises(self):
         f = lambda x: np.inf
         with pytest.raises(NonFiniteObjective):

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: fit, predict, diagnose, simulate, plot. Exit codes are a
-stable contract: 0 success, 1 I/O error, 2 validation/schema error, 3 a fit
-stage failed the gradient test (outputs are still written). `diagnose` reads
-the two stage files that `fit` wrote and refits only bootstrap replicates.
+stable contract: 0 success, 1 I/O error, 2 validation/schema error or an
+information matrix that is not positive definite (`fit` then writes no model),
+3 a fit stage failed the gradient test (outputs are still written). `diagnose`
+reads the two stage files that `fit` wrote and refits only bootstrap replicates.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _print_estimate_table(model: ZadrModel, out=None) -> None:
         out = sys.stdout
     se_B = se_precision = None
     if model.covariance is not None:
-        se = np.sqrt(np.maximum(np.diag(model.covariance), 0.0))
+        se = np.sqrt(np.diag(model.covariance))
         se_B, se_precision = unpack_params(se, model.D - 1, len(model.covariate_names), model.kind)
     comp = [c for j, c in enumerate(model.component_names) if j != model.link.ref_index]
     header = ["Response"] + [model.covariate_names[0].capitalize()] + model.covariate_names[1:]

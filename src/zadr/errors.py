@@ -37,6 +37,10 @@ class SingularDesign(ZadrError):
     pass
 
 
+class NotPositiveDefinite(ZadrError):
+    """An information or covariance matrix that must be positive definite is not."""
+
+
 class InsufficientRows(ZadrError):
     pass
 

@@ -21,7 +21,7 @@ replicate's generator, and hands the same generator to the worker for the
 response. Results are merged by replicate index, so output is independent
 of execution order. Failed replicates are counted by cause. Each command
 starts at most one process pool, whose worker count is the least of
-`ZADR_THREADS`, the cores and the tasks.
+`ZADR_THREADS`, the CPUs this process may use and the tasks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -51,10 +50,10 @@ from .errors import (
     ZadrError,
 )
 from .model import (
-    _COND_LIMIT,
     ModelKind,
     ZadrModel,
     _row_parameters,
+    check_positive_definite,
     fit,
     refit_options,
 )
@@ -116,15 +115,8 @@ def diagnostic_T(initial: ZadrModel, final: ZadrModel) -> DiagnosticResult:
         raise ValueError("both models need covariance matrices; fit with compute_covariance")
     delta = initial.parameter_vector() - final.parameter_vector()
     sigma2 = initial.covariance + final.covariance
-    cond = np.linalg.cond(sigma2)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        warnings.warn(
-            f"combined covariance condition number {cond:.3e}; using pseudo-inverse",
-            RuntimeWarning,
-        )
-        T = float(delta @ np.linalg.pinv(sigma2) @ delta)
-    else:
-        T = float(delta @ np.linalg.solve(sigma2, delta))
+    check_positive_definite(sigma2, "the sum of the two stages' covariances")
+    T = float(delta @ np.linalg.solve(sigma2, delta))
     return DiagnosticResult(T=T, delta=delta, sigma2=sigma2)
 
 
@@ -160,12 +152,16 @@ def _worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"ZADR_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _map_indexed(func, args_list):
     """Order-preserving map, optionally across processes."""
-    workers = min(_worker_count(), os.cpu_count() or 1, len(args_list))
+    workers = min(_worker_count(), _usable_cpus(), len(args_list))
     if workers <= 1:
         return [func(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
-import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import (
     InsufficientRows,
     ModelDataMismatch,
     NoZeroFreeRows,
+    NotPositiveDefinite,
     SchemaMismatch,
     SingularDesign,
 )
@@ -186,11 +187,7 @@ def binary_log_prob(u_row, p) -> float:
     if np.any((p < 0) | (p > 1)):
         raise DomainError("p entries must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        logp = np.where(u > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        logp = np.where((u > 0) & (p == 0), -np.inf, logp)
-        logq = np.where(u == 0, np.log(np.where(p < 1, 1.0 - p, 1.0)), 0.0)
-        logq = np.where((u == 0) & (p == 1), -np.inf, logq)
-    return float(np.sum(logp + logq))
+        return float(np.sum(np.where(u > 0, np.log(p), np.log(1.0 - p))))
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +420,19 @@ def _objective_pair(ds, X, zp, link, zero_mode):
     return negloglik, neggrad
 
 
-def _covariance_from_hessian(neggrad, theta: np.ndarray) -> np.ndarray:
-    """Inverse observed information, differenced from the analytic gradient;
-    pseudo-inverse with a warning when it is ill-conditioned."""
+def check_positive_definite(matrix: np.ndarray, name: str) -> None:
+    """Raise NotPositiveDefinite, naming the matrix, unless it has a finite Cholesky factor."""
+    with suppress(np.linalg.LinAlgError):
+        if np.isfinite(np.linalg.cholesky(matrix)).all():
+            return
+    raise NotPositiveDefinite(f"{name} is not positive definite")
+
+
+def _covariance_from_hessian(neggrad, theta: np.ndarray, stage: FitStage) -> np.ndarray:
+    """Inverse observed information (differenced analytic gradient), checked positive definite."""
     J = finite_diff_gradient(neggrad, theta)  # = -Hessian of the log-likelihood
     H = 0.5 * (J + J.T)
-    cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        warnings.warn(
-            f"information matrix condition number {cond:.3e}; using pseudo-inverse",
-            RuntimeWarning,
-        )
-        return np.linalg.pinv(H)
+    check_positive_definite(H, f"the {stage.value} stage's observed information")
     return np.linalg.inv(H)
 
 
@@ -458,7 +456,7 @@ def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: Fit
     res = minimize(negloglik, theta0, gradient=neggrad,
                    opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * ds.n))
     B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
-    covariance = _covariance_from_hessian(neggrad, res.argmin) if opts.compute_covariance else None
+    covariance = _covariance_from_hessian(neggrad, res.argmin, stage) if opts.compute_covariance else None
     return ZadrModel(
         B=B,
         precision=precision,

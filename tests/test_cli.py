@@ -95,6 +95,17 @@ class TestFit:
         assert code == 3
         assert load_model(out).converged is False
 
+    def test_indefinite_information_exits_2_without_a_model(self, data_csv, tmp_path,
+                                                            monkeypatch, capsys):
+        monkeypatch.setattr("zadr.model.finite_diff_gradient",
+                            lambda f, x: -np.eye(np.size(x)))
+        out = tmp_path / "m.json"
+        code = run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--out", str(out))
+        assert code == 2
+        assert "error: NotPositiveDefinite: " in capsys.readouterr().err
+        assert list(tmp_path.glob("m*.json")) == []
+
     def test_aitchison_baseline(self, data_csv, tmp_path):
         out = tmp_path / "ait.json"
         assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,

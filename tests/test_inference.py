@@ -9,6 +9,7 @@ from zadr.errors import (
     KindMismatch,
     NegativeStat,
     NonFiniteObjective,
+    NotPositiveDefinite,
     ShapeMismatch,
     TooFewSuccessfulReplicates,
 )
@@ -56,6 +57,13 @@ class TestDiagnosticT:
         T_perm = float(result.delta[perm] @ np.linalg.solve(
             result.sigma2[np.ix_(perm, perm)], result.delta[perm]))
         assert abs(result.T - T_perm) < 1e-8 * max(1.0, result.T)
+
+    def test_covariance_sum_must_be_positive_definite(self, small_dataset):
+        from dataclasses import replace
+
+        initial, final = fit(*small_dataset, SIMPLE_LINK, FitOptions())
+        with pytest.raises(NotPositiveDefinite, match="sum of the two stages' covariances"):
+            diagnostic_T(initial, replace(final, covariance=-3 * final.covariance))
 
     def test_kind_mismatch(self, small_dataset):
         ds, X = small_dataset
@@ -252,6 +260,8 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(inference_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(inference_mod.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     return asked
 
 
@@ -271,6 +281,15 @@ class TestWorkerCount:
         monkeypatch.setenv("ZADR_THREADS", "64")
         assert inference_mod._map_indexed(abs, [-1, -2, -3]) == [1, 2, 3]
         assert serial_pool == [3]
+
+    def test_pool_never_larger_than_the_process_cpu_set(self, serial_pool, monkeypatch):
+        import zadr.inference as inference_mod
+
+        monkeypatch.setattr(inference_mod.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setenv("ZADR_THREADS", "4")
+        assert inference_mod._map_indexed(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert serial_pool == []
 
 
 class TestFitMetrics:

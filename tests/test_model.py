@@ -10,7 +10,13 @@ from oracle import oracle_loglik
 
 from zadr.compositions import CovariateMatrix, estimate_p, load_dataset, make_design, zero_pattern
 from zadr.dirichlet import ZeroMode
-from zadr.errors import DomainError, InsufficientRows, NoZeroFreeRows, SingularDesign
+from zadr.errors import (
+    DomainError,
+    InsufficientRows,
+    NoZeroFreeRows,
+    NotPositiveDefinite,
+    SingularDesign,
+)
 from zadr.model import (
     FitOptions,
     FitStage,
@@ -382,6 +388,21 @@ class TestCovariance:
         monkeypatch.setattr("zadr.model.numerical_hessian", no_hessian)
         initial, final = fit(*small_dataset, link, FitOptions())
         assert initial.covariance is not None and final.covariance is not None
+
+    def test_large_precision_gets_true_standard_errors(self):
+        # The raw condition number of this information is about 1e18 (phi is
+        # fitted on its raw scale); after diagonal scaling it is about 56.
+        ds, X = simulate_dataset(n=30, seed=3, n_zero=5, phi=1e6)
+        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        assert initial.converged and final.converged
+        se_phi = math.sqrt(final.covariance[-1, -1])
+        assert 0.05 <= se_phi / final.precision <= 0.5
+
+    def test_indefinite_information_is_named(self):
+        ds, X = simulate_dataset(n=30, seed=3, n_zero=5, phi=1e6)
+        with pytest.raises(NotPositiveDefinite,
+                           match="zero-free-initial stage's observed information"):
+            fit(ds, X, MIXED_LINK, FitOptions())
 
 
 class TestEngine:

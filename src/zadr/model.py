@@ -13,7 +13,8 @@ One vectorized engine evaluates every likelihood: `_row_parameters` maps
 (B, precision, kind) to row means and precisions, `_core_loglik` sums the
 Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
 four `loglik_*` functions are one-line wrappers whose names fix the kind;
-the fit objective and gradient reuse the pieces on data prepared once.
+the fit objective and `_derivatives` (its gradient and information) reuse
+the pieces on data prepared once.
 
 Free-parameter ordering everywhere (gradients, Hessians, covariances):
 vec(B) in row-major order (one block of p+1 coefficients per non-reference
@@ -48,7 +49,7 @@ from .errors import (
     SchemaMismatch,
     SingularDesign,
 )
-from .numerics import OptimizerOptions, finite_diff_gradient, minimize
+from .numerics import OptimizerOptions, minimize
 from .numerics import numerical_hessian  # noqa: F401  perfbench/tracing.py patches it here
 
 _LINPRED_CLAMP = 700.0
@@ -60,6 +61,8 @@ _COND_LIMIT = 1e12
 # differs at most by summation order (about 1e-14 relative); data from any
 # other draw moves the log-likelihood by whole percents.
 _LOGLIK_RTOL = 1e-9
+# Starting precision of stage one (the mixed model's exp(gamma_0)).
+_PHI_START = 10.0
 # Standard deviation of the random-normal start of the mixed model's
 # precision slopes, drawn from default_rng(FitOptions.random_seed).
 _MIXED_SLOPE_SD = 0.1
@@ -86,9 +89,10 @@ class LinkSpec:
 @dataclass(frozen=True)
 class FitOptions:
     """How `fit` treats zeros, seeds the mixed start and whether it computes
-    covariances: the inverse observed information, differenced from the
-    analytic gradient. Each stage's optimizer stops, and counts as converged,
-    only once max|gradient| < 1e-6 per row fitted in that stage.
+    covariances: the inverse of the analytic observed information at the
+    optimum, the matrix that also steers each stage's Newton steps. Each
+    stage's optimizer stops, and counts as converged, only once
+    max|gradient| < 1e-6 per row fitted in that stage.
 
     Fitting defaults to the renormalized sub-Dirichlet mode: with the
     as-written normalizer the zero-adjusted likelihood is unbounded in the
@@ -218,28 +222,6 @@ def _core_loglik(A, phis, logY, U, zero_mode: ZeroMode) -> float:
         return float(norm + body)
 
 
-def _core_grad(A, phis, logY, U, zero_mode: ZeroMode):
-    """Returns (dEta, dphi_row): gradient pieces of the Dirichlet part.
-
-    dEta is n x D (w.r.t. the linear predictors, reference column included);
-    dphi_row is the per-row derivative w.r.t. that row's precision.
-    """
-    alpha = phis[:, None] * A
-    psi_alpha = np.where(U, special.digamma(np.where(U, alpha, 1.0)), 0.0)
-    g = np.where(U, phis[:, None] * (logY - psi_alpha), 0.0)
-    if zero_mode is ZeroMode.AS_WRITTEN:
-        dphi_row = special.digamma(phis)
-    else:
-        S = np.sum(np.where(U, A, 0.0), axis=1)
-        psi_norm = special.digamma(phis * S)
-        g = g + np.where(U, (phis * psi_norm)[:, None], 0.0)
-        dphi_row = S * psi_norm
-    dphi_row = dphi_row + np.sum(np.where(U, A * (logY - psi_alpha), 0.0), axis=1)
-    gbar = np.sum(g * A, axis=1)
-    dEta = A * (g - gbar[:, None])
-    return dEta, dphi_row
-
-
 def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
     """(logY, design, U); U marks the retained components, logY is log(y) there, 0 elsewhere."""
     if X.n != ds.n:
@@ -328,20 +310,76 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
     return B, theta[d * q:]
 
 
-def _gradient(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode) -> np.ndarray:
-    """Dirichlet-part gradient on prepared arrays (see `analytic_gradient`)."""
+def _rowkron(M: np.ndarray, Xd: np.ndarray) -> np.ndarray:
+    """(n, d*q) row-wise Kronecker products of M's d columns with the design,
+    ordered like vec(B): row i holds M[i, k] * Xd[i, b] at k*q + b."""
+    return (M[:, :, None] * Xd[:, None, :]).reshape(Xd.shape[0], -1)
+
+
+def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode,
+                 information: bool = True):
+    """Gradient and observed information (minus the Hessian) of the Dirichlet
+    part on prepared arrays; with information=False, only the gradient.
+
+    Per row, with a the means, phi the precision, alpha = phi * a and S the
+    mean mass in the normalizer (1 as written), the derivatives are first
+    taken with a free and then chained through the softmax Jacobian
+    diag(a) - a a^T to the linear predictors, whose design is `Xd`. Second
+    derivatives need trigamma at alpha and at phi * S (Minka 2000). The
+    mixed model's exp link adds d(loglik)/d(phi) * phi x x^T. Every term is
+    a sum over rows of products of (n, d*q) row weights times the design.
+    """
+    n, q = Xd.shape
     D = logY.shape[1]
     kind = link.model_kind
-    B, precision = unpack_params(theta, D - 1, Xd.shape[1], kind)
+    B, precision = unpack_params(theta, D - 1, q, kind)
     A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
-    dEta, dphi_row = _core_grad(A, phis, logY, U, zero_mode)
     nonref = [j for j in range(D) if j != link.ref_index]
-    dB = dEta[:, nonref].T @ Xd
+    safe_alpha = np.where(U, phis[:, None] * A, 1.0)
+    resid = np.where(U, logY - special.digamma(safe_alpha), 0.0)
+    # u marks the cells whose means enter the normalizer lnGamma(phi * S).
+    renormalized = zero_mode is ZeroMode.RENORMALIZED
+    u = U.astype(float) if renormalized else np.zeros_like(A)
+    mass = np.sum(A * u, axis=1)
+    S = mass if renormalized else np.ones(n)
+    nu = phis * S
+    psi_nu = special.digamma(nu)
+    g = phis[:, None] * (resid + psi_nu[:, None] * u)  # d/da, a free
+    dphi = S * psi_nu + np.sum(A * resid, axis=1)  # d/dphi
+    e = A * (g - np.sum(g * A, axis=1)[:, None])  # d/deta
     if kind is ModelKind.SIMPLE:
-        dprec = np.array([np.sum(dphi_row)])
+        P, dphi_dprec, curvature = np.ones((n, 1)), np.ones(n), 0.0
     else:
-        dprec = Xd.T @ (dphi_row * phis)
-    return np.concatenate([dB.ravel(), dprec])
+        P, dphi_dprec, curvature = Xd, phis, phis
+    grad = np.concatenate([(e[:, nonref].T @ Xd).ravel(), P.T @ (dphi * dphi_dprec)])
+    if not information:
+        return grad, None
+
+    # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
+    t = np.where(U, phis[:, None] ** 2 * special.zeta(2.0, safe_alpha), 0.0)
+    r = phis**2 * special.zeta(2.0, nu)
+    v = A * A * t
+    s = np.sum(v, axis=1)
+    c = e - v
+    w = A * (u - mass[:, None])  # (diag(a) - a a^T) u
+    h = (g - t * A + (r * S)[:, None] * u) / phis[:, None]  # d2/(da dphi)
+    h_eta = A * (h - np.sum(h * A, axis=1)[:, None])  # d2/(deta dphi)
+    h_phi = (r * S * S - s) / phis**2  # d2/dphi2
+    # Minus the Hessian in eta, -diag(c) + c a^T + a c^T + s a a^T - r w w^T,
+    # times x x^T and summed over rows; T sums (c + s a / 2) a^T x x^T.
+    Ka, Kw = _rowkron(A[:, nonref], Xd), _rowkron(w[:, nonref], Xd)
+    T = _rowkron(c[:, nonref] + 0.5 * s[:, None] * A[:, nonref], Xd).T @ Ka
+    dq = Ka.shape[1]
+    Pj = dphi_dprec[:, None] * P  # dphi/d(precision parameters)
+    info = np.empty((grad.size, grad.size))
+    info[:dq, :dq] = T + T.T - Kw.T @ (r[:, None] * Kw)
+    for k, j in enumerate(nonref):
+        block = slice(k * q, (k + 1) * q)
+        info[block, block] -= (c[:, j, None] * Xd).T @ Xd
+    info[:dq, dq:] = -_rowkron(h_eta[:, nonref], Xd).T @ Pj
+    info[dq:, :dq] = info[:dq, dq:].T
+    info[dq:, dq:] = -P.T @ ((h_phi * dphi_dprec**2 + dphi * curvature)[:, None] * P)
+    return grad, 0.5 * (info + info.T)
 
 
 def analytic_gradient(
@@ -357,7 +395,7 @@ def analytic_gradient(
     The Bernoulli zero-pattern term carries no free parameters, so the same
     gradient serves both the plain and the zero-adjusted likelihoods.
     """
-    return _gradient(theta, *_prepare(ds, X, zp), link, zero_mode)
+    return _derivatives(theta, *_prepare(ds, X, zp), link, zero_mode, information=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +434,8 @@ def _subset(ds: CompositionDataset, X: CovariateMatrix, mask: np.ndarray):
 
 
 def _objective_pair(ds, X, zp, link, zero_mode):
-    """Negated Dirichlet-part log-likelihood and gradient closures.
+    """Negated Dirichlet-part log-likelihood closure, and one returning its
+    gradient and Hessian (the observed information).
 
     The Bernoulli zero-pattern term is parameter-free and omitted from the
     objective; callers add it back to reported log-likelihoods.
@@ -414,10 +453,11 @@ def _objective_pair(ds, X, zp, link, zero_mode):
         value = _core_loglik(A, phis, logY, U, zero_mode)
         return -value if np.isfinite(value) else np.inf
 
-    def neggrad(theta):
-        return -_gradient(theta, logY, Xd, U, link, zero_mode)
+    def negderivatives(theta):
+        grad, information = _derivatives(theta, logY, Xd, U, link, zero_mode)
+        return -grad, information
 
-    return negloglik, neggrad
+    return negloglik, negderivatives
 
 
 def check_positive_definite(matrix: np.ndarray, name: str) -> None:
@@ -428,35 +468,19 @@ def check_positive_definite(matrix: np.ndarray, name: str) -> None:
     raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def _covariance_from_hessian(neggrad, theta: np.ndarray, stage: FitStage) -> np.ndarray:
-    """Inverse observed information (differenced analytic gradient), checked positive definite."""
-    J = finite_diff_gradient(neggrad, theta)  # = -Hessian of the log-likelihood
-    H = 0.5 * (J + J.T)
-    check_positive_definite(H, f"the {stage.value} stage's observed information")
-    return np.linalg.inv(H)
-
-
-def _init_phi_grid(negloglik, B0: np.ndarray) -> float:
-    """Coarse 1-D scan for a sane starting precision at the OLS coefficients."""
-    best_phi, best_val = 1.0, np.inf
-    for log_phi in np.linspace(np.log(0.5), np.log(500.0), 30):
-        phi = float(np.exp(log_phi))
-        val = negloglik(np.concatenate([B0.ravel(), [phi]]))
-        if val < best_val:
-            best_phi, best_val = phi, val
-    return best_phi
-
-
 def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: FitOptions,
                stage: FitStage, p_hat: np.ndarray, loglik_offset: float = 0.0) -> ZadrModel:
     """Maximize one stage's Dirichlet-part likelihood under `zero_mode` from
     theta0 and wrap the optimum as a model; loglik_offset adds back the
     Bernoulli term. The model records `opts.zero_mode`, the mode of the fit."""
-    negloglik, neggrad = _objective_pair(ds, X, zp, link, zero_mode)
-    res = minimize(negloglik, theta0, gradient=neggrad,
+    negloglik, negderivatives = _objective_pair(ds, X, zp, link, zero_mode)
+    res = minimize(negloglik, theta0, gradient=negderivatives,
                    opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * ds.n))
     B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
-    covariance = _covariance_from_hessian(neggrad, res.argmin, stage) if opts.compute_covariance else None
+    covariance = None
+    if opts.compute_covariance:
+        check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
+        covariance = np.linalg.inv(res.hessian)
     return ZadrModel(
         B=B,
         precision=precision,
@@ -500,16 +524,13 @@ def fit(
     q = B0.shape[1]
 
     # Stage one: plain likelihood on zero-free rows. Both kinds start from
-    # the simple-model grid precision; the mixed model anchors its precision
+    # the precision _PHI_START; the mixed model anchors its precision
     # intercept there and draws its slopes at random.
-    simple_link = LinkSpec(link.ref_index, ModelKind.SIMPLE)
-    phi0 = _init_phi_grid(
-        _objective_pair(ds_free, X_free, u_free, simple_link, ZeroMode.AS_WRITTEN)[0], B0)
     if link.model_kind is ModelKind.SIMPLE:
-        precision0 = [phi0]
+        precision0 = [_PHI_START]
     else:
         precision0 = np.zeros(q)
-        precision0[0] = np.log(phi0)
+        precision0[0] = np.log(_PHI_START)
         if q > 1:
             rng = np.random.default_rng(opts.random_seed)
             precision0[1:] = rng.normal(0.0, _MIXED_SLOPE_SD, size=q - 1)

@@ -1,8 +1,11 @@
 """Shared fixtures: a known truth model and simulated datasets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import zadr.model
 from zadr.compositions import CompositionDataset, CovariateMatrix, load_dataset, make_design
 from zadr.dirichlet import ZeroMode
 from zadr.model import FitStage, LinkSpec, ModelKind, ZadrModel, alpha_matrix
@@ -59,6 +62,18 @@ def simulate_dataset(
     Y = g / g.sum(axis=1, keepdims=True)
     ds = load_dataset(Y, names=list(COMPONENTS))
     return ds, X
+
+
+def negate_stage_information(monkeypatch):
+    """Make every fit stage's optimizer return its information negated, so
+    that no stage's information is positive definite."""
+    real = zadr.model.minimize
+
+    def negated(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return replace(res, hessian=-res.hessian)
+
+    monkeypatch.setattr(zadr.model, "minimize", negated)
 
 
 def random_composition(rng: np.random.Generator, D: int) -> np.ndarray:

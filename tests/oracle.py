@@ -1,8 +1,9 @@
-"""Independent row-by-row log-likelihood oracle.
+"""Independent row-by-row log-likelihood oracle and a finite-difference helper.
 
 Deliberately scalar: builds each row's mean vector with explicit loops and
 math.exp, then delegates the density to the dirichlet module. Shares no code
-with the vectorized likelihood engine it is used to check.
+with the vectorized likelihood engine it is used to check. Central
+differences check the engine's analytic derivatives.
 """
 
 import math
@@ -10,6 +11,25 @@ import math
 import numpy as np
 
 from zadr.dirichlet import DirichletParams, ZeroMode, log_density, subcomposition_log_density
+from zadr.errors import NonFiniteObjective
+
+
+def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central differences with magnitude-scaled steps: the gradient of a scalar
+    f, or the Jacobian of a vector-valued f with row i holding df/dx_i."""
+    x = np.asarray(x, dtype=float)
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    rows = []
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        fp, fm = f(xp), f(xm)
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+            raise NonFiniteObjective(f"non-finite objective near component {i}")
+        rows.append((fp - fm) / (2.0 * h[i]))
+    return np.array(rows)
 
 
 def oracle_mean_vector(x, B, ref_index):

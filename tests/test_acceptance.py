@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import COMPONENTS, TRUE_B, TRUE_PHI, depth_design, simulate_dataset, truth_model
-from oracle import oracle_loglik
+from oracle import finite_diff_gradient, oracle_loglik
 
 from zadr.compositions import (
     alr,
@@ -47,7 +47,6 @@ from zadr.model import (
     pack_params,
     unpack_params,
 )
-from zadr.numerics import finite_diff_gradient
 
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
 MIXED_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.MIXED)

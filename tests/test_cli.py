@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import COMPONENTS, TRUE_B, simulate_dataset, truth_model
+from conftest import COMPONENTS, TRUE_B, negate_stage_information, simulate_dataset, truth_model
 
 import zadr.inference
 from zadr import cli
@@ -97,8 +97,7 @@ class TestFit:
 
     def test_indefinite_information_exits_2_without_a_model(self, data_csv, tmp_path,
                                                             monkeypatch, capsys):
-        monkeypatch.setattr("zadr.model.finite_diff_gradient",
-                            lambda f, x: -np.eye(np.size(x)))
+        negate_stage_information(monkeypatch)
         out = tmp_path / "m.json"
         code = run("fit", "--input", str(data_csv), "--components", COMP_ARG,
                    "--covariates", "logdepth", "--out", str(out))

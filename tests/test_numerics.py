@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import finite_diff_gradient
+
 from zadr.errors import DomainError, NonFiniteObjective
 from zadr.numerics import (
     OptimizerOptions,
     TerminationReason,
     digamma_fn,
-    finite_diff_gradient,
     lgamma_fn,
     minimize,
     numerical_hessian,
@@ -90,9 +91,12 @@ def rosenbrock(x):
     return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
 
 
-def rosenbrock_gradient(x):
-    return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                     200 * (x[1] - x[0] ** 2)])
+def rosenbrock_derivatives(x):
+    gradient = np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                         200 * (x[1] - x[0] ** 2)])
+    hessian = np.array([[2 - 400 * (x[1] - 3 * x[0] ** 2), -400 * x[0]],
+                        [-400 * x[0], 200.0]])
+    return gradient, hessian
 
 
 class TestMinimize:
@@ -104,7 +108,7 @@ class TestMinimize:
                 Q = M @ M.T + dim * np.eye(dim)
                 b = rng.normal(size=dim)
                 f = lambda x: 0.5 * x @ Q @ x - b @ x
-                g = lambda x: Q @ x - b
+                g = lambda x: (Q @ x - b, Q)
                 res = minimize(f, rng.normal(size=dim), gradient=g)
                 assert res.converged
                 assert res.termination_reason is TerminationReason.GRADIENT_TOL
@@ -112,13 +116,13 @@ class TestMinimize:
                 assert np.max(np.abs(res.argmin - np.linalg.solve(Q, b))) < 1e-5
 
     def test_rosenbrock(self):
-        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gradient=rosenbrock_gradient,
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gradient=rosenbrock_derivatives,
                        opts=OptimizerOptions(max_iterations=2000))
         assert res.converged
         assert np.max(np.abs(res.argmin - 1.0)) < 1e-6
 
     def test_max_iterations_means_not_converged(self):
-        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gradient=rosenbrock_gradient,
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gradient=rosenbrock_derivatives,
                        opts=OptimizerOptions(max_iterations=3))
         assert not res.converged
         assert res.termination_reason is TerminationReason.MAX_ITER
@@ -130,13 +134,14 @@ class TestMinimize:
                 return np.inf
             return x[0] - math.log(x[0])
 
-        res = minimize(f, np.array([5.0]), gradient=lambda x: 1.0 - 1.0 / x)
+        res = minimize(f, np.array([5.0]),
+                       gradient=lambda x: (1.0 - 1.0 / x, np.array([[1.0 / x[0] ** 2]])))
         assert res.converged
         assert abs(res.argmin[0] - 1.0) < 1e-5
 
     def test_stalled_line_search_is_not_converged(self):
         # a flat objective with a nonzero gradient: no step gives an Armijo decrease
-        res = minimize(lambda x: 0.0, np.zeros(2), gradient=lambda x: np.ones(2))
+        res = minimize(lambda x: 0.0, np.zeros(2), gradient=lambda x: (np.ones(2), np.eye(2)))
         assert res.termination_reason is TerminationReason.STEP_TOL
         assert res.termination_reason.value == "StepTol"
         assert res.converged is False
@@ -144,7 +149,7 @@ class TestMinimize:
     def test_nonfinite_start_raises(self):
         f = lambda x: np.inf
         with pytest.raises(NonFiniteObjective):
-            minimize(f, np.zeros(2), gradient=lambda x: np.zeros(2))
+            minimize(f, np.zeros(2), gradient=lambda x: (np.zeros(2), np.eye(2)))
 
     def test_option_validation(self):
         with pytest.raises(ValueError):

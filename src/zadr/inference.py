@@ -7,21 +7,22 @@ by parametric bootstrap: replicates are regenerated from the fitted model
 with the observed zero pattern preserved row-for-row, then refit end to end.
 One pass of refits gives the p-value of T and the bias of every coefficient.
 Replicates are refitted with the zero mode and seed of the fitted model
-(`refit_options`), and with covariance matrices only when T is wanted. A
-saved diagnosis is T (`DiagnosticResult`) together with the bootstrap that
-calibrates it (`BootstrapResult`).
+(`refit_options`), and every replicate stage, like every fitted stage, ends
+with its covariance checked positive definite. A saved diagnosis is T
+(`DiagnosticResult`) together with the bootstrap that calibrates it
+(`BootstrapResult`).
 
 The bootstrap and the simulation study are the same Monte Carlo step: draw
 a response from a model with a fixed zero pattern and refit it end to end.
 One worker, `_replicate_one`, does that step for both, and a replicate
-counts only when both fit stages converged. Each replicate owns a private
-generator spawned from the master seed. The simulation study draws each
-replicate's design rows and zero pattern in the parent, from that
-replicate's generator, and hands the same generator to the worker for the
-response. Results are merged by replicate index, so output is independent
-of execution order. Failed replicates are counted by cause. Each command
-starts at most one process pool, whose worker count is the least of
-`ZADR_THREADS`, the CPUs this process may use and the tasks.
+counts only when both fit stages converged and its T could be formed. Each
+replicate owns a private generator spawned from the master seed. The
+simulation study draws each replicate's design rows and zero pattern in the
+parent, from that replicate's generator, and hands the same generator to the
+worker for the response. Results are merged by replicate index, so output
+is independent of execution order. Failed replicates are counted by cause.
+Each command starts at most one process pool, whose worker count is the
+least of `ZADR_THREADS`, the CPUs this process may use and the tasks.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def diagnostic_T(initial: ZadrModel, final: ZadrModel) -> DiagnosticResult:
     if initial.kind is not final.kind or initial.link != final.link:
         raise KindMismatch("initial and final models must share kind and link")
     if initial.covariance is None or final.covariance is None:
-        raise ValueError("both models need covariance matrices; fit with compute_covariance")
+        raise ValueError("both models need covariance matrices")
     delta = initial.parameter_vector() - final.parameter_vector()
     sigma2 = initial.covariance + final.covariance
     check_positive_definite(sigma2, "the sum of the two stages' covariances")
@@ -179,8 +180,7 @@ def _replicate_one(args):
         initial, final = fit(ds_rep, X, model.link, fit_opts)
         if not (initial.converged and final.converged):
             return "NotConverged", None, None
-        T = diagnostic_T(initial, final).T if fit_opts.compute_covariance else None
-        return None, T, final.parameter_vector()
+        return None, diagnostic_T(initial, final).T, final.parameter_vector()
     except (ZadrError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__, None, None
 
@@ -189,7 +189,7 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
     """Refit B replicates once; the bias and, given t_observed, the p-value share them."""
     if B < MIN_REPLICATES:
         raise ValueError(f"B must be >= {MIN_REPLICATES}")
-    fit_opts = refit_options(final, compute_covariance=t_observed is not None)
+    fit_opts = refit_options(final)
     U = zero_pattern(ds)
     args = [(final, X, U, np.random.default_rng(s), fit_opts) for s in _replicate_seeds(seed, B)]
     records = _map_indexed(_replicate_one, args)
@@ -246,7 +246,8 @@ def bootstrap_bias(
     seed: int,
 ) -> BootstrapResult:
     """Bootstrap bias estimates: mean(replicate estimates) - final estimates.
-    Fits skip the covariance; replicate_stats holds the estimates."""
+    Replicates are fitted and checked as in `bootstrap_pvalue`;
+    replicate_stats holds the estimates."""
     return _run_bootstrap(final, ds, X, B, seed)
 
 
@@ -298,7 +299,8 @@ def run_simulation_study(
     rows of `design`; a `zero_fraction` share of rows gets one randomly
     placed zero component, drawn by zeroing a full-Dirichlet draw and
     renormalizing (the marginality-consistent mechanism). The MSE averages
-    over the replicates whose two fit stages both converged.
+    over the replicates that a bootstrap would keep: both fit stages
+    converged with positive definite information.
     """
     if reps < 1 or not sizes:
         raise ValueError("reps must be >= 1 and sizes nonempty")
@@ -307,7 +309,7 @@ def run_simulation_study(
             raise ValueError(f"sizes must be distinct and positive, got {n}")
     if not 0.0 <= zero_fraction < 1.0:
         raise ValueError("zero_fraction must be in [0, 1)")
-    fit_opts = refit_options(true_model, compute_covariance=False)
+    fit_opts = refit_options(true_model)
     D = true_model.D
     args = []
     for n, seed_seq in zip(np.repeat(sizes, reps), _replicate_seeds(seed, len(sizes) * reps)):

@@ -88,11 +88,13 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """How `fit` treats zeros, seeds the mixed start and whether it computes
-    covariances: the inverse of the analytic observed information at the
-    optimum, the matrix that also steers each stage's Newton steps. Each
-    stage's optimizer stops, and counts as converged, only once
-    max|gradient| < 1e-6 per row fitted in that stage.
+    """How `fit` treats zeros and seeds the mixed start.
+
+    Every stage ends the same way: its optimizer stops, and counts as
+    converged, only once max|gradient| < 1e-6 per row fitted in that stage,
+    and the analytic observed information at the optimum, the matrix that
+    also steers the stage's Newton steps, must be positive definite; its
+    inverse is the stage's covariance.
 
     Fitting defaults to the renormalized sub-Dirichlet mode: with the
     as-written normalizer the zero-adjusted likelihood is unbounded in the
@@ -102,7 +104,6 @@ class FitOptions:
 
     zero_mode: ZeroMode = ZeroMode.RENORMALIZED
     random_seed: int = 0
-    compute_covariance: bool = True
 
 
 @dataclass(frozen=True)
@@ -316,10 +317,9 @@ def _rowkron(M: np.ndarray, Xd: np.ndarray) -> np.ndarray:
     return (M[:, :, None] * Xd[:, None, :]).reshape(Xd.shape[0], -1)
 
 
-def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode,
-                 information: bool = True):
+def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
-    part on prepared arrays; with information=False, only the gradient.
+    part on prepared arrays.
 
     Per row, with a the means, phi the precision, alpha = phi * a and S the
     mean mass in the normalizer (1 as written), the derivatives are first
@@ -352,8 +352,6 @@ def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode,
     else:
         P, dphi_dprec, curvature = Xd, phis, phis
     grad = np.concatenate([(e[:, nonref].T @ Xd).ravel(), P.T @ (dphi * dphi_dprec)])
-    if not information:
-        return grad, None
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     t = np.where(U, phis[:, None] ** 2 * special.zeta(2.0, safe_alpha), 0.0)
@@ -395,7 +393,7 @@ def analytic_gradient(
     The Bernoulli zero-pattern term carries no free parameters, so the same
     gradient serves both the plain and the zero-adjusted likelihoods.
     """
-    return _derivatives(theta, *_prepare(ds, X, zp), link, zero_mode, information=False)[0]
+    return _derivatives(theta, *_prepare(ds, X, zp), link, zero_mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +469,20 @@ def check_positive_definite(matrix: np.ndarray, name: str) -> None:
 def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: FitOptions,
                stage: FitStage, p_hat: np.ndarray, loglik_offset: float = 0.0) -> ZadrModel:
     """Maximize one stage's Dirichlet-part likelihood under `zero_mode` from
-    theta0 and wrap the optimum as a model; loglik_offset adds back the
-    Bernoulli term. The model records `opts.zero_mode`, the mode of the fit."""
+    theta0 and wrap the optimum as a model whose covariance is the inverse of
+    the information there, once that is checked positive definite;
+    loglik_offset adds back the Bernoulli term. The model records
+    `opts.zero_mode`, the mode of the fit."""
     negloglik, negderivatives = _objective_pair(ds, X, zp, link, zero_mode)
     res = minimize(negloglik, theta0, gradient=negderivatives,
                    opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * ds.n))
     B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
-    covariance = None
-    if opts.compute_covariance:
-        check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
-        covariance = np.linalg.inv(res.hessian)
+    check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
     return ZadrModel(
         B=B,
         precision=precision,
         p_hat=p_hat,
-        covariance=covariance,
+        covariance=np.linalg.inv(res.hessian),
         loglik=-res.value + loglik_offset,
         converged=res.converged,
         stage=stage,
@@ -544,10 +541,9 @@ def fit(
     return initial, final
 
 
-def refit_options(model: ZadrModel, compute_covariance: bool = True) -> FitOptions:
+def refit_options(model: ZadrModel) -> FitOptions:
     """Options that refit data the way `model` was fitted: same zero mode and seed."""
-    return FitOptions(zero_mode=model.zero_mode, random_seed=model.seed_provenance,
-                      compute_covariance=compute_covariance)
+    return FitOptions(zero_mode=model.zero_mode, random_seed=model.seed_provenance)
 
 
 def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,

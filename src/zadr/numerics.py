@@ -1,6 +1,6 @@
-"""Special functions and a Newton minimizer for likelihood fitting.
+"""Log-gamma and a Newton minimizer for likelihood fitting.
 
-The log-gamma family is delegated to scipy.special, which meets the 1e-12
+Log-gamma is delegated to scipy.special, which meets the 1e-12
 relative accuracy requirement out of the box. The optimizer is a damped
 Newton method with Armijo backtracking: the likelihoods are smooth and
 low-dimensional with analytic Hessians, and a self-contained implementation
@@ -29,16 +29,6 @@ def _check_positive(x):
 def lgamma_fn(x):
     """log Gamma(x) for x > 0."""
     return special.gammaln(_check_positive(x))
-
-
-def digamma_fn(x):
-    """d/dx log Gamma(x) for x > 0."""
-    return special.digamma(_check_positive(x))
-
-
-def trigamma_fn(x):
-    """d^2/dx^2 log Gamma(x) for x > 0."""
-    return special.zeta(2.0, _check_positive(x))
 
 
 class TerminationReason(enum.Enum):
@@ -158,10 +148,10 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
 
     There is one success test: max|gradient| < `opts.gradient_tolerance`,
     which ends the run with GradientTol, the only reason that counts as
-    converged. StepTol means the line search found no Armijo decrease (up
-    to round-off) even at its smallest step (a stall short of the
-    tolerance); MaxIter means `opts.max_iterations` iterations ran without
-    passing the test.
+    converged. StepTol means a stall short of the tolerance: the line search
+    found no Armijo decrease (up to round-off) even at its smallest step, or
+    the step it accepted left x unchanged in floating point. MaxIter means
+    `opts.max_iterations` iterations ran without passing the test.
     """
     if opts is None:
         opts = OptimizerOptions()
@@ -197,7 +187,12 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
             # No Armijo decrease at the smallest step: treat as stalled.
             reason = TerminationReason.STEP_TOL
             break
-        x = x + t * d
+        x_new = x + t * d
+        if np.array_equal(x_new, x):
+            # Only the round-off allowance accepts a step lost to rounding.
+            reason = TerminationReason.STEP_TOL
+            break
+        x = x_new
         fx = fx_new
         g, H = _derivatives_at(gradient, x)
 

@@ -233,7 +233,7 @@ def test_criterion_8_lrt_calibration():
     design = depth_design()
     n = 240
     reps = 500
-    opts = FitOptions(compute_covariance=False)
+    opts = FitOptions()
     rng_master = np.random.SeedSequence(314159).spawn(reps)
     rejections = 0
     used = 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import depth_design, simulate_dataset, truth_model
+from conftest import depth_design, negate_stage_information, simulate_dataset, truth_model
 
 from zadr.compositions import load_dataset, zero_pattern
 from zadr.errors import (
@@ -155,10 +155,10 @@ class TestBootstrap:
 
         monkeypatch.setattr(inference_mod, "fit", recording_fit)
         bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-        assert set(seen) == {FitOptions(final.zero_mode, 4, compute_covariance=True)}
+        assert set(seen) == {FitOptions(final.zero_mode, 4)}
         seen.clear()
         bootstrap_bias(final, ds, X, B=19, seed=5)
-        assert set(seen) == {FitOptions(final.zero_mode, 4, compute_covariance=False)}
+        assert set(seen) == {FitOptions(final.zero_mode, 4)}
 
     def test_failures_counted_by_cause(self, small_dataset, monkeypatch):
         import zadr.inference as inference_mod
@@ -180,6 +180,16 @@ class TestBootstrap:
         assert result.failures == sum(result.failure_causes.values())
         assert result.B == 21
         with pytest.raises(TooFewSuccessfulReplicates, match="NonFiniteObjective"):
+            bootstrap_bias(final, ds, X, B=19, seed=5)
+
+    def test_bias_replicates_pass_the_positive_definiteness_check(self, small_dataset,
+                                                                  monkeypatch):
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        negate_stage_information(monkeypatch)
+        every_replicate = r"out of 19; failures by cause: \{'NotPositiveDefinite': 19\}$"
+        with pytest.raises(TooFewSuccessfulReplicates, match=every_replicate):
             bootstrap_bias(final, ds, X, B=19, seed=5)
 
     def test_replicates_preserve_zero_pattern(self, small_dataset):
@@ -300,7 +310,7 @@ class TestFitMetrics:
 
     def test_kl_nonnegative(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
         m = fit_metrics(ds, fitted_values(final, X))
         assert m.kl >= 0.0 and m.l2 >= 0.0
 
@@ -363,6 +373,14 @@ class TestSimulationStudy:
         assert one.successes == two.successes
         for n in (20, 30):
             assert np.array_equal(one.mse[n], two.mse[n])
+
+    def test_replicate_needs_positive_definite_information(self, monkeypatch):
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        negate_stage_information(monkeypatch)
+        report = run_simulation_study(truth_model(), depth_design(), sizes=[30], reps=2,
+                                      zero_fraction=1.0 / 6.0, seed=3)
+        assert report.successes == {30: 0}
+        assert np.all(np.isnan(report.mse[30]))
 
     def test_replicate_needs_both_stages_converged(self, monkeypatch):
         import zadr.inference as inference_mod

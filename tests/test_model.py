@@ -42,7 +42,7 @@ from zadr.model import (
     save_model,
     unpack_params,
 )
-from zadr.numerics import numerical_hessian
+from zadr.numerics import TerminationReason, numerical_hessian
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
@@ -217,8 +217,29 @@ class TestLargePrecisionConvergence:
     @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
     def test_both_stages_converge(self, link, phi, seed):
         ds, X = simulate_dataset(n=30, seed=seed, n_zero=5, phi=phi)
-        initial, final = fit(ds, X, link, FitOptions(compute_covariance=False))
+        initial, final = fit(ds, X, link, FitOptions())
         assert initial.converged and final.converged
+
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_null_steps_end_the_final_stage(self, link, monkeypatch):
+        # At phi = 1e8 round-off hides the final stage's last decreases; the
+        # line search then accepts steps that leave theta unchanged.
+        import zadr.model as model_mod
+
+        real, stages = model_mod.minimize, []
+
+        def counting(objective, x0, gradient, opts):
+            calls = []
+            res = real(lambda x: calls.append(1) or objective(x), x0, gradient=gradient, opts=opts)
+            stages.append((res.termination_reason, len(calls)))
+            return res
+
+        monkeypatch.setattr(model_mod, "minimize", counting)
+        ds, X = simulate_dataset(n=30, seed=5, n_zero=5, phi=1e8)
+        fit(ds, X, link, FitOptions())
+        reason, objective_calls = stages[1]
+        assert reason is TerminationReason.STEP_TOL
+        assert objective_calls <= 1000
 
 
 class TestOlsInit:
@@ -261,7 +282,7 @@ class TestFit:
 
     def test_recovers_truth_on_large_sample(self):
         ds, X = simulate_dataset(n=2000, seed=31, n_zero=300)
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
         assert np.max(np.abs(final.B - TRUE_B)) < 0.25
         assert abs(final.precision - TRUE_PHI) / TRUE_PHI < 0.15
 
@@ -274,7 +295,7 @@ class TestFit:
         Y, design = inputs.simulate_rows(5000, 833, 14)
         ds = load_dataset(Y, names=list(COMPONENTS))
         X = make_design(design[:, 1:], names=["logdepth"])
-        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions())
         mask = ds.zero_free_mask()
         stages = [
             (initial, load_dataset(Y[mask]), make_design(design[mask, 1:]), ZeroMode.AS_WRITTEN),
@@ -334,10 +355,10 @@ class TestFit:
 
     def test_permuting_components_permutes_fit(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
         perm = [0, 1, 3, 2]
         ds_p = load_dataset(ds.values[:, perm], names=[ds.component_names[j] for j in perm])
-        _, final_p = fit(ds_p, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        _, final_p = fit(ds_p, X, SIMPLE_LINK, FitOptions())
         F = fitted_values(final, X).values
         F_p = fitted_values(final_p, X).values
         assert np.max(np.abs(F[:, perm] - F_p)) < 1e-4
@@ -381,7 +402,7 @@ class TestFit:
 
         monkeypatch.setattr(model_mod, "zero_pattern", counted)
         ds, X = small_dataset
-        fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        fit(ds, X, SIMPLE_LINK, FitOptions())
         assert calls == [ds.n]
 
 
@@ -518,7 +539,7 @@ class TestPacking:
 
     def test_parameter_names_align_with_vector(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions(compute_covariance=False))
+        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
         names = final.parameter_names()
         assert len(names) == final.parameter_vector().size
         assert names[0] == "Obesa:intercept"

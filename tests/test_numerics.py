@@ -11,20 +11,13 @@ from zadr.errors import DomainError, NonFiniteObjective
 from zadr.numerics import (
     OptimizerOptions,
     TerminationReason,
-    digamma_fn,
     lgamma_fn,
     minimize,
     numerical_hessian,
-    trigamma_fn,
 )
 
 
 class TestSpecialFunctions:
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.1, 100.0))
-    def test_digamma_recurrence(self, x):
-        assert abs(digamma_fn(x + 1.0) - digamma_fn(x) - 1.0 / x) < 1e-12
-
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.1, 100.0))
     def test_lgamma_recurrence(self, x):
@@ -36,10 +29,7 @@ class TestSpecialFunctions:
         assert lgamma_fn(1.0) == 0.0
         assert abs(lgamma_fn(0.5) - 0.5 * math.log(math.pi)) < 1e-14
 
-    def test_trigamma_known_value(self):
-        assert abs(trigamma_fn(1.0) - math.pi**2 / 6.0) < 1e-12
-
-    @pytest.mark.parametrize("fn", [lgamma_fn, digamma_fn, trigamma_fn])
+    @pytest.mark.parametrize("fn", [lgamma_fn])
     def test_nonpositive_argument_rejected(self, fn):
         with pytest.raises(DomainError):
             fn(0.0)
@@ -145,6 +135,15 @@ class TestMinimize:
         assert res.termination_reason is TerminationReason.STEP_TOL
         assert res.termination_reason.value == "StepTol"
         assert res.converged is False
+
+    def test_null_step_ends_on_step_tol(self):
+        # a unit step is lost to rounding at 1e20, and only the round-off
+        # allowance accepts it: the run must end instead of repeating it
+        res = minimize(lambda x: 1.0, np.array([1e20]),
+                       gradient=lambda x: (np.ones(1), np.eye(1)))
+        assert res.termination_reason is TerminationReason.STEP_TOL
+        assert res.iterations == 1
+        assert res.argmin[0] == 1e20
 
     def test_nonfinite_start_raises(self):
         f = lambda x: np.inf

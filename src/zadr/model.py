@@ -49,7 +49,7 @@ from .errors import (
     SchemaMismatch,
     SingularDesign,
 )
-from .numerics import OptimizerOptions, minimize
+from .numerics import OptimizerOptions, minimize, trigamma
 from .numerics import numerical_hessian  # noqa: F401  perfbench/tracing.py patches it here
 
 _LINPRED_CLAMP = 700.0
@@ -325,7 +325,8 @@ def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode):
     mean mass in the normalizer (1 as written), the derivatives are first
     taken with a free and then chained through the softmax Jacobian
     diag(a) - a a^T to the linear predictors, whose design is `Xd`. Second
-    derivatives need trigamma at alpha and at phi * S (Minka 2000). The
+    derivatives need trigamma at alpha and at phi * S (Minka 2000), which
+    `numerics.trigamma` evaluates in one call on both arguments. The
     mixed model's exp link adds d(loglik)/d(phi) * phi x x^T. Every term is
     a sum over rows of products of (n, d*q) row weights times the design.
     """
@@ -336,14 +337,18 @@ def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode):
     A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
     nonref = [j for j in range(D) if j != link.ref_index]
     safe_alpha = np.where(U, phis[:, None] * A, 1.0)
-    resid = np.where(U, logY - special.digamma(safe_alpha), 0.0)
     # u marks the cells whose means enter the normalizer lnGamma(phi * S).
     renormalized = zero_mode is ZeroMode.RENORMALIZED
     u = U.astype(float) if renormalized else np.zeros_like(A)
     mass = np.sum(A * u, axis=1)
     S = mass if renormalized else np.ones(n)
     nu = phis * S
-    psi_nu = special.digamma(nu)
+    # The cells' arguments, then the normalizers', in one array for the
+    # polygamma calls.
+    args = np.concatenate([safe_alpha.ravel(), nu])
+    psi = special.digamma(args)
+    psi_nu = psi[n * D:]
+    resid = np.where(U, logY - psi[: n * D].reshape(n, D), 0.0)
     g = phis[:, None] * (resid + psi_nu[:, None] * u)  # d/da, a free
     dphi = S * psi_nu + np.sum(A * resid, axis=1)  # d/dphi
     e = A * (g - np.sum(g * A, axis=1)[:, None])  # d/deta
@@ -354,8 +359,9 @@ def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode):
     grad = np.concatenate([(e[:, nonref].T @ Xd).ravel(), P.T @ (dphi * dphi_dprec)])
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
-    t = np.where(U, phis[:, None] ** 2 * special.zeta(2.0, safe_alpha), 0.0)
-    r = phis**2 * special.zeta(2.0, nu)
+    psi1 = trigamma(args)
+    t = np.where(U, phis[:, None] ** 2 * psi1[: n * D].reshape(n, D), 0.0)
+    r = phis**2 * psi1[n * D:]
     v = A * A * t
     s = np.sum(v, axis=1)
     c = e - v

@@ -140,8 +140,7 @@ class TestBootstrap:
         assert np.array_equal(one.replicate_stats, two.replicate_stats)
         assert np.array_equal(one.bias, two.bias)
 
-    def test_refits_take_the_model_options_and_covariance_only_for_T(self, small_dataset,
-                                                                     monkeypatch):
+    def test_refits_take_the_model_options(self, small_dataset, monkeypatch):
         import zadr.inference as inference_mod
 
         ds, X = small_dataset

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from oracle import finite_diff_gradient
 
@@ -14,6 +15,7 @@ from zadr.numerics import (
     lgamma_fn,
     minimize,
     numerical_hessian,
+    trigamma,
 )
 
 
@@ -35,6 +37,34 @@ class TestSpecialFunctions:
             fn(0.0)
         with pytest.raises(DomainError):
             fn(-1.5)
+
+
+class TestTrigamma:
+    """The series kernel against scipy's Hurwitz zeta(2, x), the oracle."""
+
+    def test_matches_hurwitz_zeta_on_log_grid(self):
+        x = np.logspace(-6, 10, 20001)
+        assert np.max(np.abs(trigamma(x) / special.zeta(2.0, x) - 1.0)) <= 4e-15
+
+    def test_recurrence(self):
+        # psi_1(x) - psi_1(x + 1) = 1/x^2; the difference cancels to the
+        # rounding of psi_1(x) itself, so the bound scales with it.
+        x = np.logspace(-3, 4, 701)
+        gap = trigamma(x) - trigamma(x + 1.0) - 1.0 / x**2
+        assert np.all(np.abs(gap) <= 8 * np.finfo(float).eps * trigamma(x))
+
+    def test_shape_is_kept(self):
+        assert np.shape(trigamma(2.0)) == ()
+        assert trigamma(1.0) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+        x = np.linspace(0.5, 50.0, 24).reshape(2, 3, 4)
+        values = trigamma(x)
+        assert values.shape == (2, 3, 4)
+        assert np.array_equal(values.ravel(), trigamma(x.ravel()))
+
+    def test_overflow_is_inf_without_warning(self):
+        # pyproject.toml makes every RuntimeWarning in the suite an error.
+        assert trigamma(1e-200) == np.inf
+        assert np.array_equal(trigamma(np.array([1e-160, 1.0])), [np.inf, trigamma(1.0)])
 
 
 class TestDerivativeHelpers:

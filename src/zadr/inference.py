@@ -22,7 +22,8 @@ parent, from that replicate's generator, and hands the same generator to the
 worker for the response. Results are merged by replicate index, so output
 is independent of execution order. Failed replicates are counted by cause.
 Each command starts at most one process pool, whose worker count is the
-least of `ZADR_THREADS`, the CPUs this process may use and the tasks.
+least of `ZADR_THREADS`, the CPUs this process may use and the tasks; the
+pool receives the replicates in chunks of several.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ from .model import (
 )
 
 MIN_REPLICATES = 19
+# Chunks of replicates handed to each pool worker (`_map_indexed`).
+_CHUNKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -161,12 +164,19 @@ def _usable_cpus() -> int:
 
 
 def _map_indexed(func, args_list):
-    """Order-preserving map, optionally across processes."""
+    """Order-preserving map, optionally across processes.
+
+    Tasks reach the pool in chunks of ceil(tasks / (_CHUNKS_PER_WORKER *
+    workers)), so each worker gets about that many chunks: few round trips,
+    each pickling the shared model and design once, and still enough chunks
+    to even out replicates of uneven cost.
+    """
     workers = min(_worker_count(), _usable_cpus(), len(args_list))
     if workers <= 1:
         return [func(a) for a in args_list]
+    chunksize = -(-len(args_list) // (_CHUNKS_PER_WORKER * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, args_list))
+        return list(pool.map(func, args_list, chunksize=chunksize))
 
 
 def _replicate_one(args):

@@ -10,11 +10,12 @@ term to its positive components and adding an independent-Bernoulli term
 for the zero pattern. No value is ever imputed.
 
 One vectorized engine evaluates every likelihood: `_row_parameters` maps
-(B, precision, kind) to row means and precisions, `_core_loglik` sums the
+(B, precision, kind) to row means and precisions, `_row_work` adds each
+row's normalizer mass and polygamma arguments, `_dirichlet_value` sums the
 Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
 four `loglik_*` functions are one-line wrappers whose names fix the kind;
-the fit objective and `_derivatives` (its gradient and information) reuse
-the pieces on data prepared once.
+the fit objective and `_derivatives` (its gradient and information) share
+one point's row work on data prepared once.
 
 Free-parameter ordering everywhere (gradients, Hessians, covariances):
 vec(B) in row-major order (one block of p+1 coefficients per non-reference
@@ -27,6 +28,7 @@ import enum
 import json
 from contextlib import suppress
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -147,18 +149,18 @@ class ZadrModel:
 
 
 def _eta_matrix(X: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
-    n = X.shape[0]
-    D = B.shape[0] + 1
-    eta = np.zeros((n, D))
-    nonref = [j for j in range(D) if j != ref_index]
-    eta[:, nonref] = np.clip(X @ B.T, -_LINPRED_CLAMP, _LINPRED_CLAMP)
+    linear = (X @ B.T).clip(-_LINPRED_CLAMP, _LINPRED_CLAMP)
+    eta = np.zeros((X.shape[0], B.shape[0] + 1))
+    eta[:, :ref_index] = linear[:, :ref_index]
+    eta[:, ref_index + 1:] = linear[:, ref_index:]
     return eta
 
 
 def _softmax(eta: np.ndarray) -> np.ndarray:
-    z = eta - eta.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = eta - eta.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def alpha_matrix(X: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
@@ -206,21 +208,32 @@ def _row_parameters(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKin
     return A, phi_rows(Xd, np.asarray(precision, dtype=float))
 
 
-def _core_loglik(A, phis, logY, U, zero_mode: ZeroMode) -> float:
-    """Dirichlet part of the log-likelihood on `_prepare`d data.
+def _row_work(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind, U: np.ndarray,
+              zero_mode: ZeroMode):
+    """A point's row quantities: means A (n x D), precisions phis (n,), the
+    mean mass S (n,) in each row's normalizer (1 as written) and the
+    polygamma arguments, alpha = phis * A on the retained cells (1 elsewhere)
+    raveled and followed by the normalizers' phis * S."""
+    A, phis = _row_parameters(Xd, B, precision, ref_index, kind)
+    S = (A * U).sum(axis=1) if zero_mode is ZeroMode.RENORMALIZED else np.ones(A.shape[0])
+    args = np.concatenate([np.where(U, phis[:, None] * A, 1.0).ravel(), phis * S])
+    return A, phis, S, args
+
+
+def _dirichlet_value(work, logY: np.ndarray) -> float:
+    """Dirichlet part of the log-likelihood from a point's `_row_work` on
+    `_prepare`d data. A cell that is not retained adds exactly 0: its
+    argument is 1 and its logY 0.
 
     Extreme line-search probes overflow to a non-finite value, which the
     objective maps to +inf, so those floating-point warnings are silenced.
     """
-    alpha = phis[:, None] * A
+    A, _, _, args = work
+    cells = A.size
     with np.errstate(over="ignore", invalid="ignore"):
-        body = np.sum(np.where(U, (alpha - 1.0) * logY - special.gammaln(alpha), 0.0))
-        if zero_mode is ZeroMode.AS_WRITTEN:
-            norm = np.sum(special.gammaln(phis))
-        else:
-            S = np.sum(np.where(U, A, 0.0), axis=1)
-            norm = np.sum(special.gammaln(phis * S))
-        return float(norm + body)
+        lgamma = special.gammaln(args)
+        body = ((args[:cells] - 1.0) * logY.ravel() - lgamma[:cells]).sum()
+        return float(lgamma[cells:].sum() + body)
 
 
 def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
@@ -245,7 +258,7 @@ def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
         raise DomainError(f"loglik_{kind.value} requires a zero-free dataset")
     if kind is ModelKind.SIMPLE and precision <= 0:
         raise DomainError("phi must be > 0")
-    value = _core_loglik(*_row_parameters(Xd, B, precision, link.ref_index, kind), logY, U, zero_mode)
+    value = _dirichlet_value(_row_work(Xd, B, precision, link.ref_index, kind, U, zero_mode), logY)
     return value if p is None else value + binary_log_prob(U, p)
 
 
@@ -311,78 +324,106 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
     return B, theta[d * q:]
 
 
-def _rowkron(M: np.ndarray, Xd: np.ndarray) -> np.ndarray:
-    """(n, d*q) row-wise Kronecker products of M's d columns with the design,
-    ordered like vec(B): row i holds M[i, k] * Xd[i, b] at k*q + b."""
-    return (M[:, :, None] * Xd[:, None, :]).reshape(Xd.shape[0], -1)
+class _StageData(NamedTuple):
+    """A fit stage's data, prepared once for all its objective and derivative calls."""
+
+    logY: np.ndarray  # log y on the retained cells, 0 elsewhere (n, D)
+    Xd: np.ndarray  # design (n, q)
+    U: np.ndarray  # retained cells (n, D), bool
+    u: np.ndarray  # cells in the normalizer: U as floats when renormalized, zeros as written
+    XX: np.ndarray  # per-row outer products x x^T of the design (n, q*q)
+    P: np.ndarray  # design of the precision: ones (n, 1) for phi, Xd for the mixed log phi
+    nonref: np.ndarray  # indices of the non-reference components
 
 
-def _derivatives(theta, logY, Xd, U, link: LinkSpec, zero_mode: ZeroMode):
+def _stage_data(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode) -> _StageData:
+    logY, Xd, U = _prepare(ds, X, zp)
+    n, q = Xd.shape
+    return _StageData(
+        logY=logY,
+        Xd=Xd,
+        U=U,
+        u=U.astype(float) if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
+        XX=(Xd[:, :, None] * Xd[:, None, :]).reshape(n, q * q),
+        P=np.ones((n, 1)) if link.model_kind is ModelKind.SIMPLE else Xd,
+        nonref=np.array([j for j in range(U.shape[1]) if j != link.ref_index]),
+    )
+
+
+def _block_sum(W: np.ndarray, XX: np.ndarray, q: int) -> np.ndarray:
+    """Sum over rows of the Kronecker products W_i (x) x_i x_i^T, W (n, k, k)
+    and XX (n, q*q) the outer products: a (k*q, k*q) matrix ordered like vec(B)."""
+    n, k, _ = W.shape
+    blocks = (W.reshape(n, k * k).T @ XX).reshape(k, k, q, q)
+    return blocks.transpose(0, 2, 1, 3).reshape(k * q, k * q)
+
+
+def _derivatives(work, stage: _StageData, kind: ModelKind):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
-    part on prepared arrays.
+    part from a point's `_row_work` on a stage's prepared data.
 
     Per row, with a the means, phi the precision, alpha = phi * a and S the
     mean mass in the normalizer (1 as written), the derivatives are first
     taken with a free and then chained through the softmax Jacobian
-    diag(a) - a a^T to the linear predictors, whose design is `Xd`. Second
-    derivatives need trigamma at alpha and at phi * S (Minka 2000), which
-    `numerics.trigamma` evaluates in one call on both arguments. The
-    mixed model's exp link adds d(loglik)/d(phi) * phi x x^T. Every term is
-    a sum over rows of products of (n, d*q) row weights times the design.
+    diag(a) - a a^T to the linear predictors. Second derivatives need
+    trigamma at alpha and at phi * S (Minka 2000), which `numerics.trigamma`
+    evaluates in one call on both arguments. Each row then has a symmetric
+    D x D weight matrix W in the coordinates (eta of the d non-reference
+    components, precision), where the precision coordinate is phi (simple)
+    or log phi (mixed, whose exp link adds d(loglik)/d(phi) * phi to its
+    curvature). The information is the sum over rows of W (x) x x^T: one
+    product with the stage's outer products, and for the simple model, whose
+    phi has the design 1, x x^T for the eta block, x for the cross block and
+    a plain sum for phi.
     """
-    n, q = Xd.shape
-    D = logY.shape[1]
-    kind = link.model_kind
-    B, precision = unpack_params(theta, D - 1, q, kind)
-    A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
-    nonref = [j for j in range(D) if j != link.ref_index]
-    safe_alpha = np.where(U, phis[:, None] * A, 1.0)
-    # u marks the cells whose means enter the normalizer lnGamma(phi * S).
-    renormalized = zero_mode is ZeroMode.RENORMALIZED
-    u = U.astype(float) if renormalized else np.zeros_like(A)
-    mass = np.sum(A * u, axis=1)
-    S = mass if renormalized else np.ones(n)
-    nu = phis * S
-    # The cells' arguments, then the normalizers', in one array for the
-    # polygamma calls.
-    args = np.concatenate([safe_alpha.ravel(), nu])
+    A, phis, S, args = work
+    logY, Xd, U, u, XX, P, nonref = stage
+    n, D = A.shape
+    d = D - 1
+    q = Xd.shape[1]
+    simple = kind is ModelKind.SIMPLE
     psi = special.digamma(args)
     psi_nu = psi[n * D:]
     resid = np.where(U, logY - psi[: n * D].reshape(n, D), 0.0)
     g = phis[:, None] * (resid + psi_nu[:, None] * u)  # d/da, a free
-    dphi = S * psi_nu + np.sum(A * resid, axis=1)  # d/dphi
-    e = A * (g - np.sum(g * A, axis=1)[:, None])  # d/deta
-    if kind is ModelKind.SIMPLE:
-        P, dphi_dprec, curvature = np.ones((n, 1)), np.ones(n), 0.0
-    else:
-        P, dphi_dprec, curvature = Xd, phis, phis
-    grad = np.concatenate([(e[:, nonref].T @ Xd).ravel(), P.T @ (dphi * dphi_dprec)])
+    dphi = S * psi_nu + (A * resid).sum(axis=1)  # d/dphi
+    e = A * (g - (g * A).sum(axis=1)[:, None])  # d/deta
+    grad = np.concatenate([(e[:, nonref].T @ Xd).ravel(),
+                           P.T @ (dphi if simple else dphi * phis)])
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     psi1 = trigamma(args)
     t = np.where(U, phis[:, None] ** 2 * psi1[: n * D].reshape(n, D), 0.0)
     r = phis**2 * psi1[n * D:]
     v = A * A * t
-    s = np.sum(v, axis=1)
+    s = v.sum(axis=1)
     c = e - v
-    w = A * (u - mass[:, None])  # (diag(a) - a a^T) u
+    w = A * (u - (A * u).sum(axis=1)[:, None])  # (diag(a) - a a^T) u
     h = (g - t * A + (r * S)[:, None] * u) / phis[:, None]  # d2/(da dphi)
-    h_eta = A * (h - np.sum(h * A, axis=1)[:, None])  # d2/(deta dphi)
+    h_eta = A * (h - (h * A).sum(axis=1)[:, None])  # d2/(deta dphi)
     h_phi = (r * S * S - s) / phis**2  # d2/dphi2
-    # Minus the Hessian in eta, -diag(c) + c a^T + a c^T + s a a^T - r w w^T,
-    # times x x^T and summed over rows; T sums (c + s a / 2) a^T x x^T.
-    Ka, Kw = _rowkron(A[:, nonref], Xd), _rowkron(w[:, nonref], Xd)
-    T = _rowkron(c[:, nonref] + 0.5 * s[:, None] * A[:, nonref], Xd).T @ Ka
-    dq = Ka.shape[1]
-    Pj = dphi_dprec[:, None] * P  # dphi/d(precision parameters)
-    info = np.empty((grad.size, grad.size))
-    info[:dq, :dq] = T + T.T - Kw.T @ (r[:, None] * Kw)
-    for k, j in enumerate(nonref):
-        block = slice(k * q, (k + 1) * q)
-        info[block, block] -= (c[:, j, None] * Xd).T @ Xd
-    info[:dq, dq:] = -_rowkron(h_eta[:, nonref], Xd).T @ Pj
-    info[dq:, :dq] = info[:dq, dq:].T
-    info[dq:, dq:] = -P.T @ ((h_phi * dphi_dprec**2 + dphi * curvature)[:, None] * P)
+
+    # Minus the Hessian in eta, -diag(c) + f a^T + a f^T - r w w^T with
+    # f = c + s a / 2, then the precision's row and column; from here on
+    # the cell quantities keep only their non-reference columns.
+    a, c, w, h_eta = (x.take(nonref, axis=1) for x in (A, c, w, h_eta))
+    fa = (c + 0.5 * s[:, None] * a)[:, :, None] * a[:, None, :]
+    W = np.empty((n, D, D))
+    np.add(fa, fa.transpose(0, 2, 1), out=W[:, :d, :d])
+    W[:, :d, :d] -= (r[:, None] * w)[:, :, None] * w[:, None, :]
+    W.reshape(n, D * D)[:, : d * (D + 1): D + 1] -= c  # the eta block's diagonal
+    if simple:
+        W[:, :d, d] = W[:, d, :d] = -h_eta
+        W[:, d, d] = -h_phi
+        dq = d * q
+        info = np.empty((dq + 1, dq + 1))
+        info[:dq, :dq] = _block_sum(W[:, :d, :d], XX, q)
+        info[:dq, dq] = info[dq, :dq] = (W[:, :d, d].T @ Xd).ravel()
+        info[dq, dq] = W[:, d, d].sum()
+    else:
+        W[:, :d, d] = W[:, d, :d] = -h_eta * phis[:, None]
+        W[:, d, d] = -(h_phi * phis**2 + dphi * phis)
+        info = _block_sum(W, XX, q)
     return grad, 0.5 * (info + info.T)
 
 
@@ -399,7 +440,7 @@ def analytic_gradient(
     The Bernoulli zero-pattern term carries no free parameters, so the same
     gradient serves both the plain and the zero-adjusted likelihoods.
     """
-    return _derivatives(theta, *_prepare(ds, X, zp), link, zero_mode)[0]
+    return -_objective_pair(ds, X, zp, link, zero_mode)[1](theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +482,39 @@ def _objective_pair(ds, X, zp, link, zero_mode):
     """Negated Dirichlet-part log-likelihood closure, and one returning its
     gradient and Hessian (the observed information).
 
+    Both compute a point's row work with `_row_work`. The objective keeps
+    its latest row work with a copy of its theta, and the derivative closure
+    reuses it when called at an equal theta (equal values, not the same
+    array); otherwise it recomputes it. `minimize` asks for derivatives only
+    at a point its objective has just accepted, so each accepted Newton
+    point builds its row work once. The stage's data, the design's outer
+    products among them, are prepared once, here.
+
     The Bernoulli zero-pattern term is parameter-free and omitted from the
     objective; callers add it back to reported log-likelihoods.
     """
     d = ds.D - 1
     q = X.design.shape[1]
     kind = link.model_kind
-    logY, Xd, U = _prepare(ds, X, zp)
+    stage = _stage_data(ds, X, zp, link, zero_mode)
+    last_theta, last_work = None, None
+
+    def row_work(theta):
+        B, precision = unpack_params(theta, d, q, kind)
+        return _row_work(stage.Xd, B, precision, link.ref_index, kind, stage.U, zero_mode)
 
     def negloglik(theta):
-        B, precision = unpack_params(theta, d, q, kind)
-        if not np.all(np.isfinite(theta)) or (kind is ModelKind.SIMPLE and precision <= 0):
+        nonlocal last_theta, last_work
+        theta = np.array(theta, dtype=float)
+        if not np.isfinite(theta).all() or (kind is ModelKind.SIMPLE and theta[d * q] <= 0):
             return np.inf
-        A, phis = _row_parameters(Xd, B, precision, link.ref_index, kind)
-        value = _core_loglik(A, phis, logY, U, zero_mode)
+        last_theta, last_work = theta, row_work(theta)
+        value = _dirichlet_value(last_work, stage.logY)
         return -value if np.isfinite(value) else np.inf
 
     def negderivatives(theta):
-        grad, information = _derivatives(theta, logY, Xd, U, link, zero_mode)
+        reuse = last_theta is not None and np.array_equal(theta, last_theta)
+        grad, information = _derivatives(last_work if reuse else row_work(theta), stage, kind)
         return -grad, information
 
     return negloglik, negderivatives

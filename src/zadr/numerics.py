@@ -38,6 +38,7 @@ def lgamma_fn(x):
 # asymptotic series 1/y + 1/(2y^2) + sum_{k=1}^{9} B_2k / y^(2k+1), whose
 # first omitted term, B_20 / y^21, is below 6e-19.
 _TRIGAMMA_SHIFT = 10
+_SHIFTS = np.arange(_TRIGAMMA_SHIFT, dtype=float)
 _BERNOULLI_EVEN = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
                             -3617 / 510, 43867 / 798])  # B_2, ..., B_18
 
@@ -53,12 +54,19 @@ def trigamma(x):
     with np.errstate(over="ignore", divide="ignore"):
         # A (10, ...) block of the shifted arguments: summing over its first
         # axis adds whole rows, several times faster than a short last axis.
-        z = x + np.arange(_TRIGAMMA_SHIFT, dtype=float).reshape((-1,) + (1,) * x.ndim)
+        z = x + _SHIFTS.reshape((-1,) + (1,) * x.ndim)
         np.multiply(z, z, out=z)
         np.divide(1.0, z, out=z)
         w = 1.0 / (x + _TRIGAMMA_SHIFT)
-        series = np.polyval(_BERNOULLI_EVEN[::-1], w * w)
-        return np.sum(z, axis=0) + w * (1.0 + w * (0.5 + w * series))
+        w2 = w * w
+        # Horner in 1/y^2 from B_18 down, the arithmetic of np.polyval
+        # without its per-call overhead.
+        series = _BERNOULLI_EVEN[-1] * w2
+        for b in _BERNOULLI_EVEN[-2:0:-1]:
+            series += b
+            series *= w2
+        series += _BERNOULLI_EVEN[0]
+        return z.sum(axis=0) + w * (1.0 + w * (0.5 + w * series))
 
 
 class TerminationReason(enum.Enum):
@@ -176,6 +184,12 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
     finite again. `opts` defaults to `OptimizerOptions()`. Deterministic
     given inputs. The result carries the Hessian at the argmin.
 
+    `gradient` is called only at accepted points: at x0 right after
+    `objective(x0)`, then after each accepted step with the very trial
+    array that `objective` was last called with. A rejected trial gets no
+    derivatives, and an objective may keep the work of its latest call for
+    the derivative call that follows at equal parameters.
+
     There is one success test: max|gradient| < `opts.gradient_tolerance`,
     which ends the run with GradientTol, the only reason that counts as
     converged. StepTol means a stall short of the tolerance: the line search
@@ -207,7 +221,8 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
         allowance = _ROUNDOFF_RTOL * abs(fx)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
-            fx_new = objective(x + t * d)
+            x_new = x + t * d
+            fx_new = objective(x_new)
             if np.isfinite(fx_new) and fx_new <= fx + _ARMIJO_C1 * t * slope + allowance:
                 break
             t *= _BACKTRACK
@@ -217,7 +232,6 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
             # No Armijo decrease at the smallest step: treat as stalled.
             reason = TerminationReason.STEP_TOL
             break
-        x_new = x + t * d
         if np.array_equal(x_new, x):
             # Only the round-off allowance accepts a step lost to rounding.
             reason = TerminationReason.STEP_TOL

@@ -1,14 +1,18 @@
-"""Independent row-by-row log-likelihood oracle and a finite-difference helper.
+"""Independent row-by-row log-likelihood oracle, a finite-difference helper
+and a reference assembly of the observed information.
 
-Deliberately scalar: builds each row's mean vector with explicit loops and
-math.exp, then delegates the density to the dirichlet module. Shares no code
-with the vectorized likelihood engine it is used to check. Central
-differences check the engine's analytic derivatives.
+The log-likelihood oracle is deliberately scalar: it builds each row's mean
+vector with explicit loops and math.exp, then delegates the density to the
+dirichlet module. Nothing here shares code with the vectorized likelihood
+engine it is used to check. Central differences check the engine's analytic
+derivatives, and `rowkron_information` assembles the information matrix
+from row-wise Kronecker products, summed in an order of its own.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 from zadr.dirichlet import DirichletParams, ZeroMode, log_density, subcomposition_log_density
 from zadr.errors import NonFiniteObjective
@@ -76,3 +80,61 @@ def oracle_loglik(B, precision, ds, X, ref_index, mixed,
                 else:
                     total += math.log(1.0 - p[j])
     return total
+
+
+def _rowkron(M, Xd):
+    """(n, d*q) row-wise Kronecker products of M's d columns with the design."""
+    return (M[:, :, None] * Xd[:, None, :]).reshape(Xd.shape[0], -1)
+
+
+def rowkron_information(theta, logY, Xd, U, ref_index, mixed, renormalized):
+    """Observed information of the Dirichlet part, assembled from row-wise
+    Kronecker products of weights and design, a loop over components and
+    T + T^T: the reference for the engine's per-row weight matrices.
+
+    Takes `model._prepare`d arrays (log y on retained cells, design,
+    retained-cell mask); trigamma is scipy's polygamma.
+    """
+    n, q = Xd.shape
+    D = logY.shape[1]
+    d = D - 1
+    theta = np.asarray(theta, dtype=float)
+    nonref = [j for j in range(D) if j != ref_index]
+    eta = np.zeros((n, D))
+    eta[:, nonref] = Xd @ theta[: d * q].reshape(d, q).T
+    A = np.exp(eta - eta.max(axis=1, keepdims=True))
+    A /= A.sum(axis=1, keepdims=True)
+    phis = np.exp(Xd @ theta[d * q:]) if mixed else np.full(n, theta[d * q])
+    u = U.astype(float) if renormalized else np.zeros_like(A)
+    mass = np.sum(A * u, axis=1)
+    S = mass if renormalized else np.ones(n)
+    alpha = np.where(U, phis[:, None] * A, 1.0)
+    resid = np.where(U, logY - special.digamma(alpha), 0.0)
+    psi_nu = special.digamma(phis * S)
+    g = phis[:, None] * (resid + psi_nu[:, None] * u)
+    dphi = S * psi_nu + np.sum(A * resid, axis=1)
+    e = A * (g - np.sum(g * A, axis=1)[:, None])
+    P, dphi_dprec, curvature = (Xd, phis, phis) if mixed else (np.ones((n, 1)), np.ones(n), 0.0)
+
+    t = np.where(U, phis[:, None] ** 2 * special.polygamma(1, alpha), 0.0)
+    r = phis**2 * special.polygamma(1, phis * S)
+    v = A * A * t
+    s = np.sum(v, axis=1)
+    c = e - v
+    w = A * (u - mass[:, None])
+    h = (g - t * A + (r * S)[:, None] * u) / phis[:, None]
+    h_eta = A * (h - np.sum(h * A, axis=1)[:, None])
+    h_phi = (r * S * S - s) / phis**2
+    Ka, Kw = _rowkron(A[:, nonref], Xd), _rowkron(w[:, nonref], Xd)
+    T = _rowkron(c[:, nonref] + 0.5 * s[:, None] * A[:, nonref], Xd).T @ Ka
+    dq = Ka.shape[1]
+    m = dq + P.shape[1]
+    info = np.empty((m, m))
+    info[:dq, :dq] = T + T.T - Kw.T @ (r[:, None] * Kw)
+    for k, j in enumerate(nonref):
+        block = slice(k * q, (k + 1) * q)
+        info[block, block] -= (c[:, j, None] * Xd).T @ Xd
+    info[:dq, dq:] = -_rowkron(h_eta[:, nonref], Xd).T @ (dphi_dprec[:, None] * P)
+    info[dq:, :dq] = info[:dq, dq:].T
+    info[dq:, dq:] = -P.T @ ((h_phi * dphi_dprec**2 + dphi * curvature)[:, None] * P)
+    return 0.5 * (info + info.T)

@@ -264,7 +264,7 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, args):
+        def map(self, func, args, chunksize=1):
             return map(func, args)
 
     monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", SerialPool)
@@ -290,6 +290,23 @@ class TestWorkerCount:
         monkeypatch.setenv("ZADR_THREADS", "64")
         assert inference_mod._map_indexed(abs, [-1, -2, -3]) == [1, 2, 3]
         assert serial_pool == [3]
+
+    def test_chunked_pool_returns_tasks_in_order(self, monkeypatch):
+        import zadr.inference as inference_mod
+
+        chunks = []
+
+        class RecordingPool(inference_mod.ProcessPoolExecutor):
+            def map(self, func, *iterables, **kwargs):
+                chunks.append(kwargs["chunksize"])
+                return super().map(func, *iterables, **kwargs)
+
+        monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(inference_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setenv("ZADR_THREADS", "2")
+        assert inference_mod._map_indexed(abs, [-k for k in range(199)]) == list(range(199))
+        assert chunks == [13]  # ceil(199 / (8 * 2))
 
     def test_pool_never_larger_than_the_process_cpu_set(self, serial_pool, monkeypatch):
         import zadr.inference as inference_mod

@@ -10,6 +10,7 @@ from oracle import finite_diff_gradient
 
 from zadr.errors import DomainError, NonFiniteObjective
 from zadr.numerics import (
+    _BERNOULLI_EVEN,
     OptimizerOptions,
     TerminationReason,
     lgamma_fn,
@@ -45,6 +46,15 @@ class TestTrigamma:
     def test_matches_hurwitz_zeta_on_log_grid(self):
         x = np.logspace(-6, 10, 20001)
         assert np.max(np.abs(trigamma(x) / special.zeta(2.0, x) - 1.0)) <= 4e-15
+
+    @pytest.mark.parametrize("size", [150, 25_000])
+    def test_series_is_bit_identical_to_polyval(self, size):
+        x = np.logspace(-6, 10, size)
+        z = x + np.arange(10.0)[:, None]
+        w = 1.0 / (x + 10.0)
+        series = np.polyval(_BERNOULLI_EVEN[::-1], w * w)
+        expected = np.sum(1.0 / (z * z), axis=0) + w * (1.0 + w * (0.5 + w * series))
+        assert np.array_equal(trigamma(x), expected)
 
     def test_recurrence(self):
         # psi_1(x) - psi_1(x + 1) = 1/x^2; the difference cancels to the
@@ -174,6 +184,26 @@ class TestMinimize:
         assert res.termination_reason is TerminationReason.STEP_TOL
         assert res.iterations == 1
         assert res.argmin[0] == 1e20
+
+    def test_derivatives_only_at_accepted_points(self):
+        # f = sqrt(1 + x^2) from x = 3: the full Newton step, -x (1 + x^2) = -30,
+        # lands at -27 and is rejected; backtracking accepts x = -0.75.
+        objective_args, derivative_args = [], []
+
+        def f(x):
+            objective_args.append(x)
+            return math.sqrt(1.0 + x[0] ** 2)
+
+        def derivatives(x):
+            derivative_args.append(x)
+            s = 1.0 + x[0] ** 2
+            return np.array([x[0] / math.sqrt(s)]), np.array([[s**-1.5]])
+
+        minimize(f, np.array([3.0]), gradient=derivatives, opts=OptimizerOptions(max_iterations=1))
+        assert [x[0] for x in objective_args] == [3.0, -27.0, -12.0, -4.5, -0.75]
+        assert [x[0] for x in derivative_args] == [3.0, -0.75]
+        # the accepted trial point itself, not a rebuilt copy
+        assert derivative_args[1] is objective_args[-1]
 
     def test_nonfinite_start_raises(self):
         f = lambda x: np.inf

@@ -206,7 +206,7 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise EmptyInput(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        records = [row for row in reader if row and any(cell.strip() for cell in row)]
+        records = [row for row in reader if "".join(row).strip()]
     if not records:
         raise EmptyInput(f"{path}: no data rows")
     for i, rec in enumerate(records):
@@ -223,29 +223,35 @@ def _column_indices(path, header: list[str], names: list[str], role: str) -> lis
     return [header.index(name) for name in names]
 
 
-def _parse_columns(path, header, records, cols) -> list[list[float]]:
-    """Numeric cells of the chosen columns, row by row; empty cells are errors."""
-    def parse(cell, row_i, col):
-        cell = cell.strip()
-        if not cell:
-            raise EmptyInput(f"{path}: empty cell at data row {row_i}, column {header[col]!r}")
-        return float(cell)
-
-    return [[parse(rec[j], i, j) for j in cols] for i, rec in enumerate(records)]
-
-
-def _design_from_columns(path, header, records, cols) -> CovariateMatrix:
-    values = np.array(_parse_columns(path, header, records, cols))
-    if values.size == 0:
-        values = np.empty((len(records), 0))
-    return make_design(values, names=[header[j] for j in cols])
+def _parse_columns(path, header, records, cols) -> np.ndarray:
+    """The chosen columns' cells as an (n, len(cols)) array, converted in one
+    call with Python's `float` (which ignores surrounding whitespace). Only
+    when that fails are the cells checked one by one, to name the first
+    empty (EmptyInput) or non-numeric (DomainError) cell."""
+    cells = [rec[j] for rec in records for j in cols]
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        for i, rec in enumerate(records):
+            for j in cols:
+                cell = rec[j].strip()
+                if not cell:
+                    raise EmptyInput(
+                        f"{path}: empty cell at data row {i}, column {header[j]!r}") from None
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DomainError(f"{path}: non-numeric cell {cell!r} at data row {i}, "
+                                      f"column {header[j]!r}") from None
+        raise
+    return values.reshape(len(records), len(cols))
 
 
 def read_covariates(path, covariates: list[str]) -> CovariateMatrix:
     """Design matrix from the named covariate columns of a CSV file."""
     header, records = _read_table(path)
-    return _design_from_columns(path, header, records,
-                                _column_indices(path, header, covariates, "covariate"))
+    cols = _column_indices(path, header, covariates, "covariate")
+    return make_design(_parse_columns(path, header, records, cols), names=list(covariates))
 
 
 def read_csv(
@@ -258,7 +264,8 @@ def read_csv(
     Composition columns are picked by the `components` name list, or by a
     `y:` prefix convention when the list is absent. Remaining numeric columns
     become covariates (all of them, or only those named in `covariates`).
-    Empty cells and rows shorter than the header are errors, not zeros.
+    Empty cells, non-numeric cells and rows shorter than the header are
+    errors, not zeros; cells past the header's last column are ignored.
     """
     header, records = _read_table(path)
     if components is not None:
@@ -275,6 +282,7 @@ def read_csv(
     else:
         cov_cols = [j for j in range(len(header)) if j not in comp_cols]
 
-    comp_rows = _parse_columns(path, header, records, comp_cols)
-    ds = load_dataset(comp_rows, names=comp_names)
-    return ds, _design_from_columns(path, header, records, cov_cols)
+    values = _parse_columns(path, header, records, comp_cols + cov_cols)
+    k = len(comp_cols)
+    ds = load_dataset(values[:, :k], names=comp_names)
+    return ds, make_design(values[:, k:], names=[header[j] for j in cov_cols])

@@ -137,8 +137,8 @@ def simulate_response(
     positive set, which is the Dirichlet marginality-consistent mechanism.
     """
     A, phis = _row_parameters(X.design, model.B, model.precision, model.link.ref_index, model.kind)
-    alpha = phis[:, None] * A
-    g = rng.standard_gamma(alpha)
+    # A is component-major; the transposed view keeps the draws in row-major cell order.
+    g = rng.standard_gamma((phis * A).T)
     g = np.maximum(g, np.finfo(float).tiny)
     g = np.where(U.astype(bool), g, 0.0)
     values = g / g.sum(axis=1, keepdims=True)

@@ -15,7 +15,11 @@ row's normalizer mass and polygamma arguments, `_dirichlet_value` sums the
 Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
 four `loglik_*` functions are one-line wrappers whose names fix the kind;
 the fit objective and `_derivatives` (its gradient and information) share
-one point's row work on data prepared once.
+one point's row work on data prepared once. The engine keeps every cell
+array component-major, D x n (means, retained-cell mask, log y, per-row
+weight matrices as D x D x n), so each per-cell operation runs over
+contiguous rows of n instead of short rows of D; the public
+`alpha_matrix` still returns its means row by row (n x D).
 
 Free-parameter ordering everywhere (gradients, Hessians, covariances):
 vec(B) in row-major order (one block of p+1 coefficients per non-reference
@@ -148,24 +152,22 @@ class ZadrModel:
 # links and elementary terms
 
 
-def _eta_matrix(X: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
-    linear = (X @ B.T).clip(-_LINPRED_CLAMP, _LINPRED_CLAMP)
-    eta = np.zeros((X.shape[0], B.shape[0] + 1))
-    eta[:, :ref_index] = linear[:, :ref_index]
-    eta[:, ref_index + 1:] = linear[:, ref_index:]
-    return eta
-
-
-def _softmax(eta: np.ndarray) -> np.ndarray:
-    e = eta - eta.max(axis=1, keepdims=True)
+def _means(Xd: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
+    """Mean parameters a* of every row, component-major (D x n): the softmax
+    over axis 0 of the linear predictors B Xd^T with a zeroed reference slot."""
+    linear = (B @ Xd.T).clip(-_LINPRED_CLAMP, _LINPRED_CLAMP)
+    e = np.zeros((B.shape[0] + 1, Xd.shape[0]))
+    e[:ref_index] = linear[:ref_index]
+    e[ref_index + 1:] = linear[ref_index:]
+    e -= e.max(axis=0)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=0)
     return e
 
 
 def alpha_matrix(X: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
-    """Row-wise mean parameters a*: softmax with a zeroed reference slot."""
-    return _softmax(_eta_matrix(X, B, ref_index))
+    """Row-wise mean parameters a* (n x D): softmax with a zeroed reference slot."""
+    return np.ascontiguousarray(_means(X, B, ref_index).T)
 
 
 def link_alpha(x_row: np.ndarray, B: np.ndarray, ref_index: int = 0) -> np.ndarray:
@@ -201,8 +203,8 @@ def binary_log_prob(u_row, p) -> float:
 # vectorized likelihood engine
 
 def _row_parameters(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind):
-    """Row-wise means A (n x D) and precisions phis (n,) of a simple or mixed model."""
-    A = alpha_matrix(Xd, np.asarray(B, dtype=float), ref_index)
+    """Means A (D x n) and precisions phis (n,) of a simple or mixed model."""
+    A = _means(Xd, np.asarray(B, dtype=float), ref_index)
     if kind is ModelKind.SIMPLE:
         return A, np.full(Xd.shape[0], float(precision))
     return A, phi_rows(Xd, np.asarray(precision, dtype=float))
@@ -210,13 +212,13 @@ def _row_parameters(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKin
 
 def _row_work(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind, U: np.ndarray,
               zero_mode: ZeroMode):
-    """A point's row quantities: means A (n x D), precisions phis (n,), the
-    mean mass S (n,) in each row's normalizer (1 as written) and the
-    polygamma arguments, alpha = phis * A on the retained cells (1 elsewhere)
-    raveled and followed by the normalizers' phis * S."""
+    """A point's row quantities, component-major like U (D x n): means A,
+    precisions phis (n,), the mean mass S (n,) in each row's normalizer (1 as
+    written) and the polygamma arguments, alpha = phis * A on the retained
+    cells (1 elsewhere) raveled and followed by the normalizers' phis * S."""
     A, phis = _row_parameters(Xd, B, precision, ref_index, kind)
-    S = (A * U).sum(axis=1) if zero_mode is ZeroMode.RENORMALIZED else np.ones(A.shape[0])
-    args = np.concatenate([np.where(U, phis[:, None] * A, 1.0).ravel(), phis * S])
+    S = (A * U).sum(axis=0) if zero_mode is ZeroMode.RENORMALIZED else np.ones(A.shape[1])
+    args = np.concatenate([np.where(U, A * phis, 1.0).ravel(), phis * S])
     return A, phis, S, args
 
 
@@ -237,13 +239,15 @@ def _dirichlet_value(work, logY: np.ndarray) -> float:
 
 
 def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
-    """(logY, design, U); U marks the retained components, logY is log(y) there, 0 elsewhere."""
+    """(logY, design, U), the cell arrays component-major (D x n); U marks the
+    retained components, logY is log(y) there, 0 elsewhere."""
     if X.n != ds.n:
         raise DomainError("design and dataset row counts differ")
     if zp is None:
         zp = zero_pattern(ds)
-    U = zp.astype(bool)
-    return np.where(U, np.log(np.where(U, ds.values, 1.0)), 0.0), X.design, U
+    U = np.ascontiguousarray(zp.T, dtype=bool)
+    Y = np.ascontiguousarray(ds.values.T)
+    return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0), X.design, U
 
 
 def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
@@ -253,13 +257,14 @@ def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
     With p None this is the plain Dirichlet likelihood, defined only on
     zero-free data.
     """
+    zp = zero_pattern(ds) if zp is None else zp
     logY, Xd, U = _prepare(ds, X, zp)
     if p is None and not U.all():
         raise DomainError(f"loglik_{kind.value} requires a zero-free dataset")
     if kind is ModelKind.SIMPLE and precision <= 0:
         raise DomainError("phi must be > 0")
     value = _dirichlet_value(_row_work(Xd, B, precision, link.ref_index, kind, U, zero_mode), logY)
-    return value if p is None else value + binary_log_prob(U, p)
+    return value if p is None else value + binary_log_prob(zp, p)
 
 
 def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset,
@@ -325,12 +330,14 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
 
 
 class _StageData(NamedTuple):
-    """A fit stage's data, prepared once for all its objective and derivative calls."""
+    """A fit stage's data, prepared once for all its objective and derivative
+    calls. Its cell arrays are component-major, D x n, so that every per-cell
+    operation runs over contiguous rows of n."""
 
-    logY: np.ndarray  # log y on the retained cells, 0 elsewhere (n, D)
+    logY: np.ndarray  # log y on the retained cells, 0 elsewhere (D, n)
     Xd: np.ndarray  # design (n, q)
-    U: np.ndarray  # retained cells (n, D), bool
-    u: np.ndarray  # cells in the normalizer: U as floats when renormalized, zeros as written
+    U: np.ndarray  # retained cells (D, n), bool
+    u: np.ndarray  # cells in the normalizer (D, n): U as floats when renormalized, zeros as written
     XX: np.ndarray  # per-row outer products x x^T of the design (n, q*q)
     P: np.ndarray  # design of the precision: ones (n, 1) for phi, Xd for the mixed log phi
     nonref: np.ndarray  # indices of the non-reference components
@@ -346,21 +353,22 @@ def _stage_data(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode) -> _StageData:
         u=U.astype(float) if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
         XX=(Xd[:, :, None] * Xd[:, None, :]).reshape(n, q * q),
         P=np.ones((n, 1)) if link.model_kind is ModelKind.SIMPLE else Xd,
-        nonref=np.array([j for j in range(U.shape[1]) if j != link.ref_index]),
+        nonref=np.array([j for j in range(U.shape[0]) if j != link.ref_index]),
     )
 
 
 def _block_sum(W: np.ndarray, XX: np.ndarray, q: int) -> np.ndarray:
-    """Sum over rows of the Kronecker products W_i (x) x_i x_i^T, W (n, k, k)
+    """Sum over rows of the Kronecker products W_i (x) x_i x_i^T, W (k, k, n)
     and XX (n, q*q) the outer products: a (k*q, k*q) matrix ordered like vec(B)."""
-    n, k, _ = W.shape
-    blocks = (W.reshape(n, k * k).T @ XX).reshape(k, k, q, q)
+    k = W.shape[0]
+    blocks = (W.reshape(k * k, -1) @ XX).reshape(k, k, q, q)
     return blocks.transpose(0, 2, 1, 3).reshape(k * q, k * q)
 
 
 def _derivatives(work, stage: _StageData, kind: ModelKind):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
-    part from a point's `_row_work` on a stage's prepared data.
+    part from a point's `_row_work` on a stage's prepared data; every cell
+    quantity is component-major (D x n), like the stage's cell arrays.
 
     Per row, with a the means, phi the precision, alpha = phi * a and S the
     mean mass in the normalizer (1 as written), the derivatives are first
@@ -368,61 +376,62 @@ def _derivatives(work, stage: _StageData, kind: ModelKind):
     diag(a) - a a^T to the linear predictors. Second derivatives need
     trigamma at alpha and at phi * S (Minka 2000), which `numerics.trigamma`
     evaluates in one call on both arguments. Each row then has a symmetric
-    D x D weight matrix W in the coordinates (eta of the d non-reference
+    D x D weight matrix in the coordinates (eta of the d non-reference
     components, precision), where the precision coordinate is phi (simple)
     or log phi (mixed, whose exp link adds d(loglik)/d(phi) * phi to its
-    curvature). The information is the sum over rows of W (x) x x^T: one
-    product with the stage's outer products, and for the simple model, whose
-    phi has the design 1, x x^T for the eta block, x for the cross block and
-    a plain sum for phi.
+    curvature); W (D, D, n) holds them all. The information is the sum over
+    rows of W (x) x x^T: one product of W with the stage's outer products,
+    and for the simple model, whose phi has the design 1, x x^T for the eta
+    block, x for the cross block and a plain sum for phi.
     """
     A, phis, S, args = work
     logY, Xd, U, u, XX, P, nonref = stage
-    n, D = A.shape
+    D, n = A.shape
     d = D - 1
     q = Xd.shape[1]
     simple = kind is ModelKind.SIMPLE
     psi = special.digamma(args)
     psi_nu = psi[n * D:]
-    resid = np.where(U, logY - psi[: n * D].reshape(n, D), 0.0)
-    g = phis[:, None] * (resid + psi_nu[:, None] * u)  # d/da, a free
-    dphi = S * psi_nu + (A * resid).sum(axis=1)  # d/dphi
-    e = A * (g - (g * A).sum(axis=1)[:, None])  # d/deta
-    grad = np.concatenate([(e[:, nonref].T @ Xd).ravel(),
+    resid = np.where(U, logY - psi[: n * D].reshape(D, n), 0.0)
+    g = phis * (resid + psi_nu * u)  # d/da, a free
+    dphi = S * psi_nu + (A * resid).sum(axis=0)  # d/dphi
+    e = A * (g - (g * A).sum(axis=0))  # d/deta
+    grad = np.concatenate([(e[nonref] @ Xd).ravel(),
                            P.T @ (dphi if simple else dphi * phis)])
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     psi1 = trigamma(args)
-    t = np.where(U, phis[:, None] ** 2 * psi1[: n * D].reshape(n, D), 0.0)
-    r = phis**2 * psi1[n * D:]
+    phi2 = phis**2
+    t = np.where(U, phi2 * psi1[: n * D].reshape(D, n), 0.0)
+    r = phi2 * psi1[n * D:]
     v = A * A * t
-    s = v.sum(axis=1)
+    s = v.sum(axis=0)
     c = e - v
-    w = A * (u - (A * u).sum(axis=1)[:, None])  # (diag(a) - a a^T) u
-    h = (g - t * A + (r * S)[:, None] * u) / phis[:, None]  # d2/(da dphi)
-    h_eta = A * (h - (h * A).sum(axis=1)[:, None])  # d2/(deta dphi)
-    h_phi = (r * S * S - s) / phis**2  # d2/dphi2
+    w = A * (u - (A * u).sum(axis=0))  # (diag(a) - a a^T) u
+    h = (g - t * A + (r * S) * u) / phis  # d2/(da dphi)
+    h_eta = A * (h - (h * A).sum(axis=0))  # d2/(deta dphi)
+    h_phi = (r * S * S - s) / phi2  # d2/dphi2
 
     # Minus the Hessian in eta, -diag(c) + f a^T + a f^T - r w w^T with
     # f = c + s a / 2, then the precision's row and column; from here on
-    # the cell quantities keep only their non-reference columns.
-    a, c, w, h_eta = (x.take(nonref, axis=1) for x in (A, c, w, h_eta))
-    fa = (c + 0.5 * s[:, None] * a)[:, :, None] * a[:, None, :]
-    W = np.empty((n, D, D))
-    np.add(fa, fa.transpose(0, 2, 1), out=W[:, :d, :d])
-    W[:, :d, :d] -= (r[:, None] * w)[:, :, None] * w[:, None, :]
-    W.reshape(n, D * D)[:, : d * (D + 1): D + 1] -= c  # the eta block's diagonal
+    # the cell quantities keep only their non-reference rows.
+    a, c, w, h_eta = (x.take(nonref, axis=0) for x in (A, c, w, h_eta))
+    fa = (c + 0.5 * s * a)[:, None] * a
+    W = np.empty((D, D, n))
+    np.add(fa, fa.transpose(1, 0, 2), out=W[:d, :d])
+    W[:d, :d] -= (r * w)[:, None] * w
+    W.reshape(D * D, n)[: d * (D + 1): D + 1] -= c  # the eta block's diagonal
     if simple:
-        W[:, :d, d] = W[:, d, :d] = -h_eta
-        W[:, d, d] = -h_phi
+        W[:d, d] = W[d, :d] = -h_eta
+        W[d, d] = -h_phi
         dq = d * q
         info = np.empty((dq + 1, dq + 1))
-        info[:dq, :dq] = _block_sum(W[:, :d, :d], XX, q)
-        info[:dq, dq] = info[dq, :dq] = (W[:, :d, d].T @ Xd).ravel()
-        info[dq, dq] = W[:, d, d].sum()
+        info[:dq, :dq] = _block_sum(W[:d, :d], XX, q)
+        info[:dq, dq] = info[dq, :dq] = (W[:d, d] @ Xd).ravel()
+        info[dq, dq] = W[d, d].sum()
     else:
-        W[:, :d, d] = W[:, d, :d] = -h_eta * phis[:, None]
-        W[:, d, d] = -(h_phi * phis**2 + dphi * phis)
+        W[:d, d] = W[d, :d] = -h_eta * phis
+        W[d, d] = -(h_phi * phi2 + dphi * phis)
         info = _block_sum(W, XX, q)
     return grad, 0.5 * (info + info.T)
 

@@ -145,6 +145,20 @@ class TestFit:
         assert err.startswith("error: DomainError:") and "row 1, column 'logdepth'" in err
         assert not out.exists()
 
+    def test_non_numeric_cell_is_validation_error(self, data_csv, tmp_path, capsys):
+        lines = data_csv.read_text().splitlines()
+        cells = lines[3].split(",")  # data row 2
+        cells[2] = "abc"
+        lines[3] = ",".join(cells)
+        data_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError:")
+        assert f"{data_csv}: non-numeric cell 'abc' at data row 2, column {COMPONENTS[2]!r}" in err
+        assert not out.exists()
+
     def test_deterministic_reruns_byte_identical(self, data_csv, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         for out in (out1, out2):

@@ -171,6 +171,9 @@ class TestReadCsv:
         self._write(path, ["a", "b", "x"], [[0.4, "", 1.5]])
         with pytest.raises(EmptyInput):
             read_csv(path, components=["a", "b"], covariates=["x"])
+        self._write(path, ["a", "b", "x"], [[0.4, 0.6, 1.5], [0.4, 0.6, "  "]])
+        with pytest.raises(EmptyInput, match="empty cell at data row 1, column 'x'"):
+            read_csv(path, components=["a", "b"], covariates=["x"])
 
     def test_short_row_is_schema_error_naming_the_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -187,6 +190,39 @@ class TestReadCsv:
         self._write(path, ["a", "x"], [[0.4, ""]])
         with pytest.raises(EmptyInput):
             read_covariates(path, ["x"])
+
+    def test_padded_and_quoted_cells_parse_like_float(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b,x\n 0.4 ,"0.6", 1.5\n"0.25",  0.75  ,"-2.5e-1 "\n')
+        ds, X = read_csv(path, components=["a", "b"], covariates=["x"])
+        assert np.array_equal(ds.values, [[0.4, 0.6], [0.25, 0.75]])
+        assert np.array_equal(X.design[:, 1], [1.5, -0.25])
+
+    def test_cells_past_the_header_are_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self._write(path, ["y:a", "y:b", "x"], [[0.4, 0.6, 1.0, "extra", ""]])
+        ds, X = read_csv(path)
+        assert np.array_equal(ds.values, [[0.4, 0.6]])
+        assert np.array_equal(X.design, [[1.0, 1.0]])
+
+    def test_whitespace_only_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y:a,y:b,x\n0.4,0.6,1.0\n\n  , ,\t\n \n0.9,0.1,2.0\n")
+        ds, X = read_csv(path)
+        assert np.array_equal(ds.values, [[0.4, 0.6], [0.9, 0.1]])
+        assert np.array_equal(X.design[:, 1], [1.0, 2.0])
+
+    @pytest.mark.parametrize("column, match", [
+        ("b", "non-numeric cell 'abc' at data row 1, column 'b'"),
+        ("x", "non-numeric cell 'abc' at data row 1, column 'x'"),
+    ])
+    def test_non_numeric_cell_is_named(self, tmp_path, column, match):
+        path = tmp_path / "d.csv"
+        rows = [{"a": 0.4, "b": 0.6, "x": 1.0}, {"a": 0.4, "b": 0.6, "x": 2.0}]
+        rows[1][column] = " abc "
+        self._write(path, ["a", "b", "x"], [list(r.values()) for r in rows])
+        with pytest.raises(DomainError, match=match):
+            read_csv(path, components=["a", "b"], covariates=["x"])
 
     def test_unknown_column_is_schema_error(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -27,7 +27,15 @@ from zadr.inference import (
     run_simulation_study,
     simulate_response,
 )
-from zadr.model import FitOptions, LinkSpec, ModelKind, fit, fitted_values
+from zadr.model import (
+    FitOptions,
+    LinkSpec,
+    ModelKind,
+    alpha_matrix,
+    fit,
+    fitted_values,
+    phi_rows,
+)
 
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
 MIXED_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.MIXED)
@@ -198,6 +206,22 @@ class TestBootstrap:
         rng = np.random.default_rng(3)
         rep = simulate_response(final, X, U, rng)
         assert np.array_equal(zero_pattern(rep), U)
+
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_replicate_draws_cells_in_row_major_order(self, small_dataset, link):
+        # The engine keeps its means component-major; the draw must still take
+        # the generator's variates cell by cell along each row.
+        ds, X = small_dataset
+        _, final = fit(ds, X, link, FitOptions())
+        U = zero_pattern(ds)
+        A = alpha_matrix(X.design, final.B, final.link.ref_index)
+        phis = (np.full(ds.n, final.precision) if link is SIMPLE_LINK
+                else phi_rows(X.design, final.precision))
+        g = np.random.default_rng(3).standard_gamma(phis[:, None] * A)
+        g = np.where(U.astype(bool), np.maximum(g, np.finfo(float).tiny), 0.0)
+        expected = load_dataset(g / g.sum(axis=1, keepdims=True)).values
+        rep = simulate_response(final, X, U, np.random.default_rng(3))
+        assert np.array_equal(rep.values, expected)
 
 
 class TestChi2AndLrt:

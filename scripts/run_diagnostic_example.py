@@ -11,7 +11,7 @@ import argparse
 
 from zadr.compositions import read_csv
 from zadr.inference import bootstrap_pvalue, diagnostic_T, fit_metrics, lrt
-from zadr.model import FitOptions, LinkSpec, ModelKind, fit, fitted_values
+from zadr.model import LinkSpec, ModelKind, fit, fitted_values
 
 
 def main():
@@ -25,12 +25,11 @@ def main():
 
     ds, X = read_csv(args.input, components=args.components.split(","),
                      covariates=args.covariates.split(","))
-    opts = FitOptions(random_seed=args.seed)
 
     results = {}
     for kind in (ModelKind.SIMPLE, ModelKind.MIXED):
         link = LinkSpec(ref_index=0, model_kind=kind)
-        initial, final = fit(ds, X, link, opts)
+        initial, final = fit(ds, X, link)
         diag = diagnostic_T(initial, final)
         boot = bootstrap_pvalue(final, ds, X, B=args.B, seed=args.seed, t_observed=diag.T)
         print(f"\n== {kind.value} model ==")

@@ -37,8 +37,8 @@ def main():
         B=TRUE_B, precision=TRUE_PHI, p_hat=np.ones(4), covariance=None,
         loglik=0.0, converged=True, stage=FitStage.FINAL,
         link=LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE),
-        zero_mode=ZeroMode.RENORMALIZED, seed_provenance=args.seed,
-        component_names=COMPONENTS, covariate_names=["intercept", "logdepth"],
+        zero_mode=ZeroMode.RENORMALIZED, component_names=COMPONENTS,
+        covariate_names=["intercept", "logdepth"],
     )
     design = make_design(np.log(np.arange(1, 31, dtype=float))[:, None], names=["logdepth"])
     sizes = [int(s) for s in args.sizes.split(",")]

@@ -15,7 +15,6 @@ from .compositions import (  # noqa: F401
 )
 from .dirichlet import DirichletParams, ZeroMode  # noqa: F401
 from .model import (  # noqa: F401
-    FitOptions,
     FitStage,
     LinkSpec,
     ModelKind,

@@ -29,7 +29,6 @@ from .inference import (
     save_diagnostic,
 )
 from .model import (
-    FitOptions,
     LinkSpec,
     ModelKind,
     ZadrModel,
@@ -107,15 +106,14 @@ def cmd_fit(args) -> int:
 
     if args.kind == "aitchison-ols":
         link = LinkSpec(ref_index=ref, model_kind=ModelKind.AITCHISON)
-        model = fit_aitchison(ds, X, link, ZeroMode(args.zero_mode), args.seed)
+        model = fit_aitchison(ds, X, link, ZeroMode(args.zero_mode))
         save_model(model, args.out)
         _print_estimate_table(model)
         return EXIT_OK
 
     kind = ModelKind(args.kind)
     link = LinkSpec(ref_index=ref, model_kind=kind)
-    opts = FitOptions(zero_mode=ZeroMode(args.zero_mode), random_seed=args.seed)
-    initial, final = fit(ds, X, link, opts)
+    initial, final = fit(ds, X, link, ZeroMode(args.zero_mode))
     save_model(final, args.out)
     save_model(initial, _initial_path(args.out))
     _print_estimate_table(final)
@@ -318,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--ref", help="reference component name (default: first)")
     p_fit.add_argument("--zero-mode", choices=[m.value for m in ZeroMode],
                        default=ZeroMode.RENORMALIZED.value)
-    p_fit.add_argument("--seed", type=int, default=0)
+    # A fit draws nothing at random, so --seed is accepted and ignored: command
+    # lines that pass it, perfbench/workloads.py's among them, still parse.
+    p_fit.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 

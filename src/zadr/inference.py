@@ -6,9 +6,9 @@ the sum of the two covariance matrices. Its null distribution is calibrated
 by parametric bootstrap: replicates are regenerated from the fitted model
 with the observed zero pattern preserved row-for-row, then refit end to end.
 One pass of refits gives the p-value of T and the bias of every coefficient.
-Replicates are refitted with the zero mode and seed of the fitted model
-(`refit_options`), and every replicate stage, like every fitted stage, ends
-with its covariance checked positive definite. A saved diagnosis is T
+Replicates are refitted with the link and zero mode of the fitted model,
+and every replicate stage, like every fitted stage, ends with its
+covariance checked positive definite. A saved diagnosis is T
 (`DiagnosticResult`) together with the bootstrap that calibrates it
 (`BootstrapResult`).
 
@@ -57,7 +57,6 @@ from .model import (
     _row_parameters,
     check_positive_definite,
     fit,
-    refit_options,
 )
 
 MIN_REPLICATES = 19
@@ -184,10 +183,10 @@ def _replicate_one(args):
 
     Returns (failure cause or None, T or None, final parameters or None).
     """
-    model, X, U, rng, fit_opts = args
+    model, X, U, rng = args
     try:
         ds_rep = simulate_response(model, X, U, rng)
-        initial, final = fit(ds_rep, X, model.link, fit_opts)
+        initial, final = fit(ds_rep, X, model.link, model.zero_mode)
         if not (initial.converged and final.converged):
             return "NotConverged", None, None
         return None, diagnostic_T(initial, final).T, final.parameter_vector()
@@ -199,9 +198,8 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
     """Refit B replicates once; the bias and, given t_observed, the p-value share them."""
     if B < MIN_REPLICATES:
         raise ValueError(f"B must be >= {MIN_REPLICATES}")
-    fit_opts = refit_options(final)
     U = zero_pattern(ds)
-    args = [(final, X, U, np.random.default_rng(s), fit_opts) for s in _replicate_seeds(seed, B)]
+    args = [(final, X, U, np.random.default_rng(s)) for s in _replicate_seeds(seed, B)]
     records = _map_indexed(_replicate_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
@@ -238,7 +236,7 @@ def bootstrap_pvalue(
     the bias comes from the same refits.
     """
     if t_observed is None:
-        t_observed = diagnostic_T(*fit(ds, X, final.link, refit_options(final))).T
+        t_observed = diagnostic_T(*fit(ds, X, final.link, final.zero_mode)).T
     return _run_bootstrap(final, ds, X, B, seed, t_observed)
 
 
@@ -319,7 +317,6 @@ def run_simulation_study(
             raise ValueError(f"sizes must be distinct and positive, got {n}")
     if not 0.0 <= zero_fraction < 1.0:
         raise ValueError("zero_fraction must be in [0, 1)")
-    fit_opts = refit_options(true_model)
     D = true_model.D
     args = []
     for n, seed_seq in zip(np.repeat(sizes, reps), _replicate_seeds(seed, len(sizes) * reps)):
@@ -331,7 +328,7 @@ def run_simulation_study(
             zero_rows = rng.choice(n, size=n_zero, replace=False)
             U[zero_rows, rng.integers(0, D, size=n_zero)] = 0
         X = CovariateMatrix(design=rows, covariate_names=design.covariate_names)
-        args.append((true_model, X, U, rng, fit_opts))
+        args.append((true_model, X, U, rng))
     records = _map_indexed(_replicate_one, args)
     truth = true_model.parameter_vector()
     mse: dict[int, np.ndarray] = {}

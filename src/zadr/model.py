@@ -69,9 +69,6 @@ _COND_LIMIT = 1e12
 _LOGLIK_RTOL = 1e-9
 # Starting precision of stage one (the mixed model's exp(gamma_0)).
 _PHI_START = 10.0
-# Standard deviation of the random-normal start of the mixed model's
-# precision slopes, drawn from default_rng(FitOptions.random_seed).
-_MIXED_SLOPE_SD = 0.1
 
 
 class ModelKind(enum.Enum):
@@ -93,26 +90,6 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """How `fit` treats zeros and seeds the mixed start.
-
-    Every stage ends the same way: its optimizer stops, and counts as
-    converged, only once max|gradient| < 1e-6 per row fitted in that stage,
-    and the analytic observed information at the optimum, the matrix that
-    also steers the stage's Newton steps, must be positive definite; its
-    inverse is the stage's covariance.
-
-    Fitting defaults to the renormalized sub-Dirichlet mode: with the
-    as-written normalizer the zero-adjusted likelihood is unbounded in the
-    precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
-    large phi, S < 1 the retained mean mass), so no MLE exists.
-    """
-
-    zero_mode: ZeroMode = ZeroMode.RENORMALIZED
-    random_seed: int = 0
-
-
-@dataclass(frozen=True)
 class ZadrModel:
     B: np.ndarray
     precision: float | np.ndarray  # phi (simple) or gamma vector (mixed)
@@ -123,7 +100,6 @@ class ZadrModel:
     stage: FitStage
     link: LinkSpec
     zero_mode: ZeroMode
-    seed_provenance: int
     component_names: list[str]
     covariate_names: list[str]
 
@@ -523,7 +499,11 @@ def _objective_pair(ds, X, zp, link, zero_mode):
 
     def negderivatives(theta):
         reuse = last_theta is not None and np.array_equal(theta, last_theta)
-        grad, information = _derivatives(last_work if reuse else row_work(theta), stage, kind)
+        # On valid but extreme data a mean can underflow to 0 while its
+        # trigamma overflows to inf; the NaN of their product is left to
+        # minimize's finiteness check, which raises NonFiniteObjective.
+        with np.errstate(invalid="ignore"):
+            grad, information = _derivatives(last_work if reuse else row_work(theta), stage, kind)
         return -grad, information
 
     return negloglik, negderivatives
@@ -537,13 +517,13 @@ def check_positive_definite(matrix: np.ndarray, name: str) -> None:
     raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: FitOptions,
+def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, fit_mode: ZeroMode,
                stage: FitStage, p_hat: np.ndarray, loglik_offset: float = 0.0) -> ZadrModel:
     """Maximize one stage's Dirichlet-part likelihood under `zero_mode` from
     theta0 and wrap the optimum as a model whose covariance is the inverse of
     the information there, once that is checked positive definite;
     loglik_offset adds back the Bernoulli term. The model records
-    `opts.zero_mode`, the mode of the fit."""
+    `fit_mode`, the zero mode of the whole fit."""
     negloglik, negderivatives = _objective_pair(ds, X, zp, link, zero_mode)
     res = minimize(negloglik, theta0, gradient=negderivatives,
                    opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * ds.n))
@@ -558,8 +538,7 @@ def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, opts: Fit
         converged=res.converged,
         stage=stage,
         link=link,
-        zero_mode=opts.zero_mode,
-        seed_provenance=opts.random_seed,
+        zero_mode=fit_mode,
         component_names=ds.component_names,
         covariate_names=X.covariate_names,
     )
@@ -569,7 +548,7 @@ def fit(
     ds: CompositionDataset,
     X: CovariateMatrix,
     link: LinkSpec = LinkSpec(),
-    opts: FitOptions = FitOptions(),
+    zero_mode: ZeroMode = ZeroMode.RENORMALIZED,
 ) -> tuple[ZadrModel, ZadrModel]:
     """Staged maximum-likelihood fit; returns (initial, final) models.
 
@@ -578,7 +557,19 @@ def fit(
     two maximizes the zero-adjusted likelihood on the full data starting
     from the stage-one coefficients. The zero-pattern probabilities enter
     through their closed-form estimates and are held fixed: the Bernoulli
-    term is additively separable from the Dirichlet term.
+    term is additively separable from the Dirichlet term. The result is a
+    function of the data, the link and `zero_mode` alone.
+
+    Every stage ends the same way: its optimizer stops, and counts as
+    converged, only once max|gradient| < 1e-6 per row fitted in that stage,
+    and the analytic observed information at the optimum, the matrix that
+    also steers the stage's Newton steps, must be positive definite; its
+    inverse is the stage's covariance.
+
+    `zero_mode` defaults to the renormalized sub-Dirichlet mode: with the
+    as-written normalizer the zero-adjusted likelihood is unbounded in the
+    precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
+    large phi, S < 1 the retained mean mass), so no MLE exists.
     """
     u = zero_pattern(ds)
     p_hat = estimate_p(u)
@@ -593,32 +584,24 @@ def fit(
 
     # Stage one: plain likelihood on zero-free rows. Both kinds start from
     # the precision _PHI_START; the mixed model anchors its precision
-    # intercept there and draws its slopes at random.
+    # intercept there and starts its slopes at 0.
     if link.model_kind is ModelKind.SIMPLE:
         precision0 = [_PHI_START]
     else:
         precision0 = np.zeros(q)
         precision0[0] = np.log(_PHI_START)
-        if q > 1:
-            rng = np.random.default_rng(opts.random_seed)
-            precision0[1:] = rng.normal(0.0, _MIXED_SLOPE_SD, size=q - 1)
     theta0 = np.concatenate([B0.ravel(), precision0])
-    initial = _fit_stage(ds_free, X_free, u_free, link, ZeroMode.AS_WRITTEN, theta0, opts,
+    initial = _fit_stage(ds_free, X_free, u_free, link, ZeroMode.AS_WRITTEN, theta0, zero_mode,
                          FitStage.ZERO_FREE_INITIAL, np.ones(ds.D))
 
     # Stage two: zero-adjusted likelihood on the full data.
-    final = _fit_stage(ds, X, u, link, opts.zero_mode, initial.parameter_vector(), opts,
+    final = _fit_stage(ds, X, u, link, zero_mode, initial.parameter_vector(), zero_mode,
                        FitStage.FINAL, p_hat, binary_log_prob(u, p_hat))
     return initial, final
 
 
-def refit_options(model: ZadrModel) -> FitOptions:
-    """Options that refit data the way `model` was fitted: same zero mode and seed."""
-    return FitOptions(zero_mode=model.zero_mode, random_seed=model.seed_provenance)
-
-
 def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
-                  zero_mode: ZeroMode, seed: int) -> ZadrModel:
+                  zero_mode: ZeroMode) -> ZadrModel:
     """Aitchison comparison baseline: OLS of the alr responses on the zero-free
     rows, with squared OLS standard errors as a diagonal covariance."""
     mask = ds.zero_free_mask()
@@ -629,8 +612,7 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
     return ZadrModel(
         B=B, precision=None, p_hat=np.ones(ds.D), covariance=np.diag((se**2).ravel()),
         loglik=None, converged=True, stage=FitStage.FINAL, link=link, zero_mode=zero_mode,
-        seed_provenance=seed, component_names=ds.component_names,
-        covariate_names=X.covariate_names,
+        component_names=ds.component_names, covariate_names=X.covariate_names,
     )
 
 
@@ -662,7 +644,6 @@ def model_to_dict(model: ZadrModel) -> dict:
         "covariance": None if model.covariance is None else model.covariance.ravel().tolist(),
         "loglik": model.loglik,
         "converged": model.converged,
-        "seed": model.seed_provenance,
         "zero_mode": model.zero_mode.value,
         "stage": model.stage.value,
         "library_version": _library_version,
@@ -670,6 +651,8 @@ def model_to_dict(model: ZadrModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> ZadrModel:
+    """The model a `model_to_dict` document describes. Keys it does not read,
+    such as the "seed" that older model files carry, are ignored."""
     kind = ModelKind(doc["model_kind"])
     D = len(doc["component_names"])
     q = len(doc["covariate_names"])
@@ -694,7 +677,6 @@ def model_from_dict(doc: dict) -> ZadrModel:
         stage=FitStage(doc.get("stage", "final")),
         link=LinkSpec(ref_index=int(doc["ref_index"]), model_kind=kind),
         zero_mode=ZeroMode(doc["zero_mode"]),
-        seed_provenance=int(doc["seed"]),
         component_names=list(doc["component_names"]),
         covariate_names=list(doc["covariate_names"]),
     )

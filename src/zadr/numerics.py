@@ -1,13 +1,12 @@
-"""Log-gamma, trigamma and a Newton minimizer for likelihood fitting.
+"""Trigamma and a Newton minimizer for likelihood fitting.
 
-Log-gamma is delegated to scipy.special, which meets the 1e-12
-relative accuracy requirement out of the box. Trigamma, which the observed
-information needs at every retained cell, is zadr's own vectorized series,
-within 4e-15 relative of the Hurwitz zeta(2, x) and about 13 times faster
-than scipy's on the 25,000 arguments of a four-part fit at n = 5000. The
-optimizer is a damped Newton method with Armijo backtracking: the
-likelihoods are smooth and low-dimensional with analytic Hessians, and a
-self-contained implementation gives us a stable termination contract.
+Trigamma, which the observed information needs at every retained cell, is
+zadr's own vectorized series, within 4e-15 relative of the Hurwitz
+zeta(2, x) and about 13 times faster than scipy's on the 25,000 arguments
+of a four-part fit at n = 5000. The optimizer is a damped Newton method
+with Armijo backtracking: the likelihoods are smooth and low-dimensional
+with analytic Hessians, and a self-contained implementation gives us a
+stable termination contract.
 """
 
 from __future__ import annotations
@@ -17,22 +16,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import DomainError, NonFiniteObjective
-
-
-def _check_positive(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise DomainError("argument must be finite and > 0")
-    return x
-
-
-def lgamma_fn(x):
-    """log Gamma(x) for x > 0."""
-    return special.gammaln(_check_positive(x))
-
+from .errors import NonFiniteObjective
 
 # trigamma(x) = sum_{j<10} 1/(x+j)^2 + trigamma(x + 10), and at y >= 10 the
 # asymptotic series 1/y + 1/(2y^2) + sum_{k=1}^{9} B_2k / y^(2k+1), whose

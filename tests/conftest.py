@@ -32,7 +32,6 @@ def truth_model(zero_mode: ZeroMode = ZeroMode.RENORMALIZED) -> ZadrModel:
         stage=FitStage.FINAL,
         link=LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE),
         zero_mode=zero_mode,
-        seed_provenance=0,
         component_names=list(COMPONENTS),
         covariate_names=list(COVARIATES),
     )
@@ -62,6 +61,16 @@ def simulate_dataset(
     Y = g / g.sum(axis=1, keepdims=True)
     ds = load_dataset(Y, names=list(COMPONENTS))
     return ds, X
+
+
+def tiny_component_dataset(tiny: float) -> tuple[CompositionDataset, CovariateMatrix]:
+    """Zero-free `simulate_dataset(n=30, seed=1)` with its third component set
+    to `tiny` in every row, renormalized: valid data at the edge of the
+    floating-point range."""
+    ds, X = simulate_dataset(n=30, seed=1, n_zero=0)
+    Y = ds.values.copy()
+    Y[:, 2] = tiny
+    return load_dataset(Y / Y.sum(axis=1, keepdims=True), names=list(COMPONENTS)), X
 
 
 def negate_stage_information(monkeypatch):

@@ -34,7 +34,6 @@ from zadr.inference import (
     simulate_response,
 )
 from zadr.model import (
-    FitOptions,
     LinkSpec,
     ModelKind,
     analytic_gradient,
@@ -219,7 +218,7 @@ def test_criterion_7_bootstrap_pvalue_mechanics():
     ok = abs(pvalue_from_replicates(np.zeros(99), 1.0) - 0.01) < 1e-15
     ok = ok and pvalue_from_replicates(np.full(99, 5.0), 1.0) == 1.0
     ds, X = simulate_dataset(n=30, seed=12, n_zero=5)
-    _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+    _, final = fit(ds, X, SIMPLE_LINK)
     r1 = bootstrap_pvalue(final, ds, X, B=19, seed=9)
     r2 = bootstrap_pvalue(final, ds, X, B=19, seed=9)
     identical = (r1.pvalue == r2.pvalue
@@ -233,7 +232,6 @@ def test_criterion_8_lrt_calibration():
     design = depth_design()
     n = 240
     reps = 500
-    opts = FitOptions()
     rng_master = np.random.SeedSequence(314159).spawn(reps)
     rejections = 0
     used = 0
@@ -246,8 +244,8 @@ def test_criterion_8_lrt_calibration():
         U[zero_rows, rng.integers(0, 4, size=n // 6)] = 0
         try:
             ds = simulate_response(model, X, U, rng)
-            _, simple = fit(ds, X, SIMPLE_LINK, opts)
-            _, mixed = fit(ds, X, MIXED_LINK, opts)
+            _, simple = fit(ds, X, SIMPLE_LINK)
+            _, mixed = fit(ds, X, MIXED_LINK)
             stat, df, pvalue = lrt(simple, mixed)
         except Exception:
             continue
@@ -268,7 +266,7 @@ def test_criterion_9_degenerate_zero_equivalence():
         loglik_zadr_simple(TRUE_B, TRUE_PHI, p_ones, ds, X, zp, SIMPLE_LINK, mode) == plain
         for mode in ZeroMode
     )
-    initial, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+    initial, final = fit(ds, X, SIMPLE_LINK)
     T = diagnostic_T(initial, final).T
     coincide = float(np.max(np.abs(initial.parameter_vector() - final.parameter_vector())))
     ok = exact and T < 1e-8 and coincide < 1e-8
@@ -288,9 +286,8 @@ def test_criterion_10_dataset_goldens():
         with open(FORAM_PATH, newline="") as fh:
             header = next(_csv.reader(fh))
         ds, X = read_csv(FORAM_PATH, components=header[:4], covariates=header[4:])
-    opts = FitOptions(zero_mode=ZeroMode.AS_WRITTEN)
-    initial_s, final_s = fit(ds, X, SIMPLE_LINK, opts)
-    initial_m, final_m = fit(ds, X, MIXED_LINK, opts)
+    initial_s, final_s = fit(ds, X, SIMPLE_LINK)
+    initial_m, final_m = fit(ds, X, MIXED_LINK)
     T_s = diagnostic_T(initial_s, final_s).T
     T_m = diagnostic_T(initial_m, final_m).T
     est = np.concatenate([final_s.B.T.ravel(), [final_s.precision]])

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import COMPONENTS, TRUE_B, negate_stage_information, simulate_dataset, truth_model
+from conftest import (
+    COMPONENTS,
+    TRUE_B,
+    negate_stage_information,
+    simulate_dataset,
+    tiny_component_dataset,
+    truth_model,
+)
 
 import zadr.inference
 from zadr import cli
@@ -19,8 +26,14 @@ from zadr.inference import diagnostic_T
 from zadr.model import fitted_values, load_model, save_model
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def write_data_csv(path, seed):
-    ds, X = simulate_dataset(n=30, seed=seed, n_zero=5)
+    return write_csv(path, *simulate_dataset(n=30, seed=seed, n_zero=5))
+
+
+def write_csv(path, ds, X):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(COMPONENTS + ["logdepth"])
@@ -157,6 +170,25 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError:")
         assert f"{data_csv}: non-numeric cell 'abc' at data row 2, column {COMPONENTS[2]!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["simple", "mixed", "aitchison-ols"])
+    def test_seed_is_ignored(self, data_csv, tmp_path, kind):
+        outs = [tmp_path / f"m{seed}.json" for seed in (0, 7)]
+        for seed, out in zip((0, 7), outs):
+            assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                       "--covariates", "logdepth", "--kind", kind, "--seed", str(seed),
+                       "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "seed" not in json.loads(outs[0].read_text())
+
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-300])
+    def test_underflowing_component_exits_2_without_warning(self, tmp_path, capsys, tiny):
+        data = write_csv(tmp_path / "tiny.csv", *tiny_component_dataset(tiny))
+        out = tmp_path / "m.json"
+        assert run("fit", "--input", str(data), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--out", str(out)) == 2
+        assert "error: NonFiniteObjective: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_reruns_byte_identical(self, data_csv, tmp_path):
@@ -338,6 +370,42 @@ class TestDiagnose:
         assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
                    "--B", "19") == 1
         assert "m.initial.json" in capsys.readouterr().err
+
+
+class TestOldModelFiles:
+    """Model files written before fits lost their seed carry a "seed" key."""
+
+    def test_seed_key_is_ignored_by_diagnose(self, data_csv, tmp_path):
+        outputs = []
+        for name, extra in (("new", {}), ("old", {"seed": 3})):
+            model_path = tmp_path / f"{name}.json"
+            run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                "--covariates", "logdepth", "--out", str(model_path))
+            for path in (model_path, tmp_path / f"{name}.initial.json"):
+                path.write_text(json.dumps({**json.loads(path.read_text()), **extra}))
+            out = tmp_path / f"diag-{name}.json"
+            assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                       "--B", "19", "--seed", "2", "--bias", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_seed_key_is_ignored_by_simulate(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import inputs
+
+        truth = tmp_path / "truth.json"
+        inputs.write_mixed_truth_json(truth, 5)
+        doc = json.loads(truth.read_text())
+        assert "seed" in doc
+        seedless = tmp_path / "seedless.json"
+        seedless.write_text(json.dumps({k: v for k, v in doc.items() if k != "seed"}))
+        outputs = []
+        for model in (truth, seedless):
+            out = tmp_path / f"mse-{model.stem}.csv"
+            assert run("simulate", "--model", str(model), "--sizes", "30", "--reps", "3",
+                       "--seed", "1", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestSimulate:

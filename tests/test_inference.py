@@ -28,7 +28,6 @@ from zadr.inference import (
     simulate_response,
 )
 from zadr.model import (
-    FitOptions,
     LinkSpec,
     ModelKind,
     alpha_matrix,
@@ -44,13 +43,13 @@ MIXED_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.MIXED)
 class TestDiagnosticT:
     def test_zero_free_data_gives_zero(self, zero_free_dataset):
         ds, X = zero_free_dataset
-        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        initial, final = fit(ds, X, SIMPLE_LINK)
         T = diagnostic_T(initial, final).T
         assert abs(T) < 1e-8
 
     def test_nonnegative_and_finite(self, small_dataset):
         ds, X = small_dataset
-        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        initial, final = fit(ds, X, SIMPLE_LINK)
         result = diagnostic_T(initial, final)
         assert np.isfinite(result.T) and result.T >= 0.0
         assert result.delta.size == final.parameter_vector().size
@@ -58,7 +57,7 @@ class TestDiagnosticT:
 
     def test_reordering_invariance(self, small_dataset):
         ds, X = small_dataset
-        initial, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        initial, final = fit(ds, X, SIMPLE_LINK)
         result = diagnostic_T(initial, final)
         rng = np.random.default_rng(9)
         perm = rng.permutation(result.delta.size)
@@ -69,14 +68,14 @@ class TestDiagnosticT:
     def test_covariance_sum_must_be_positive_definite(self, small_dataset):
         from dataclasses import replace
 
-        initial, final = fit(*small_dataset, SIMPLE_LINK, FitOptions())
+        initial, final = fit(*small_dataset, SIMPLE_LINK)
         with pytest.raises(NotPositiveDefinite, match="sum of the two stages' covariances"):
             diagnostic_T(initial, replace(final, covariance=-3 * final.covariance))
 
     def test_kind_mismatch(self, small_dataset):
         ds, X = small_dataset
-        _, simple = fit(ds, X, SIMPLE_LINK, FitOptions())
-        _, mixed = fit(ds, X, MIXED_LINK, FitOptions())
+        _, simple = fit(ds, X, SIMPLE_LINK)
+        _, mixed = fit(ds, X, MIXED_LINK)
         with pytest.raises(KindMismatch):
             diagnostic_T(simple, mixed)
 
@@ -109,7 +108,7 @@ class TestPvalueFormula:
 class TestBootstrap:
     def test_pvalue_deterministic_and_in_range(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         r1 = bootstrap_pvalue(final, ds, X, B=19, seed=5)
         r2 = bootstrap_pvalue(final, ds, X, B=19, seed=5)
         assert r1.pvalue == r2.pvalue
@@ -119,26 +118,26 @@ class TestBootstrap:
 
     def test_rejects_too_small_B(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         with pytest.raises(ValueError):
             bootstrap_pvalue(final, ds, X, B=5, seed=1)
 
     def test_bias_shape(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         result = bootstrap_bias(final, ds, X, B=19, seed=5)
         assert result.bias.shape == final.parameter_vector().shape
         assert np.all(np.isfinite(result.bias))
 
     def test_pvalue_pass_carries_the_bias(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         one_pass = bootstrap_pvalue(final, ds, X, B=19, seed=5)
         assert np.array_equal(one_pass.bias, bootstrap_bias(final, ds, X, B=19, seed=5).bias)
 
     def test_seeded_results_do_not_depend_on_worker_count(self, small_dataset, monkeypatch):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZADR_THREADS", threads)
@@ -152,26 +151,26 @@ class TestBootstrap:
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions(random_seed=4))
+        _, final = fit(ds, X, SIMPLE_LINK)
         monkeypatch.setenv("ZADR_THREADS", "1")
         seen = []
 
-        def recording_fit(ds, X, link, opts):
-            seen.append(opts)
-            return fit(ds, X, link, opts)
+        def recording_fit(ds, X, link, zero_mode):
+            seen.append((link, zero_mode))
+            return fit(ds, X, link, zero_mode)
 
         monkeypatch.setattr(inference_mod, "fit", recording_fit)
         bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-        assert set(seen) == {FitOptions(final.zero_mode, 4)}
+        assert seen == [(final.link, final.zero_mode)] * 19
         seen.clear()
         bootstrap_bias(final, ds, X, B=19, seed=5)
-        assert set(seen) == {FitOptions(final.zero_mode, 4)}
+        assert seen == [(final.link, final.zero_mode)] * 19
 
     def test_failures_counted_by_cause(self, small_dataset, monkeypatch):
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         monkeypatch.setenv("ZADR_THREADS", "1")
         calls = []
 
@@ -192,7 +191,7 @@ class TestBootstrap:
     def test_bias_replicates_pass_the_positive_definiteness_check(self, small_dataset,
                                                                   monkeypatch):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         monkeypatch.setenv("ZADR_THREADS", "1")
         negate_stage_information(monkeypatch)
         every_replicate = r"out of 19; failures by cause: \{'NotPositiveDefinite': 19\}$"
@@ -201,7 +200,7 @@ class TestBootstrap:
 
     def test_replicates_preserve_zero_pattern(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         U = zero_pattern(ds)
         rng = np.random.default_rng(3)
         rep = simulate_response(final, X, U, rng)
@@ -212,7 +211,7 @@ class TestBootstrap:
         # The engine keeps its means component-major; the draw must still take
         # the generator's variates cell by cell along each row.
         ds, X = small_dataset
-        _, final = fit(ds, X, link, FitOptions())
+        _, final = fit(ds, X, link)
         U = zero_pattern(ds)
         A = alpha_matrix(X.design, final.B, final.link.ref_index)
         phis = (np.full(ds.n, final.precision) if link is SIMPLE_LINK
@@ -232,8 +231,8 @@ class TestChi2AndLrt:
 
     def test_lrt_basic(self, small_dataset):
         ds, X = small_dataset
-        _, simple = fit(ds, X, SIMPLE_LINK, FitOptions())
-        _, mixed = fit(ds, X, MIXED_LINK, FitOptions())
+        _, simple = fit(ds, X, SIMPLE_LINK)
+        _, mixed = fit(ds, X, MIXED_LINK)
         stat, df, pvalue = lrt(simple, mixed)
         assert stat >= 0.0
         assert df == 1
@@ -246,21 +245,21 @@ class TestChi2AndLrt:
         for ref in [0, 1]:
             s_link = LinkSpec(ref_index=ref, model_kind=ModelKind.SIMPLE)
             m_link = LinkSpec(ref_index=ref, model_kind=ModelKind.MIXED)
-            _, simple = fit(ds, X, s_link, FitOptions())
-            _, mixed = fit(ds, X, m_link, FitOptions())
+            _, simple = fit(ds, X, s_link)
+            _, mixed = fit(ds, X, m_link)
             stats_by_ref.append(lrt(simple, mixed)[0])
         assert abs(stats_by_ref[0] - stats_by_ref[1]) < 1e-3
 
     def test_lrt_kind_checks(self, small_dataset):
         ds, X = small_dataset
-        _, simple = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, simple = fit(ds, X, SIMPLE_LINK)
         with pytest.raises(KindMismatch):
             lrt(simple, simple)
 
     def test_negative_stat_raises(self, small_dataset):
         ds, X = small_dataset
-        _, simple = fit(ds, X, SIMPLE_LINK, FitOptions())
-        _, mixed = fit(ds, X, MIXED_LINK, FitOptions())
+        _, simple = fit(ds, X, SIMPLE_LINK)
+        _, mixed = fit(ds, X, MIXED_LINK)
         from dataclasses import replace
 
         broken = replace(mixed, loglik=simple.loglik - 1.0)
@@ -350,7 +349,7 @@ class TestFitMetrics:
 
     def test_kl_nonnegative(self, small_dataset):
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK, FitOptions())
+        _, final = fit(ds, X, SIMPLE_LINK)
         m = fit_metrics(ds, fitted_values(final, X))
         assert m.kl >= 0.0 and m.l2 >= 0.0
 

@@ -8,36 +8,15 @@ from scipy import special
 
 from oracle import finite_diff_gradient
 
-from zadr.errors import DomainError, NonFiniteObjective
+from zadr.errors import NonFiniteObjective
 from zadr.numerics import (
     _BERNOULLI_EVEN,
     OptimizerOptions,
     TerminationReason,
-    lgamma_fn,
     minimize,
     numerical_hessian,
     trigamma,
 )
-
-
-class TestSpecialFunctions:
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.1, 100.0))
-    def test_lgamma_recurrence(self, x):
-        # scale tolerance with the magnitude of lgamma itself
-        tol = 1e-12 * max(1.0, abs(lgamma_fn(x + 1.0)))
-        assert abs(lgamma_fn(x + 1.0) - lgamma_fn(x) - math.log(x)) < tol
-
-    def test_lgamma_known_values(self):
-        assert lgamma_fn(1.0) == 0.0
-        assert abs(lgamma_fn(0.5) - 0.5 * math.log(math.pi)) < 1e-14
-
-    @pytest.mark.parametrize("fn", [lgamma_fn])
-    def test_nonpositive_argument_rejected(self, fn):
-        with pytest.raises(DomainError):
-            fn(0.0)
-        with pytest.raises(DomainError):
-            fn(-1.5)
 
 
 class TestTrigamma:

@@ -502,8 +502,9 @@ def _objective_pair(ds, X, zp, link, zero_mode):
         # On valid but extreme data a mean can underflow to 0 while its
         # trigamma overflows to inf; the NaN of their product is left to
         # minimize's finiteness check, which raises NonFiniteObjective.
+        work = last_work if reuse else row_work(theta)
         with np.errstate(invalid="ignore"):
-            grad, information = _derivatives(last_work if reuse else row_work(theta), stage, kind)
+            grad, information = _derivatives(work, stage, kind)
         return -grad, information
 
     return negloglik, negderivatives

@@ -286,8 +286,8 @@ def test_criterion_10_dataset_goldens():
         with open(FORAM_PATH, newline="") as fh:
             header = next(_csv.reader(fh))
         ds, X = read_csv(FORAM_PATH, components=header[:4], covariates=header[4:])
-    initial_s, final_s = fit(ds, X, SIMPLE_LINK)
-    initial_m, final_m = fit(ds, X, MIXED_LINK)
+    initial_s, final_s = fit(ds, X, SIMPLE_LINK, ZeroMode.AS_WRITTEN)
+    initial_m, final_m = fit(ds, X, MIXED_LINK, ZeroMode.AS_WRITTEN)
     T_s = diagnostic_T(initial_s, final_s).T
     T_m = diagnostic_T(initial_m, final_m).T
     est = np.concatenate([final_s.B.T.ravel(), [final_s.precision]])

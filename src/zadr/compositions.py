@@ -11,6 +11,7 @@ Rows are identified by their index.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,20 @@ def estimate_p(u: np.ndarray) -> np.ndarray:
     return u.mean(axis=0)
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Stripped header and non-blank data rows of a CSV file."""
+# np.loadtxt strips these four ASCII separators around a number as whitespace;
+# Python's float rejects them.
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _read_table(path) -> tuple[list[str], np.ndarray | list[list[str]]]:
+    """Stripped header and data rows of a CSV file.
+
+    The csv module parses the header. A body that np.loadtxt reads in one C
+    pass as a numeric table at least as wide as the header comes back as
+    that (n, width) float array. Any other body comes back as the csv
+    module's non-blank rows of cells, the only form in which `_parse_columns`
+    can name a bad cell.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -206,7 +219,11 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise EmptyInput(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        records = [row for row in reader if "".join(row).strip()]
+        body = fh.read()
+    table = _numeric_table(body)
+    if table is not None and table.shape[1] >= len(header):
+        return header, table
+    records = [row for row in csv.reader(io.StringIO(body, newline="")) if "".join(row).strip()]
     if not records:
         raise EmptyInput(f"{path}: no data rows")
     for i, rec in enumerate(records):
@@ -216,23 +233,52 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
     return header, records
 
 
+def _numeric_table(body: str) -> np.ndarray | None:
+    """`body` as a float array, one row per record, or None unless np.loadtxt
+    reads it as a rectangular table of numbers that Python's float reads alike.
+
+    A blank body is None, since loadtxt would warn that it holds no data."""
+    if not body.strip() or any(c in body for c in _LOADTXT_ONLY_SPACES):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
+                          quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+
+
 def _column_indices(path, header: list[str], names: list[str], role: str) -> list[int]:
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise SchemaMismatch(f"{path}: {role} column {missing[0]!r} not found")
+    for name in names:
+        count = header.count(name)
+        if count != 1:
+            where = "not found" if count == 0 else f"appears {count} times in the header"
+            raise SchemaMismatch(f"{path}: {role} column {name!r} {where}")
     return [header.index(name) for name in names]
 
 
-def _parse_columns(path, header, records, cols) -> np.ndarray:
-    """The chosen columns' cells as an (n, len(cols)) array, converted in one
-    call with Python's `float` (which ignores surrounding whitespace). Only
-    when that fails are the cells checked one by one, to name the first
-    empty (EmptyInput) or non-numeric (DomainError) cell."""
-    cells = [rec[j] for rec in records for j in cols]
+def _check_distinct(path, names: list[str]) -> None:
+    """A name may be selected once, as a component or as a covariate."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise SchemaMismatch(f"{path}: column name {name!r} is selected twice")
+        seen.add(name)
+
+
+def _parse_columns(path, header, rows, cols) -> np.ndarray:
+    """The chosen columns of `_read_table`'s rows as an (n, len(cols)) array.
+
+    The float table needs only the selection. Cells from the csv module are
+    converted in one call with Python's `float` (which ignores surrounding
+    whitespace). Only when that fails are the cells checked one by one, to
+    name the first empty (EmptyInput) or non-numeric (DomainError) cell."""
+    if isinstance(rows, np.ndarray):
+        return rows[:, cols]
+    cells = [rec[j] for rec in rows for j in cols]
     try:
         values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(rows):
             for j in cols:
                 cell = rec[j].strip()
                 if not cell:
@@ -244,14 +290,15 @@ def _parse_columns(path, header, records, cols) -> np.ndarray:
                     raise DomainError(f"{path}: non-numeric cell {cell!r} at data row {i}, "
                                       f"column {header[j]!r}") from None
         raise
-    return values.reshape(len(records), len(cols))
+    return values.reshape(len(rows), len(cols))
 
 
 def read_covariates(path, covariates: list[str]) -> CovariateMatrix:
     """Design matrix from the named covariate columns of a CSV file."""
-    header, records = _read_table(path)
+    header, rows = _read_table(path)
     cols = _column_indices(path, header, covariates, "covariate")
-    return make_design(_parse_columns(path, header, records, cols), names=list(covariates))
+    _check_distinct(path, covariates)
+    return make_design(_parse_columns(path, header, rows, cols), names=list(covariates))
 
 
 def read_csv(
@@ -262,12 +309,15 @@ def read_csv(
     """Read a dataset CSV: header row, composition columns plus covariates.
 
     Composition columns are picked by the `components` name list, or by a
-    `y:` prefix convention when the list is absent. Remaining numeric columns
-    become covariates (all of them, or only those named in `covariates`).
-    Empty cells, non-numeric cells and rows shorter than the header are
-    errors, not zeros; cells past the header's last column are ignored.
+    `y:` prefix convention when the list is absent. The covariates are the
+    columns named in `covariates`, or else every remaining column, so a text
+    column such as a site ID needs `covariates` to leave it out. Every
+    selected cell must read as a Python float: empty cells, non-numeric
+    cells and rows shorter than the header are errors, not zeros; cells
+    past the header's last column are ignored. A selected column name that
+    appears twice in the header, or is selected twice, is a SchemaMismatch.
     """
-    header, records = _read_table(path)
+    header, rows = _read_table(path)
     if components is not None:
         comp_cols = _column_indices(path, header, components, "component")
         comp_names = list(components)
@@ -281,8 +331,10 @@ def read_csv(
         cov_cols = _column_indices(path, header, covariates, "covariate")
     else:
         cov_cols = [j for j in range(len(header)) if j not in comp_cols]
+    cov_names = [header[j] for j in cov_cols]
+    _check_distinct(path, comp_names + cov_names)
 
-    values = _parse_columns(path, header, records, comp_cols + cov_cols)
+    values = _parse_columns(path, header, rows, comp_cols + cov_cols)
     k = len(comp_cols)
     ds = load_dataset(values[:, :k], names=comp_names)
-    return ds, make_design(values[:, k:], names=[header[j] for j in cov_cols])
+    return ds, make_design(values[:, k:], names=cov_names)

@@ -7,15 +7,19 @@ dirichlet module. Nothing here shares code with the vectorized likelihood
 engine it is used to check. Central differences check the engine's analytic
 derivatives, and `rowkron_information` assembles the information matrix
 from row-wise Kronecker products, summed in an order of its own.
+`oracle_read_csv` and `oracle_read_covariates` are the reference CSV readers:
+every cell goes through the csv module and Python's float.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy import special
 
+from zadr.compositions import load_dataset, make_design
 from zadr.dirichlet import DirichletParams, ZeroMode, log_density, subcomposition_log_density
-from zadr.errors import NonFiniteObjective
+from zadr.errors import DomainError, EmptyInput, NonFiniteObjective, SchemaMismatch
 
 
 def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
@@ -139,3 +143,76 @@ def rowkron_information(theta, logY, Xd, U, ref_index, mixed, renormalized):
     info[dq:, :dq] = info[:dq, dq:].T
     info[dq:, dq:] = -P.T @ ((h_phi * dphi_dprec**2 + dphi * curvature)[:, None] * P)
     return 0.5 * (info + info.T)
+
+
+def _oracle_read_table(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInput(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        records = [row for row in reader if "".join(row).strip()]
+    if not records:
+        raise EmptyInput(f"{path}: no data rows")
+    for i, rec in enumerate(records):
+        if len(rec) < len(header):
+            raise SchemaMismatch(
+                f"{path}: data row {i} has {len(rec)} cells but the header has {len(header)}")
+    return header, records
+
+
+def _oracle_column_indices(path, header, names, role):
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise SchemaMismatch(f"{path}: {role} column {missing[0]!r} not found")
+    return [header.index(name) for name in names]
+
+
+def _oracle_parse_columns(path, header, records, cols):
+    cells = [rec[j] for rec in records for j in cols]
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        for i, rec in enumerate(records):
+            for j in cols:
+                cell = rec[j].strip()
+                if not cell:
+                    raise EmptyInput(
+                        f"{path}: empty cell at data row {i}, column {header[j]!r}") from None
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DomainError(f"{path}: non-numeric cell {cell!r} at data row {i}, "
+                                      f"column {header[j]!r}") from None
+        raise
+    return values.reshape(len(records), len(cols))
+
+
+def oracle_read_covariates(path, covariates):
+    header, records = _oracle_read_table(path)
+    cols = _oracle_column_indices(path, header, covariates, "covariate")
+    return make_design(_oracle_parse_columns(path, header, records, cols), names=list(covariates))
+
+
+def oracle_read_csv(path, components=None, covariates=None):
+    """`read_csv` with every cell read by the csv module and Python's float.
+    It takes the first copy of a column name that appears twice."""
+    header, records = _oracle_read_table(path)
+    if components is not None:
+        comp_cols = _oracle_column_indices(path, header, components, "component")
+        comp_names = list(components)
+    else:
+        comp_cols = [j for j, h in enumerate(header) if h.startswith("y:")]
+        if not comp_cols:
+            raise SchemaMismatch(f"{path}: no components given and no 'y:'-prefixed columns")
+        comp_names = [header[j][2:] for j in comp_cols]
+    if covariates is not None:
+        cov_cols = _oracle_column_indices(path, header, covariates, "covariate")
+    else:
+        cov_cols = [j for j in range(len(header)) if j not in comp_cols]
+    values = _oracle_parse_columns(path, header, records, comp_cols + cov_cols)
+    k = len(comp_cols)
+    ds = load_dataset(values[:, :k], names=comp_names)
+    return ds, make_design(values[:, k:], names=[header[j] for j in cov_cols])

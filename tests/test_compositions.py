@@ -1,11 +1,15 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import oracle_read_covariates, oracle_read_csv
 
+from zadr import compositions
 from zadr.compositions import (
+    CompositionDataset,
     alr,
     alr_inv,
     estimate_p,
@@ -229,3 +233,166 @@ class TestReadCsv:
         self._write(path, ["a", "b"], [[0.4, 0.6]])
         with pytest.raises(SchemaMismatch):
             read_csv(path, components=["a", "zzz"])
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n  \r\n", " , ,\t\n", '""\n'])
+    def test_blank_body_is_empty_input_without_warning(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("y:a,y:b,x\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInput, match="no data rows"):
+                read_csv(path)
+            with pytest.raises(EmptyInput, match="no data rows"):
+                read_covariates(path, ["x"])
+
+    @pytest.mark.parametrize("header, components, covariates, match", [
+        (["a", "b", "a", "x"], ["a", "b"], ["x"], "component column 'a' appears 2 times"),
+        (["a", "b", "a", "x"], ["a", "b"], None, "component column 'a' appears 2 times"),
+        (["a", "b", "x", "x"], ["a", "b"], ["x"], "covariate column 'x' appears 2 times"),
+        (["a", "b", "x", "x"], ["a", "b"], None, "column name 'x' is selected twice"),
+        (["a", "b", "x"], ["a", "b"], ["a", "x"], "column name 'a' is selected twice"),
+        (["a", "b", "x"], ["a", "b", "a"], ["x"], "column name 'a' is selected twice"),
+        (["a", "b", "x"], ["a", "b"], ["x", "x"], "column name 'x' is selected twice"),
+        (["y:a", "y:b", "y:a", "x"], None, ["x"], "column name 'a' is selected twice"),
+        (["y:a", "y:b", "a"], None, None, "column name 'a' is selected twice"),
+    ])
+    def test_column_named_twice_is_schema_error(self, tmp_path, header, components,
+                                                covariates, match):
+        path = tmp_path / "d.csv"
+        self._write(path, header, [[0.4, 0.6, 0.5, 1.0][:len(header)]])
+        with pytest.raises(SchemaMismatch, match=match):
+            read_csv(path, components=components, covariates=covariates)
+
+    @pytest.mark.parametrize("header, covariates, match", [
+        (["a", "x", "x"], ["x"], "covariate column 'x' appears 2 times"),
+        (["a", "x", "z"], ["z", "x", "z"], "column name 'z' is selected twice"),
+    ])
+    def test_covariate_named_twice_is_schema_error(self, tmp_path, header, covariates, match):
+        path = tmp_path / "d.csv"
+        self._write(path, header, [[0.4, 1.5, 7.0]])
+        with pytest.raises(SchemaMismatch, match=match):
+            read_covariates(path, covariates)
+
+
+def _short_spelling(v):
+    """'5.' for 5.0 and '.5' for 0.5."""
+    text = repr(v)
+    if text.endswith(".0"):
+        return text[:-1]
+    return text.replace("0.", ".", 1) if text.lstrip("-").startswith("0.") else text
+
+
+FLOAT_SPELLINGS = [
+    repr,
+    "{:.17e}".format,
+    "{:.25f}".format,
+    lambda v: repr(v) if repr(v).startswith("-") else "+" + repr(v),
+    _short_spelling,
+    lambda v: repr(v).upper(),
+]
+# Cell wrappings: padding, quoting, and np.loadtxt-only whitespace. A file
+# uses at most three of them, so that some wrapped files still parse as a
+# numeric table.
+DECORATIONS = ["{}", " {} ", "\t{}  ", '"{}"', ' "{}"', '"{}" ', '"{} "', "{}\x1c", "\x1f{}"]
+# Cells that only the csv path reads, or that it or validation rejects.
+ODD_CELLS = ["", "  ", "abc", "1_000", "\u0661", "\x1c", '"1,5"', '"1\n"', "0.5#", "nan", "-1",
+             "0x1p3"]
+FILLER_LINES = ["", "  ", " , ,\t", ",,", '""']
+RARELY = st.sampled_from([True, False, False, False])
+
+
+@st.composite
+def csv_files(draw, max_rows=6):
+    """(text, component names or None, covariate names or None, covariate names
+    for read_covariates) of a small generated CSV file."""
+    D = draw(st.integers(2, 4))
+    comp = [f"c{j}" for j in range(D)]
+    cov = [f"x{k}" for k in range(draw(st.integers(0, 2)))]
+    text_col = ["site"] if draw(RARELY) else []
+    order = draw(st.permutations(comp + cov + text_col))
+    prefix = draw(st.booleans())
+    header = ["y:" + h if prefix and h in comp else h for h in order]
+    spell = st.sampled_from(FLOAT_SPELLINGS)
+    covariate = st.one_of(st.floats(-1e6, 1e6), st.floats())
+    style = draw(st.lists(st.sampled_from(DECORATIONS), max_size=3))
+    rows = []
+    for i in range(draw(st.integers(1, max_rows))):
+        w = draw(st.lists(st.floats(0.0, 1.0), min_size=D, max_size=D))
+        total = sum(w)
+        cells = {name: draw(spell)(v / total if total else v) for name, v in zip(comp, w)}
+        cells.update({name: draw(spell)(draw(covariate)) for name in cov})
+        cells.update({name: f"S{i}" for name in text_col})
+        row = [cells[h] for h in order]
+        if style:
+            row = [draw(st.sampled_from(style)).format(c) for c in row]
+        rows.append(row)
+    if draw(RARELY):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(order) - 1))
+        rows[i][j] = draw(st.sampled_from(ODD_CELLS))
+    if draw(RARELY):
+        extra = draw(st.lists(st.sampled_from(["1.5", "x", ""]), min_size=1, max_size=2))
+        for row in rows if draw(st.booleans()) else rows[:1]:
+            row.extend(extra)
+    if draw(RARELY):
+        for row in rows if draw(st.booleans()) else rows[:1]:
+            row.pop()
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if draw(RARELY):
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(FILLER_LINES)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    components = None if prefix else draw(st.permutations(comp))
+    covariates = draw(st.one_of(st.none(), st.permutations(cov), st.permutations(cov + text_col)))
+    return text, components, covariates, draw(st.permutations(cov + text_col))
+
+
+def _arrays(part):
+    if isinstance(part, CompositionDataset):
+        return part.values.shape, part.values.tobytes(), part.component_names
+    return part.design.shape, part.design.tobytes(), part.covariate_names
+
+
+def _outcome(reader, *args):
+    """Shapes, bytes and names of a reader's result, or its exception."""
+    try:
+        result = reader(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [_arrays(part) for part in (result if isinstance(result, tuple) else (result,))]
+
+
+class TestReadersMatchReference:
+    """read_csv and read_covariates against the csv + float reference reader:
+    bit-identical arrays, or the same exception class and message."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_files())
+    def test_generated_files(self, tmp_path, spec):
+        text, components, covariates, design_names = spec
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert (_outcome(read_csv, path, components, covariates)
+                == _outcome(oracle_read_csv, path, components, covariates))
+        assert (_outcome(read_covariates, path, design_names)
+                == _outcome(oracle_read_covariates, path, design_names))
+
+    def test_fit_large_shaped_file_takes_the_numeric_table(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = 5000
+        Y = rng.dirichlet([8.0, 4.0, 2.0, 2.0], size=n)
+        zero_rows = rng.choice(n, size=n // 6, replace=False)
+        Y[zero_rows, rng.integers(1, 4, size=zero_rows.size)] = 0.0
+        Y /= Y.sum(axis=1, keepdims=True)
+        depth = np.log(np.arange(1, n + 1, dtype=float))
+        lines = ["Triloba,Obesa,Pachyderma,Atlantica,logdepth"]
+        lines += [",".join(repr(float(v)) for v in (*y, x)) for y, x in zip(Y, depth)]
+        path = tmp_path / "large.csv"
+        path.write_text("\n".join(lines) + "\n")
+        components = ["Triloba", "Obesa", "Pachyderma", "Atlantica"]
+        assert isinstance(compositions._read_table(path)[1], np.ndarray)
+        assert (_outcome(read_csv, path, components, ["logdepth"])
+                == _outcome(oracle_read_csv, path, components, ["logdepth"]))
+        assert (_outcome(read_covariates, path, ["logdepth"])
+                == _outcome(oracle_read_covariates, path, ["logdepth"]))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import locale
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,16 +212,32 @@ def _read_table(path) -> tuple[list[str], np.ndarray | list[list[str]]]:
     pass as a numeric table at least as wide as the header comes back as
     that (n, width) float array. Any other body comes back as the csv
     module's non-blank rows of cells, the only form in which `_parse_columns`
-    can name a bad cell.
+    can name a bad cell. A file that is not text in the locale's encoding is
+    a DomainError naming the line and byte offset of its first bad byte.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    encoding = locale.getpreferredencoding(False)
+    try:
+        with open(path, newline="", encoding=encoding) as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyInput(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            body = fh.read()
+    except UnicodeDecodeError:
+        # The text reader decodes in chunks, and its error counts bytes from
+        # the start of a chunk; decoded in one call, the offset is the file's.
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        body = fh.read()
+            data.decode(encoding)
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start]
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            raise DomainError(f"{path}: not valid {encoding} text: byte 0x{data[exc.start]:02x} "
+                              f"at line {line}, byte offset {exc.start}") from None
+        raise
     table = _numeric_table(body)
     if table is not None and table.shape[1] >= len(header):
         return header, table
@@ -269,9 +287,11 @@ def _parse_columns(path, header, rows, cols) -> np.ndarray:
     """The chosen columns of `_read_table`'s rows as an (n, len(cols)) array.
 
     The float table needs only the selection. Cells from the csv module are
-    converted in one call with Python's `float` (which ignores surrounding
-    whitespace). Only when that fails are the cells checked one by one, to
-    name the first empty (EmptyInput) or non-numeric (DomainError) cell."""
+    converted in one call with Python's `float`, which ignores surrounding
+    whitespace other than the ASCII separators \\x1c-\\x1f. Only when that
+    fails is `float` tried on each cell as it stands, to name the first empty
+    (EmptyInput) or non-numeric (DomainError) cell; the message shows the
+    cell without its ASCII whitespace."""
     if isinstance(rows, np.ndarray):
         return rows[:, cols]
     cells = [rec[j] for rec in rows for j in cols]
@@ -280,14 +300,15 @@ def _parse_columns(path, header, rows, cols) -> np.ndarray:
     except ValueError:
         for i, rec in enumerate(rows):
             for j in cols:
-                cell = rec[j].strip()
-                if not cell:
+                cell = rec[j]
+                if not cell.strip():
                     raise EmptyInput(
                         f"{path}: empty cell at data row {i}, column {header[j]!r}") from None
                 try:
                     float(cell)
                 except ValueError:
-                    raise DomainError(f"{path}: non-numeric cell {cell!r} at data row {i}, "
+                    shown = cell.strip(string.whitespace)
+                    raise DomainError(f"{path}: non-numeric cell {shown!r} at data row {i}, "
                                       f"column {header[j]!r}") from None
         raise
     return values.reshape(len(rows), len(cols))

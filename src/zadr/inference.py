@@ -16,14 +16,20 @@ The bootstrap and the simulation study are the same Monte Carlo step: draw
 a response from a model with a fixed zero pattern and refit it end to end.
 One worker, `_replicate_one`, does that step for both, and a replicate
 counts only when both fit stages converged and its T could be formed. Each
-replicate owns a private generator spawned from the master seed. The
-simulation study draws each replicate's design rows and zero pattern in the
-parent, from that replicate's generator, and hands the same generator to the
-worker for the response. Results are merged by replicate index, so output
-is independent of execution order. Failed replicates are counted by cause.
-Each command starts at most one process pool, whose worker count is the
-least of `ZADR_THREADS`, the CPUs this process may use and the tasks; the
-pool receives the replicates in chunks of several.
+replicate owns a private generator spawned from the master seed. Every
+bootstrap replicate keeps the observed covariates and zero pattern, so the
+bootstrap prepares the design half of `fit` (`model.prepare_design`) once
+and every replicate fits only its response on it; a replicate fitted alone
+from the covariates gives the same numbers bit for bit. The simulation
+study draws each replicate's design rows and zero pattern in the parent,
+from that replicate's generator, and hands the same generator to the worker
+for the response, whose fit then prepares its own design. Results are
+merged by replicate index, so output is independent of execution order.
+Failed replicates are counted by cause, a failure of the shared design half
+once for each replicate. Each command starts at most one process pool,
+whose worker count is the least of `ZADR_THREADS`, the CPUs this process
+may use and the tasks; the pool receives the replicates in chunks of
+several, the simulation study's largest samples first.
 """
 
 from __future__ import annotations
@@ -52,11 +58,13 @@ from .errors import (
     ZadrError,
 )
 from .model import (
+    FitDesign,
     ModelKind,
     ZadrModel,
     _row_parameters,
     check_positive_definite,
     fit,
+    prepare_design,
 )
 
 MIN_REPLICATES = 19
@@ -179,13 +187,15 @@ def _map_indexed(func, args_list):
 
 
 def _replicate_one(args):
-    """Draw a response from `model` with pattern U and refit it.
+    """Draw a response from `model` with pattern U and refit it. X is the
+    covariates, or a `FitDesign` prepared from them for U and the model's
+    link and zero mode, which `fit` then takes in their place.
 
     Returns (failure cause or None, T or None, final parameters or None).
     """
     model, X, U, rng = args
     try:
-        ds_rep = simulate_response(model, X, U, rng)
+        ds_rep = simulate_response(model, X.X if isinstance(X, FitDesign) else X, U, rng)
         initial, final = fit(ds_rep, X, model.link, model.zero_mode)
         if not (initial.converged and final.converged):
             return "NotConverged", None, None
@@ -199,6 +209,11 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
     if B < MIN_REPLICATES:
         raise ValueError(f"B must be >= {MIN_REPLICATES}")
     U = zero_pattern(ds)
+    try:
+        # Every replicate keeps X and U, so they share one design half.
+        X = prepare_design(X, U, final.link, final.zero_mode)
+    except (ZadrError, np.linalg.LinAlgError):
+        pass  # each replicate's fit then meets this error and counts it by cause
     args = [(final, X, U, np.random.default_rng(s)) for s in _replicate_seeds(seed, B)]
     records = _map_indexed(_replicate_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
@@ -318,8 +333,9 @@ def run_simulation_study(
     if not 0.0 <= zero_fraction < 1.0:
         raise ValueError("zero_fraction must be in [0, 1)")
     D = true_model.D
+    ns = np.repeat(sizes, reps)
     args = []
-    for n, seed_seq in zip(np.repeat(sizes, reps), _replicate_seeds(seed, len(sizes) * reps)):
+    for n, seed_seq in zip(ns, _replicate_seeds(seed, len(sizes) * reps)):
         rng = np.random.default_rng(seed_seq)
         rows = design.design[rng.integers(0, design.design.shape[0], size=n)]
         U = np.ones((n, D), dtype=np.int8)
@@ -329,7 +345,12 @@ def run_simulation_study(
             U[zero_rows, rng.integers(0, D, size=n_zero)] = 0
         X = CovariateMatrix(design=rows, covariate_names=design.covariate_names)
         args.append((true_model, X, U, rng))
-    records = _map_indexed(_replicate_one, args)
+    # The pool takes the largest samples first, so that its last chunks are
+    # the cheapest; the records go back to replicate order.
+    order = np.argsort(-ns, kind="stable")
+    records = [None] * len(args)
+    for k, record in zip(order, _map_indexed(_replicate_one, [args[k] for k in order])):
+        records[k] = record
     truth = true_model.parameter_vector()
     mse: dict[int, np.ndarray] = {}
     successes: dict[int, int] = {}

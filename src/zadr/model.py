@@ -15,11 +15,18 @@ row's normalizer mass and polygamma arguments, `_dirichlet_value` sums the
 Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
 four `loglik_*` functions are one-line wrappers whose names fix the kind;
 the fit objective and `_derivatives` (its gradient and information) share
-one point's row work on data prepared once. The engine keeps every cell
-array component-major, D x n (means, retained-cell mask, log y, per-row
-weight matrices as D x D x n), so each per-cell operation runs over
-contiguous rows of n instead of short rows of D; the public
-`alpha_matrix` still returns its means row by row (n x D).
+one point's row work on data prepared once. A fit splits into a design half
+(`prepare_design`: zero-free rows, the least-squares normal matrix, the
+zero-pattern probabilities and each stage's covariate arrays), which a
+bootstrap prepares once for all its replicates, and a response half. The
+engine's hot path calls numpy's ufuncs and their reductions directly
+(`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point is
+mostly per-call overhead, and each method wrapper adds to it without
+changing a result bit. The engine keeps every cell array component-major,
+D x n (means, retained-cell mask, log y, per-row weight matrices as
+D x D x n), so each per-cell operation runs over contiguous rows of n
+instead of short rows of D; the public `alpha_matrix` still returns its
+means row by row (n x D).
 
 Free-parameter ordering everywhere (gradients, Hessians, covariances):
 vec(B) in row-major order (one block of p+1 coefficients per non-reference
@@ -131,13 +138,15 @@ class ZadrModel:
 def _means(Xd: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
     """Mean parameters a* of every row, component-major (D x n): the softmax
     over axis 0 of the linear predictors B Xd^T with a zeroed reference slot."""
-    linear = (B @ Xd.T).clip(-_LINPRED_CLAMP, _LINPRED_CLAMP)
+    linear = B @ Xd.T
+    np.maximum(linear, -_LINPRED_CLAMP, out=linear)
+    np.minimum(linear, _LINPRED_CLAMP, out=linear)
     e = np.zeros((B.shape[0] + 1, Xd.shape[0]))
     e[:ref_index] = linear[:ref_index]
     e[ref_index + 1:] = linear[ref_index:]
-    e -= e.max(axis=0)
+    e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)
-    e /= e.sum(axis=0)
+    e /= np.add.reduce(e, axis=0)
     return e
 
 
@@ -153,7 +162,10 @@ def link_alpha(x_row: np.ndarray, B: np.ndarray, ref_index: int = 0) -> np.ndarr
 
 def phi_rows(X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Per-row precision exp(x^T gamma), clamped against overflow."""
-    return np.exp(np.clip(X @ gamma, -_LINPRED_CLAMP, _LINPRED_CLAMP))
+    linear = X @ gamma
+    np.maximum(linear, -_LINPRED_CLAMP, out=linear)
+    np.minimum(linear, _LINPRED_CLAMP, out=linear)
+    return np.exp(linear, out=linear)
 
 
 def link_phi(x_row: np.ndarray, gamma: np.ndarray) -> float:
@@ -193,7 +205,7 @@ def _row_work(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind, U: 
     written) and the polygamma arguments, alpha = phis * A on the retained
     cells (1 elsewhere) raveled and followed by the normalizers' phis * S."""
     A, phis = _row_parameters(Xd, B, precision, ref_index, kind)
-    S = (A * U).sum(axis=0) if zero_mode is ZeroMode.RENORMALIZED else np.ones(A.shape[1])
+    S = np.add.reduce(A * U, axis=0) if zero_mode is ZeroMode.RENORMALIZED else np.ones(A.shape[1])
     args = np.concatenate([np.where(U, A * phis, 1.0).ravel(), phis * S])
     return A, phis, S, args
 
@@ -210,8 +222,8 @@ def _dirichlet_value(work, logY: np.ndarray) -> float:
     cells = A.size
     with np.errstate(over="ignore", invalid="ignore"):
         lgamma = special.gammaln(args)
-        body = ((args[:cells] - 1.0) * logY.ravel() - lgamma[:cells]).sum()
-        return float(lgamma[cells:].sum() + body)
+        body = np.add.reduce((args[:cells] - 1.0) * logY.ravel() - lgamma[:cells])
+        return float(np.add.reduce(lgamma[cells:]) + body)
 
 
 def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
@@ -221,9 +233,19 @@ def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
         raise DomainError("design and dataset row counts differ")
     if zp is None:
         zp = zero_pattern(ds)
-    U = np.ascontiguousarray(zp.T, dtype=bool)
-    Y = np.ascontiguousarray(ds.values.T)
-    return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0), X.design, U
+    U = _retained_cells(zp)
+    return _log_response(ds.values, U), X.design, U
+
+
+def _retained_cells(zp: np.ndarray) -> np.ndarray:
+    """The retained cells of a zero pattern as component-major (D x n) booleans."""
+    return np.ascontiguousarray(zp.T, dtype=bool)
+
+
+def _log_response(values: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """log(y) of n x D `values` on the retained cells U, 0 elsewhere; D x n like U."""
+    Y = np.ascontiguousarray(values.T)
+    return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0)
 
 
 def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
@@ -305,31 +327,39 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
     return B, theta[d * q:]
 
 
-class _StageData(NamedTuple):
-    """A fit stage's data, prepared once for all its objective and derivative
-    calls. Its cell arrays are component-major, D x n, so that every per-cell
-    operation runs over contiguous rows of n."""
+class _StageDesign(NamedTuple):
+    """The covariate side of a fit stage: everything its objective and
+    derivative calls need apart from the response, prepared once for all of
+    them, and through a `FitDesign` once for every response fitted on the
+    same design. Its cell arrays are component-major, D x n, so that every
+    per-cell operation runs over contiguous rows of n."""
 
-    logY: np.ndarray  # log y on the retained cells, 0 elsewhere (D, n)
     Xd: np.ndarray  # design (n, q)
     U: np.ndarray  # retained cells (D, n), bool
-    u: np.ndarray  # cells in the normalizer (D, n): U as floats when renormalized, zeros as written
+    keep: np.ndarray  # U as floats (D, n); a product with it zeroes the cells not retained
+    u: np.ndarray  # cells in the normalizer (D, n): `keep` when renormalized, zeros as written
     XX: np.ndarray  # per-row outer products x x^T of the design (n, q*q)
     P: np.ndarray  # design of the precision: ones (n, 1) for phi, Xd for the mixed log phi
-    nonref: np.ndarray  # indices of the non-reference components
+    nonref: slice | np.ndarray  # the non-reference components' rows of a cell array
 
 
-def _stage_data(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode) -> _StageData:
-    logY, Xd, U = _prepare(ds, X, zp)
+def _stage_design(Xd: np.ndarray, U: np.ndarray, link: LinkSpec,
+                  zero_mode: ZeroMode) -> _StageDesign:
     n, q = Xd.shape
-    return _StageData(
-        logY=logY,
+    D = U.shape[0]
+    ref = link.ref_index
+    keep = U.astype(float)
+    return _StageDesign(
         Xd=Xd,
         U=U,
-        u=U.astype(float) if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
+        keep=keep,
+        u=keep if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
         XX=(Xd[:, :, None] * Xd[:, None, :]).reshape(n, q * q),
         P=np.ones((n, 1)) if link.model_kind is ModelKind.SIMPLE else Xd,
-        nonref=np.array([j for j in range(U.shape[0]) if j != link.ref_index]),
+        # A slice, which selects a view instead of a copy, when the reference
+        # is the first or the last component.
+        nonref=(slice(1, None) if ref == 0 else slice(None, -1) if ref == D - 1
+                else np.array([j for j in range(D) if j != ref])),
     )
 
 
@@ -341,10 +371,11 @@ def _block_sum(W: np.ndarray, XX: np.ndarray, q: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(k * q, k * q)
 
 
-def _derivatives(work, stage: _StageData, kind: ModelKind):
+def _derivatives(work, logY: np.ndarray, stage: _StageDesign, kind: ModelKind):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
-    part from a point's `_row_work` on a stage's prepared data; every cell
-    quantity is component-major (D x n), like the stage's cell arrays.
+    part from a point's `_row_work` on a stage's log response and prepared
+    design; every cell quantity is component-major (D x n), like the stage's
+    cell arrays.
 
     Per row, with a the means, phi the precision, alpha = phi * a and S the
     mean mass in the normalizer (1 as written), the derivatives are first
@@ -359,39 +390,44 @@ def _derivatives(work, stage: _StageData, kind: ModelKind):
     rows of W (x) x x^T: one product of W with the stage's outer products,
     and for the simple model, whose phi has the design 1, x x^T for the eta
     block, x for the cross block and a plain sum for phi.
+
+    A cell that is not retained has the polygamma argument 1, so its resid
+    and t are finite until the product with `keep` makes them +0.0, the
+    value a mask would give.
     """
     A, phis, S, args = work
-    logY, Xd, U, u, XX, P, nonref = stage
+    Xd, _, keep, u, XX, P, nonref = stage
     D, n = A.shape
     d = D - 1
     q = Xd.shape[1]
     simple = kind is ModelKind.SIMPLE
+    add = np.add.reduce
     psi = special.digamma(args)
     psi_nu = psi[n * D:]
-    resid = np.where(U, logY - psi[: n * D].reshape(D, n), 0.0)
+    resid = (logY - psi[: n * D].reshape(D, n)) * keep
     g = phis * (resid + psi_nu * u)  # d/da, a free
-    dphi = S * psi_nu + (A * resid).sum(axis=0)  # d/dphi
-    e = A * (g - (g * A).sum(axis=0))  # d/deta
+    dphi = S * psi_nu + add(A * resid, axis=0)  # d/dphi
+    e = A * (g - add(g * A, axis=0))  # d/deta
     grad = np.concatenate([(e[nonref] @ Xd).ravel(),
                            P.T @ (dphi if simple else dphi * phis)])
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     psi1 = trigamma(args)
     phi2 = phis**2
-    t = np.where(U, phi2 * psi1[: n * D].reshape(D, n), 0.0)
+    t = phi2 * psi1[: n * D].reshape(D, n) * keep
     r = phi2 * psi1[n * D:]
     v = A * A * t
-    s = v.sum(axis=0)
+    s = add(v, axis=0)
     c = e - v
-    w = A * (u - (A * u).sum(axis=0))  # (diag(a) - a a^T) u
+    w = A * (u - add(A * u, axis=0))  # (diag(a) - a a^T) u
     h = (g - t * A + (r * S) * u) / phis  # d2/(da dphi)
-    h_eta = A * (h - (h * A).sum(axis=0))  # d2/(deta dphi)
+    h_eta = A * (h - add(h * A, axis=0))  # d2/(deta dphi)
     h_phi = (r * S * S - s) / phi2  # d2/dphi2
 
     # Minus the Hessian in eta, -diag(c) + f a^T + a f^T - r w w^T with
     # f = c + s a / 2, then the precision's row and column; from here on
     # the cell quantities keep only their non-reference rows.
-    a, c, w, h_eta = (x.take(nonref, axis=0) for x in (A, c, w, h_eta))
+    a, c, w, h_eta = A[nonref], c[nonref], w[nonref], h_eta[nonref]
     fa = (c + 0.5 * s * a)[:, None] * a
     W = np.empty((D, D, n))
     np.add(fa, fa.transpose(1, 0, 2), out=W[:d, :d])
@@ -404,7 +440,7 @@ def _derivatives(work, stage: _StageData, kind: ModelKind):
         info = np.empty((dq + 1, dq + 1))
         info[:dq, :dq] = _block_sum(W[:d, :d], XX, q)
         info[:dq, dq] = info[dq, :dq] = (W[:d, d] @ Xd).ravel()
-        info[dq, dq] = W[d, d].sum()
+        info[dq, dq] = add(W[d, d])
     else:
         W[:d, d] = W[d, :d] = -h_eta * phis
         W[d, d] = -(h_phi * phi2 + dphi * phis)
@@ -431,16 +467,20 @@ def analytic_gradient(
 # ---------------------------------------------------------------------------
 # OLS warm start (also the Aitchison comparison model)
 
-def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
-    """Least-squares coefficients of the alr-transformed responses, d x (p+1)."""
-    if ds.n < X.p + 2:
-        raise InsufficientRows(f"need at least p+2={X.p + 2} zero-free rows, have {ds.n}")
-    Z = alr(ds, link.ref_index)
+def _normal_matrix(X: CovariateMatrix) -> np.ndarray:
+    """X^T X of the least-squares rows, once they are at least p + 2 and
+    X^T X is not near singular."""
+    if X.n < X.p + 2:
+        raise InsufficientRows(f"need at least p+2={X.p + 2} zero-free rows, have {X.n}")
     XtX = X.design.T @ X.design
     if np.linalg.cond(XtX) > _COND_LIMIT:
         raise SingularDesign("X^T X is singular or near-singular")
-    coeffs = np.linalg.solve(XtX, X.design.T @ Z)  # (p+1, d)
-    return coeffs.T
+    return XtX
+
+
+def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
+    """Least-squares coefficients of the alr-transformed responses, d x (p+1)."""
+    return np.linalg.solve(_normal_matrix(X), X.design.T @ alr(ds, link.ref_index)).T
 
 
 def ols_standard_errors(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
@@ -464,47 +504,54 @@ def _subset(ds: CompositionDataset, X: CovariateMatrix, mask: np.ndarray):
 
 
 def _objective_pair(ds, X, zp, link, zero_mode):
+    """The fit objective and its derivatives (`_objectives`) on a dataset,
+    its design and zero pattern."""
+    logY, Xd, U = _prepare(ds, X, zp)
+    return _objectives(logY, _stage_design(Xd, U, link, zero_mode), link, zero_mode)
+
+
+def _objectives(logY: np.ndarray, stage: _StageDesign, link: LinkSpec, zero_mode: ZeroMode):
     """Negated Dirichlet-part log-likelihood closure, and one returning its
-    gradient and Hessian (the observed information).
+    gradient and Hessian (the observed information), on a stage's log
+    response and prepared design.
 
     Both compute a point's row work with `_row_work`. The objective keeps
-    its latest row work with a copy of its theta, and the derivative closure
-    reuses it when called at an equal theta (equal values, not the same
-    array); otherwise it recomputes it. `minimize` asks for derivatives only
-    at a point its objective has just accepted, so each accepted Newton
-    point builds its row work once. The stage's data, the design's outer
-    products among them, are prepared once, here.
+    its latest row work with the bytes of its theta, and the derivative
+    closure reuses it when called at a theta with the same bytes (an equal
+    array, not necessarily the same one); otherwise it recomputes it.
+    `minimize` asks for derivatives only at a point its objective has just
+    accepted, so each accepted Newton point builds its row work once.
 
     The Bernoulli zero-pattern term is parameter-free and omitted from the
     objective; callers add it back to reported log-likelihoods.
     """
-    d = ds.D - 1
-    q = X.design.shape[1]
+    D, _ = stage.U.shape
+    d = D - 1
+    q = stage.Xd.shape[1]
     kind = link.model_kind
-    stage = _stage_data(ds, X, zp, link, zero_mode)
-    last_theta, last_work = None, None
+    last_key, last_work = None, None
 
     def row_work(theta):
         B, precision = unpack_params(theta, d, q, kind)
         return _row_work(stage.Xd, B, precision, link.ref_index, kind, stage.U, zero_mode)
 
     def negloglik(theta):
-        nonlocal last_theta, last_work
-        theta = np.array(theta, dtype=float)
+        nonlocal last_key, last_work
+        theta = np.asarray(theta, dtype=float)
         if not np.isfinite(theta).all() or (kind is ModelKind.SIMPLE and theta[d * q] <= 0):
             return np.inf
-        last_theta, last_work = theta, row_work(theta)
-        value = _dirichlet_value(last_work, stage.logY)
+        last_key, last_work = theta.tobytes(), row_work(theta)
+        value = _dirichlet_value(last_work, logY)
         return -value if np.isfinite(value) else np.inf
 
     def negderivatives(theta):
-        reuse = last_theta is not None and np.array_equal(theta, last_theta)
+        theta = np.asarray(theta, dtype=float)
         # On valid but extreme data a mean can underflow to 0 while its
         # trigamma overflows to inf; the NaN of their product is left to
         # minimize's finiteness check, which raises NonFiniteObjective.
-        work = last_work if reuse else row_work(theta)
+        work = last_work if theta.tobytes() == last_key else row_work(theta)
         with np.errstate(invalid="ignore"):
-            grad, information = _derivatives(work, stage, kind)
+            grad, information = _derivatives(work, logY, stage, kind)
         return -grad, information
 
     return negloglik, negderivatives
@@ -518,17 +565,21 @@ def check_positive_definite(matrix: np.ndarray, name: str) -> None:
     raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, fit_mode: ZeroMode,
-               stage: FitStage, p_hat: np.ndarray, loglik_offset: float = 0.0) -> ZadrModel:
+def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, link: LinkSpec,
+               zero_mode: ZeroMode, theta0, fit_mode: ZeroMode, stage: FitStage,
+               p_hat: np.ndarray, names: tuple[list[str], list[str]],
+               loglik_offset: float = 0.0) -> ZadrModel:
     """Maximize one stage's Dirichlet-part likelihood under `zero_mode` from
     theta0 and wrap the optimum as a model whose covariance is the inverse of
     the information there, once that is checked positive definite;
     loglik_offset adds back the Bernoulli term. The model records
-    `fit_mode`, the zero mode of the whole fit."""
-    negloglik, negderivatives = _objective_pair(ds, X, zp, link, zero_mode)
+    `fit_mode`, the zero mode of the whole fit, and the (component,
+    covariate) `names`."""
+    negloglik, negderivatives = _objectives(logY, stage_design, link, zero_mode)
+    n, q = stage_design.Xd.shape
     res = minimize(negloglik, theta0, gradient=negderivatives,
-                   opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * ds.n))
-    B, precision = unpack_params(res.argmin, ds.D - 1, X.design.shape[1], link.model_kind)
+                   opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * n))
+    B, precision = unpack_params(res.argmin, logY.shape[0] - 1, q, link.model_kind)
     check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
     return ZadrModel(
         B=B,
@@ -540,14 +591,65 @@ def _fit_stage(ds, X, zp, link: LinkSpec, zero_mode: ZeroMode, theta0, fit_mode:
         stage=stage,
         link=link,
         zero_mode=fit_mode,
-        component_names=ds.component_names,
-        covariate_names=X.covariate_names,
+        component_names=names[0],
+        covariate_names=names[1],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class FitDesign:
+    """The half of `fit` that depends only on the covariates X, the zero
+    pattern, the link and the zero mode, prepared by `prepare_design`.
+
+    A parametric bootstrap refits many responses that share all four, so it
+    prepares this half once and passes it to `fit` in place of X.
+    """
+
+    X: CovariateMatrix
+    zp: np.ndarray  # the zero pattern (n, D) it was prepared for
+    link: LinkSpec
+    zero_mode: ZeroMode
+    mask: np.ndarray  # zero-free rows
+    XtX: np.ndarray  # X^T X of those rows, checked for the least-squares start
+    p_hat: np.ndarray  # closed-form zero-pattern probabilities
+    bernoulli: float  # log-probability of the zero pattern under p_hat
+    initial: _StageDesign  # stage one: plain likelihood on the zero-free rows
+    final: _StageDesign  # stage two: zero-adjusted likelihood on every row
+
+    def prepared_for(self, zp: np.ndarray, link: LinkSpec, zero_mode: ZeroMode) -> bool:
+        """Whether this design was prepared for zero pattern zp, link and zero mode."""
+        return (self.link == link and self.zero_mode is zero_mode
+                and self.zp.shape == zp.shape and bool((self.zp == zp).all()))
+
+
+def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
+                   zero_mode: ZeroMode) -> FitDesign:
+    """The design half of `fit` for covariates X and zero pattern zp (n x D).
+
+    Raises what `fit` raises before it reads a response value: DomainError
+    when X and zp differ in rows, NoZeroFreeRows, InsufficientRows and
+    SingularDesign.
+    """
+    if X.n != zp.shape[0]:
+        raise DomainError("design and dataset row counts differ")
+    mask = zp.all(axis=1)
+    if not mask.any():
+        raise NoZeroFreeRows("no zero-free rows to warm-start from")
+    X_free = CovariateMatrix(design=X.design[mask].copy(), covariate_names=X.covariate_names)
+    p_hat = estimate_p(zp)
+    return FitDesign(
+        X=X, zp=zp, link=link, zero_mode=zero_mode, mask=mask, XtX=_normal_matrix(X_free),
+        p_hat=p_hat,
+        bernoulli=binary_log_prob(zp, p_hat),
+        initial=_stage_design(X_free.design, _retained_cells(zp[mask]), link,
+                              ZeroMode.AS_WRITTEN),
+        final=_stage_design(X.design, _retained_cells(zp), link, zero_mode),
     )
 
 
 def fit(
     ds: CompositionDataset,
-    X: CovariateMatrix,
+    X: CovariateMatrix | FitDesign,
     link: LinkSpec = LinkSpec(),
     zero_mode: ZeroMode = ZeroMode.RENORMALIZED,
 ) -> tuple[ZadrModel, ZadrModel]:
@@ -561,6 +663,14 @@ def fit(
     term is additively separable from the Dirichlet term. The result is a
     function of the data, the link and `zero_mode` alone.
 
+    The fit has two halves. The design half (`prepare_design`) depends only
+    on the covariates, the zero pattern of `ds`, the link and the zero mode;
+    the response half fits the values of `ds` on it. X is the covariates or
+    a `FitDesign`. A FitDesign is used only when it was prepared for this
+    call's zero pattern, link and zero mode; otherwise the design half is
+    prepared again from its covariates, as it is for plain X. Either way the
+    result is bit for bit the same.
+
     Every stage ends the same way: its optimizer stops, and counts as
     converged, only once max|gradient| < 1e-6 per row fitted in that stage,
     and the analytic observed information at the optimum, the matrix that
@@ -573,15 +683,13 @@ def fit(
     large phi, S < 1 the retained mean mass), so no MLE exists.
     """
     u = zero_pattern(ds)
-    p_hat = estimate_p(u)
-    mask = ds.zero_free_mask()
-    if not mask.any():
-        raise NoZeroFreeRows("no zero-free rows to warm-start from")
-    ds_free, X_free = _subset(ds, X, mask)
-    u_free = u[mask]
-
-    B0 = ols_init(ds_free, X_free, link)
+    design = X if isinstance(X, FitDesign) else None
+    if design is None or not design.prepared_for(u, link, zero_mode):
+        design = prepare_design(X if design is None else design.X, u, link, zero_mode)
+    values_free = ds.values[design.mask]
+    B0 = np.linalg.solve(design.XtX, design.initial.Xd.T @ alr(values_free, link.ref_index)).T
     q = B0.shape[1]
+    names = (ds.component_names, design.X.covariate_names)
 
     # Stage one: plain likelihood on zero-free rows. Both kinds start from
     # the precision _PHI_START; the mixed model anchors its precision
@@ -592,12 +700,14 @@ def fit(
         precision0 = np.zeros(q)
         precision0[0] = np.log(_PHI_START)
     theta0 = np.concatenate([B0.ravel(), precision0])
-    initial = _fit_stage(ds_free, X_free, u_free, link, ZeroMode.AS_WRITTEN, theta0, zero_mode,
-                         FitStage.ZERO_FREE_INITIAL, np.ones(ds.D))
+    initial = _fit_stage(_log_response(values_free, design.initial.U), design.initial, link,
+                         ZeroMode.AS_WRITTEN, theta0, zero_mode, FitStage.ZERO_FREE_INITIAL,
+                         np.ones(ds.D), names)
 
     # Stage two: zero-adjusted likelihood on the full data.
-    final = _fit_stage(ds, X, u, link, zero_mode, initial.parameter_vector(), zero_mode,
-                       FitStage.FINAL, p_hat, binary_log_prob(u, p_hat))
+    final = _fit_stage(_log_response(ds.values, design.final.U), design.final, link, zero_mode,
+                       initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
+                       names, design.bernoulli)
     return initial, final
 
 

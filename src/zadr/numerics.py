@@ -141,13 +141,13 @@ def _newton_step(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     diag = np.abs(np.diag(H))
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     Hs = H * scale * scale[:, None]
-    shift = 0.0
+    shifted, shift = Hs, 0.0
     while True:
-        shifted = Hs + shift * np.eye(g.size)
         with suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(shifted)
             return -scale * np.linalg.solve(shifted, scale * g)
         shift = max(10.0 * shift, _FIRST_SHIFT)
+        shifted = Hs + shift * np.eye(g.size)
 
 
 def _derivatives_at(gradient, x: np.ndarray):
@@ -194,7 +194,7 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
     reason = TerminationReason.MAX_ITER
     iterations = 0
     while True:
-        if np.max(np.abs(g)) < opts.gradient_tolerance:
+        if np.maximum.reduce(np.abs(g)) < opts.gradient_tolerance:
             reason = TerminationReason.GRADIENT_TOL
             break
         if iterations == opts.max_iterations:
@@ -217,7 +217,7 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
             # No Armijo decrease at the smallest step: treat as stalled.
             reason = TerminationReason.STEP_TOL
             break
-        if np.array_equal(x_new, x):
+        if (x_new == x).all():
             # Only the round-off allowance accepts a step lost to rounding.
             reason = TerminationReason.STEP_TOL
             break
@@ -228,7 +228,7 @@ def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> O
     return OptimResult(
         argmin=x,
         value=float(fx),
-        gradient_norm=float(np.max(np.abs(g))),
+        gradient_norm=float(np.maximum.reduce(np.abs(g))),
         iterations=iterations,
         termination_reason=reason,
         hessian=H,

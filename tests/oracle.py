@@ -13,6 +13,7 @@ every cell goes through the csv module and Python's float.
 
 import csv
 import math
+import string
 
 import numpy as np
 from scipy import special
@@ -177,14 +178,15 @@ def _oracle_parse_columns(path, header, records, cols):
     except ValueError:
         for i, rec in enumerate(records):
             for j in cols:
-                cell = rec[j].strip()
-                if not cell:
+                cell = rec[j]
+                if not cell.strip():
                     raise EmptyInput(
                         f"{path}: empty cell at data row {i}, column {header[j]!r}") from None
                 try:
                     float(cell)
                 except ValueError:
-                    raise DomainError(f"{path}: non-numeric cell {cell!r} at data row {i}, "
+                    shown = cell.strip(string.whitespace)
+                    raise DomainError(f"{path}: non-numeric cell {shown!r} at data row {i}, "
                                       f"column {header[j]!r}") from None
         raise
     return values.reshape(len(records), len(cols))

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -227,6 +228,30 @@ class TestReadCsv:
         self._write(path, ["a", "b", "x"], [list(r.values()) for r in rows])
         with pytest.raises(DomainError, match=match):
             read_csv(path, components=["a", "b"], covariates=["x"])
+
+    @pytest.mark.parametrize("cell", ["\x1c0.5", "0.5\x1f"])
+    def test_separator_wrapped_cell_is_named(self, tmp_path, cell):
+        # str.strip removes the ASCII separators \x1c-\x1f and float does not.
+        path = tmp_path / "d.csv"
+        self._write(path, ["a", "b", "x"], [[0.4, 0.6, 1.0], [0.5, cell, 2.0]])
+        where = f"non-numeric cell {cell!r} at data row 1, column 'b'"
+        with pytest.raises(DomainError, match=re.escape(where)):
+            read_csv(path, components=["a", "b"], covariates=["x"])
+
+    def test_undecodable_byte_names_the_file_and_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(compositions.locale, "getpreferredencoding", lambda _=True: "UTF-8")
+        lines = [b"a,b,x"] + [b"0.25,0.75,%d" % i for i in range(3000)]
+        lines[1478] = b"0.25,0.75,\xff"  # line 1479 of the file
+        data = b"\n".join(lines) + b"\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        where = f"{path}: not valid UTF-8 text: byte 0xff at line 1479, byte offset {offset}"
+        with pytest.raises(DomainError, match=re.escape(where)):
+            read_csv(path, components=["a", "b"], covariates=["x"])
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        with pytest.raises(DomainError, match="at line 1479, "):
+            read_covariates(path, ["x"])
 
     def test_unknown_column_is_schema_error(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +18,7 @@ from zadr.errors import (
 from zadr.inference import (
     BootstrapResult,
     DiagnosticResult,
+    _replicate_one,
     bootstrap_bias,
     bootstrap_pvalue,
     chi2_sf,
@@ -197,6 +200,39 @@ class TestBootstrap:
         every_replicate = r"out of 19; failures by cause: \{'NotPositiveDefinite': 19\}$"
         with pytest.raises(TooFewSuccessfulReplicates, match=every_replicate):
             bootstrap_bias(final, ds, X, B=19, seed=5)
+
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_replicate_alone_equals_its_row_of_the_bootstrap(self, small_dataset, monkeypatch,
+                                                            link):
+        # Replicate k draws from the k-th generator spawned from the master
+        # seed; refitted alone, from the covariates rather than the design the
+        # bootstrap prepares once, it must give the bootstrap's row k exactly.
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        ds, X = small_dataset
+        _, final = fit(ds, X, link)
+        batch = bootstrap_bias(final, ds, X, B=19, seed=5)
+        assert batch.failures == 0
+        U = zero_pattern(ds)
+        for k, seed_seq in enumerate(np.random.SeedSequence(5).spawn(19)):
+            cause, _, params = _replicate_one((final, X, U, np.random.default_rng(seed_seq)))
+            assert cause is None
+            assert params.tobytes() == batch.replicate_stats[k].tobytes()
+
+    @pytest.mark.parametrize("zero_free, cause", [(0, "NoZeroFreeRows"), (2, "InsufficientRows")])
+    def test_design_failure_counted_per_replicate(self, small_dataset, monkeypatch, zero_free,
+                                                  cause):
+        # Data whose design half cannot be prepared: each replicate's fit
+        # meets the error and counts it under its cause.
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK)
+        values = ds.values.copy()
+        values[zero_free:, 1] = 0.0
+        ds_few = load_dataset(values / values.sum(axis=1, keepdims=True))
+        assert int(ds_few.zero_free_mask().sum()) == zero_free
+        message = f"only 0 converged replicates out of 19; failures by cause: {{'{cause}': 19}}"
+        with pytest.raises(TooFewSuccessfulReplicates, match=f"^{re.escape(message)}$"):
+            bootstrap_bias(final, ds_few, X, B=19, seed=5)
 
     def test_replicates_preserve_zero_pattern(self, small_dataset):
         ds, X = small_dataset
@@ -401,6 +437,25 @@ class TestSimulationStudy:
                                       reps=2, zero_fraction=1.0 / 6.0, seed=3)
         assert serial_pool == [2]
         assert sorted(report.mse) == [20, 30, 40]
+
+    def test_pool_takes_largest_samples_first_and_records_return_home(self, monkeypatch):
+        import zadr.inference as inference_mod
+
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        handed = []
+        truth = truth_model().parameter_vector()
+
+        def sized_replicate(args):
+            # A stand-in fit whose estimates are the replicate's sample size.
+            handed.append(args[1].n)
+            return None, None, np.full(truth.size, float(args[1].n))
+
+        monkeypatch.setattr(inference_mod, "_replicate_one", sized_replicate)
+        report = run_simulation_study(truth_model(), depth_design(), sizes=[20, 40, 30],
+                                      reps=2, zero_fraction=1.0 / 6.0, seed=3)
+        assert handed == [40, 40, 30, 30, 20, 20]
+        for n in (20, 30, 40):
+            assert np.array_equal(report.mse[n], (float(n) - truth) ** 2)
 
     def test_report_does_not_depend_on_worker_count(self, monkeypatch):
         reports = []

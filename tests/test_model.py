@@ -48,6 +48,7 @@ from zadr.model import (
     model_to_dict,
     ols_init,
     pack_params,
+    prepare_design,
     save_model,
     unpack_params,
 )
@@ -498,6 +499,66 @@ class TestFit:
         ds, X = small_dataset
         fit(ds, X, SIMPLE_LINK)
         assert calls == [ds.n]
+
+
+def model_bytes(model):
+    """Every number of a fitted model as bytes, with its flags and names."""
+    return (model.parameter_vector().tobytes(), model.covariance.tobytes(), model.p_hat.tobytes(),
+            float.hex(model.loglik), model.converged, model.stage, model.link, model.zero_mode,
+            model.component_names, model.covariate_names)
+
+
+class TestFitDesign:
+    """`fit` through a design prepared once gives the plain fit bit for bit,
+    and never uses a design prepared for another call."""
+
+    @pytest.mark.parametrize("ref_index", [0, 2])
+    @pytest.mark.parametrize("mode", list(ZeroMode))
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_prepared_design_fits_bit_for_bit(self, kind, mode, ref_index):
+        # As written, zero-adjusted data have no MLE (see `fit`), so that
+        # mode fits zero-free data.
+        n_zero = 5 if mode is ZeroMode.RENORMALIZED else 0
+        ds, X = simulate_dataset(n=30, seed=12, n_zero=n_zero)
+        link = LinkSpec(ref_index=ref_index, model_kind=kind)
+        design = prepare_design(X, zero_pattern(ds), link, mode)
+        expected = [model_bytes(m) for m in fit(ds, X, link, mode)]
+        for _ in range(2):  # a design is not changed by the fits it serves
+            assert [model_bytes(m) for m in fit(ds, design, link, mode)] == expected
+
+    def test_design_for_another_call_is_prepared_again(self, small_dataset, monkeypatch):
+        import zadr.model as model_mod
+
+        ds, X = small_dataset
+        u = zero_pattern(ds)
+        other_u = zero_pattern(simulate_dataset(n=30, seed=13, n_zero=5)[0])
+        assert not np.array_equal(u, other_u)
+        others = [
+            prepare_design(X, other_u, SIMPLE_LINK, ZeroMode.RENORMALIZED),
+            prepare_design(X, u, LinkSpec(ref_index=2), ZeroMode.RENORMALIZED),
+            prepare_design(X, u, MIXED_LINK, ZeroMode.RENORMALIZED),
+            prepare_design(X, u, SIMPLE_LINK, ZeroMode.AS_WRITTEN),
+        ]
+        expected = [model_bytes(m) for m in fit(ds, X, SIMPLE_LINK)]
+        prepared = []
+        real = model_mod.prepare_design
+        monkeypatch.setattr(model_mod, "prepare_design",
+                            lambda *args: prepared.append(args) or real(*args))
+        for design in others:
+            prepared.clear()
+            assert [model_bytes(m) for m in fit(ds, design, SIMPLE_LINK)] == expected
+            assert len(prepared) == 1 and prepared[0][0] is X
+        prepared.clear()
+        fit(ds, real(X, u, SIMPLE_LINK, ZeroMode.RENORMALIZED), SIMPLE_LINK)
+        assert prepared == []
+
+    def test_design_errors_come_before_the_response(self, small_dataset):
+        ds, X = small_dataset
+        u = zero_pattern(ds)
+        with pytest.raises(DomainError, match="row counts differ"):
+            prepare_design(X, u[:-1], SIMPLE_LINK, ZeroMode.RENORMALIZED)
+        with pytest.raises(NoZeroFreeRows):
+            prepare_design(X, np.zeros_like(u), SIMPLE_LINK, ZeroMode.RENORMALIZED)
 
 
 class TestCovariance:

@@ -13,15 +13,18 @@ One vectorized engine evaluates every likelihood: `_row_parameters` maps
 (B, precision, kind) to row means and precisions, `_row_work` adds each
 row's normalizer mass and polygamma arguments, `_dirichlet_value` sums the
 Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
-four `loglik_*` functions are one-line wrappers whose names fix the kind;
-the fit objective and `_derivatives` (its gradient and information) share
-one point's row work on data prepared once. A fit splits into a design half
-(`prepare_design`: zero-free rows, the least-squares normal matrix, the
-zero-pattern probabilities and each stage's covariate arrays), which a
-bootstrap prepares once for all its replicates, and a response half. The
-engine's hot path calls numpy's ufuncs and their reductions directly
-(`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point is
-mostly per-call overhead, and each method wrapper adds to it without
+four `loglik_*` functions are thin wrappers whose names fix the kind; the
+fit objective and `_derivatives` (its gradient and information) share one
+point's row work on data prepared once. The public functions take
+`CompositionDataset` and `CovariateMatrix` objects, which validate their
+rows once; the private helpers behind them take the plain arrays (response
+values, design, zero pattern) and slice rows from those. A fit splits into
+a design half (`prepare_design`: zero-free rows, the least-squares normal
+matrix, the zero-pattern probabilities and each stage's covariate arrays),
+which a bootstrap prepares once for all its replicates, and a response
+half. The engine's hot path calls numpy's ufuncs and their reductions
+directly (`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point
+is mostly per-call overhead, and each method wrapper adds to it without
 changing a result bit. The engine keeps every cell array component-major,
 D x n (means, retained-cell mask, log y, per-row weight matrices as
 D x D x n), so each per-cell operation runs over contiguous rows of n
@@ -211,9 +214,9 @@ def _row_work(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind, U: 
 
 
 def _dirichlet_value(work, logY: np.ndarray) -> float:
-    """Dirichlet part of the log-likelihood from a point's `_row_work` on
-    `_prepare`d data. A cell that is not retained adds exactly 0: its
-    argument is 1 and its logY 0.
+    """Dirichlet part of the log-likelihood from a point's `_row_work` and
+    the log response logY (D x n, as `_log_response` forms it). A cell that
+    is not retained adds exactly 0: its argument is 1 and its logY 0.
 
     Extreme line-search probes overflow to a non-finite value, which the
     objective maps to +inf, so those floating-point warnings are silenced.
@@ -226,15 +229,14 @@ def _dirichlet_value(work, logY: np.ndarray) -> float:
         return float(np.add.reduce(lgamma[cells:]) + body)
 
 
-def _prepare(ds: CompositionDataset, X: CovariateMatrix, zp: np.ndarray | None):
-    """(logY, design, U), the cell arrays component-major (D x n); U marks the
-    retained components, logY is log(y) there, 0 elsewhere."""
-    if X.n != ds.n:
+def _prepare(values: np.ndarray, Xd: np.ndarray, zp: np.ndarray):
+    """(logY, U), component-major (D x n), of response values (n x D) with
+    design Xd and zero pattern zp; U marks the retained components, logY is
+    log(y) there, 0 elsewhere."""
+    if Xd.shape[0] != values.shape[0]:
         raise DomainError("design and dataset row counts differ")
-    if zp is None:
-        zp = zero_pattern(ds)
     U = _retained_cells(zp)
-    return _log_response(ds.values, U), X.design, U
+    return _log_response(values, U), U
 
 
 def _retained_cells(zp: np.ndarray) -> np.ndarray:
@@ -248,15 +250,14 @@ def _log_response(values: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0)
 
 
-def _loglik(kind: ModelKind, B, precision, p, ds, X, zp, link: LinkSpec,
-            zero_mode: ZeroMode) -> float:
+def _loglik(kind: ModelKind, B, precision, p, values: np.ndarray, Xd: np.ndarray,
+            zp: np.ndarray, link: LinkSpec, zero_mode: ZeroMode) -> float:
     """Dirichlet part plus, unless p is None, the Bernoulli zero-pattern term.
 
     With p None this is the plain Dirichlet likelihood, defined only on
     zero-free data.
     """
-    zp = zero_pattern(ds) if zp is None else zp
-    logY, Xd, U = _prepare(ds, X, zp)
+    logY, U = _prepare(values, Xd, zp)
     if p is None and not U.all():
         raise DomainError(f"loglik_{kind.value} requires a zero-free dataset")
     if kind is ModelKind.SIMPLE and precision <= 0:
@@ -273,12 +274,13 @@ def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset
     zero-adjusted on all rows under its zero mode, the initial stage plain
     Dirichlet on the zero-free rows.
     """
-    mask = ds.zero_free_mask()
+    zp = zero_pattern(ds)
+    mask = zp.all(axis=1)
     recomputed = [
-        (final, _loglik(final.kind, final.B, final.precision, final.p_hat, ds, X, None,
-                        final.link, final.zero_mode)),
-        (initial, _loglik(initial.kind, initial.B, initial.precision, None, *_subset(ds, X, mask),
-                          None, initial.link, ZeroMode.AS_WRITTEN)),
+        (final, _loglik(final.kind, final.B, final.precision, final.p_hat, ds.values, X.design,
+                        zp, final.link, final.zero_mode)),
+        (initial, _loglik(initial.kind, initial.B, initial.precision, None, ds.values[mask],
+                          X.design[mask], zp[mask], initial.link, ZeroMode.AS_WRITTEN)),
     ]
     for model, value in recomputed:
         if not abs(value - model.loglik) <= _LOGLIK_RTOL * abs(model.loglik):
@@ -289,21 +291,29 @@ def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset
 
 def loglik_simple(B, phi, ds, X, link: LinkSpec) -> float:
     """Plain Dirichlet regression log-likelihood; requires zero-free data."""
-    return _loglik(ModelKind.SIMPLE, B, phi, None, ds, X, None, link, ZeroMode.AS_WRITTEN)
+    return _loglik(ModelKind.SIMPLE, B, phi, None, ds.values, X.design, zero_pattern(ds), link,
+                   ZeroMode.AS_WRITTEN)
 
 
 def loglik_mixed(B, gamma, ds, X, link: LinkSpec) -> float:
-    return _loglik(ModelKind.MIXED, B, gamma, None, ds, X, None, link, ZeroMode.AS_WRITTEN)
+    return _loglik(ModelKind.MIXED, B, gamma, None, ds.values, X.design, zero_pattern(ds), link,
+                   ZeroMode.AS_WRITTEN)
 
 
 def loglik_zadr_simple(B, phi, p, ds, X, zp, link: LinkSpec,
                        zero_mode: ZeroMode = ZeroMode.AS_WRITTEN) -> float:
-    return _loglik(ModelKind.SIMPLE, B, phi, p, ds, X, zp, link, zero_mode)
+    """Zero-adjusted log-likelihood of the simple model; zp None is the zero
+    pattern of ds. `zero_mode` defaults to as-written, while `fit` defaults to
+    renormalized: to evaluate a fitted model, pass its `zero_mode`."""
+    zp = zero_pattern(ds) if zp is None else zp
+    return _loglik(ModelKind.SIMPLE, B, phi, p, ds.values, X.design, zp, link, zero_mode)
 
 
 def loglik_zadr_mixed(B, gamma, p, ds, X, zp, link: LinkSpec,
                       zero_mode: ZeroMode = ZeroMode.AS_WRITTEN) -> float:
-    return _loglik(ModelKind.MIXED, B, gamma, p, ds, X, zp, link, zero_mode)
+    """`loglik_zadr_simple` for the mixed model, with the same as-written default."""
+    zp = zero_pattern(ds) if zp is None else zp
+    return _loglik(ModelKind.MIXED, B, gamma, p, ds.values, X.design, zp, link, zero_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +469,9 @@ def analytic_gradient(
     """Gradient of the (zero-adjusted) log-likelihood w.r.t. packed params.
 
     The Bernoulli zero-pattern term carries no free parameters, so the same
-    gradient serves both the plain and the zero-adjusted likelihoods.
+    gradient serves both the plain and the zero-adjusted likelihoods. Like
+    the `loglik_*` functions, `zero_mode` defaults to as-written while `fit`
+    defaults to renormalized: at a fitted model, pass its `zero_mode`.
     """
     return -_objective_pair(ds, X, zp, link, zero_mode)[1](theta)[0]
 
@@ -467,12 +479,13 @@ def analytic_gradient(
 # ---------------------------------------------------------------------------
 # OLS warm start (also the Aitchison comparison model)
 
-def _normal_matrix(X: CovariateMatrix) -> np.ndarray:
-    """X^T X of the least-squares rows, once they are at least p + 2 and
-    X^T X is not near singular."""
-    if X.n < X.p + 2:
-        raise InsufficientRows(f"need at least p+2={X.p + 2} zero-free rows, have {X.n}")
-    XtX = X.design.T @ X.design
+def _normal_matrix(Xd: np.ndarray) -> np.ndarray:
+    """Xd^T Xd of the least-squares design rows, once they are at least
+    p + 2 and Xd^T Xd is not near singular."""
+    n, q = Xd.shape
+    if n < q + 1:
+        raise InsufficientRows(f"need at least p+2={q + 1} zero-free rows, have {n}")
+    XtX = Xd.T @ Xd
     if np.linalg.cond(XtX) > _COND_LIMIT:
         raise SingularDesign("X^T X is singular or near-singular")
     return XtX
@@ -480,34 +493,17 @@ def _normal_matrix(X: CovariateMatrix) -> np.ndarray:
 
 def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
     """Least-squares coefficients of the alr-transformed responses, d x (p+1)."""
-    return np.linalg.solve(_normal_matrix(X), X.design.T @ alr(ds, link.ref_index)).T
-
-
-def ols_standard_errors(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
-                        B: np.ndarray) -> np.ndarray:
-    """Per-equation OLS standard errors of the ols_init coefficients B."""
-    Z = alr(ds, link.ref_index)
-    resid = Z - X.design @ B.T
-    dof = max(ds.n - (X.p + 1), 1)
-    sigma2 = np.sum(resid**2, axis=0) / dof
-    XtX_inv = np.linalg.inv(X.design.T @ X.design)
-    return np.sqrt(np.outer(sigma2, np.diag(XtX_inv)))
+    return np.linalg.solve(_normal_matrix(X.design), X.design.T @ alr(ds, link.ref_index)).T
 
 
 # ---------------------------------------------------------------------------
 # fitting pipeline
 
-def _subset(ds: CompositionDataset, X: CovariateMatrix, mask: np.ndarray):
-    """The rows of a dataset and of its design where `mask` holds."""
-    rows = CompositionDataset(values=ds.values[mask].copy(), component_names=ds.component_names)
-    return rows, CovariateMatrix(design=X.design[mask].copy(), covariate_names=X.covariate_names)
-
-
 def _objective_pair(ds, X, zp, link, zero_mode):
     """The fit objective and its derivatives (`_objectives`) on a dataset,
-    its design and zero pattern."""
-    logY, Xd, U = _prepare(ds, X, zp)
-    return _objectives(logY, _stage_design(Xd, U, link, zero_mode), link, zero_mode)
+    its design and zero pattern (None: that of the dataset)."""
+    logY, U = _prepare(ds.values, X.design, zero_pattern(ds) if zp is None else zp)
+    return _objectives(logY, _stage_design(X.design, U, link, zero_mode), link, zero_mode)
 
 
 def _objectives(logY: np.ndarray, stage: _StageDesign, link: LinkSpec, zero_mode: ZeroMode):
@@ -547,10 +543,12 @@ def _objectives(logY: np.ndarray, stage: _StageDesign, link: LinkSpec, zero_mode
     def negderivatives(theta):
         theta = np.asarray(theta, dtype=float)
         # On valid but extreme data a mean can underflow to 0 while its
-        # trigamma overflows to inf; the NaN of their product is left to
-        # minimize's finiteness check, which raises NonFiniteObjective.
+        # trigamma overflows to inf, and where no MLE exists (as-written
+        # zeros) phi runs away until phi**2 * trigamma overflows. The NaN or
+        # inf is left to minimize's finiteness check, which raises
+        # NonFiniteObjective.
         work = last_work if theta.tobytes() == last_key else row_work(theta)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             grad, information = _derivatives(work, logY, stage, kind)
         return -grad, information
 
@@ -635,14 +633,13 @@ def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
     mask = zp.all(axis=1)
     if not mask.any():
         raise NoZeroFreeRows("no zero-free rows to warm-start from")
-    X_free = CovariateMatrix(design=X.design[mask].copy(), covariate_names=X.covariate_names)
+    Xd_free = X.design[mask]
     p_hat = estimate_p(zp)
     return FitDesign(
-        X=X, zp=zp, link=link, zero_mode=zero_mode, mask=mask, XtX=_normal_matrix(X_free),
+        X=X, zp=zp, link=link, zero_mode=zero_mode, mask=mask, XtX=_normal_matrix(Xd_free),
         p_hat=p_hat,
         bernoulli=binary_log_prob(zp, p_hat),
-        initial=_stage_design(X_free.design, _retained_cells(zp[mask]), link,
-                              ZeroMode.AS_WRITTEN),
+        initial=_stage_design(Xd_free, _retained_cells(zp[mask]), link, ZeroMode.AS_WRITTEN),
         final=_stage_design(X.design, _retained_cells(zp), link, zero_mode),
     )
 
@@ -716,10 +713,14 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
     """Aitchison comparison baseline: OLS of the alr responses on the zero-free
     rows, with squared OLS standard errors as a diagonal covariance."""
     mask = ds.zero_free_mask()
-    ds_free, X_free = _subset(ds, X, mask)
+    Xd = X.design[mask]
+    XtX = _normal_matrix(Xd)
+    Z = alr(ds.values[mask], link.ref_index)
+    B = np.linalg.solve(XtX, Xd.T @ Z).T
+    n, q = Xd.shape
+    sigma2 = np.sum((Z - Xd @ B.T)**2, axis=0) / (n - q)
+    se = np.sqrt(np.outer(sigma2, np.diag(np.linalg.inv(XtX))))
     link = LinkSpec(link.ref_index, ModelKind.AITCHISON)
-    B = ols_init(ds_free, X_free, link)
-    se = ols_standard_errors(ds_free, X_free, link, B)
     return ZadrModel(
         B=B, precision=None, p_hat=np.ones(ds.D), covariance=np.diag((se**2).ravel()),
         loglik=None, converged=True, stage=FitStage.FINAL, link=link, zero_mode=zero_mode,

@@ -191,6 +191,18 @@ class TestFit:
         assert "error: NonFiniteObjective: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["simple", "mixed"])
+    def test_as_written_fit_of_zeros_exits_2_without_warning(self, tmp_path, capsys, kind):
+        # With zeros the as-written likelihood has no maximum (see `model.fit`).
+        data = write_data_csv(tmp_path / "data.csv", seed=1)
+        out = tmp_path / "m.json"
+        assert run("fit", "--input", str(data), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--kind", kind, "--zero-mode", "as-written",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error: NonFiniteObjective: " in err or "error: NotPositiveDefinite: " in err
+        assert not out.exists()
+
     def test_deterministic_reruns_byte_identical(self, data_csv, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         for out in (out1, out2):
@@ -363,6 +375,21 @@ class TestDiagnose:
         assert "ModelDataMismatch" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["simple", "mixed"])
+    def test_data_without_zero_free_rows_is_rejected(self, data_csv, tmp_path, monkeypatch,
+                                                     capsys, kind):
+        # The initial stage's log-likelihood is then recomputed on no rows.
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--kind", kind, "--out", str(model_path)) == 0
+        zeros_csv = write_csv(tmp_path / "zeros.csv", *simulate_dataset(n=30, seed=13, n_zero=30))
+        capsys.readouterr()
+        calls = count_replicate_fits(monkeypatch)
+        assert run("diagnose", "--input", str(zeros_csv), "--model", str(model_path),
+                   "--B", "19") == 2
+        assert "ModelDataMismatch" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_initial_model_is_io_error(self, data_csv, tmp_path, capsys):
         model_path = self._fit(data_csv, tmp_path / "m.json")
         (tmp_path / "m.initial.json").unlink()
@@ -473,7 +500,8 @@ class TestSimulate:
         assert run("simulate", "--model", str(model_path), "--sizes", "30,40",
                    "--reps", "2", "--seed", "1", "--out", str(out)) == 3
         assert len(calls) == 4
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 14 and all(row["successes"] == "0" for row in rows)
 
 

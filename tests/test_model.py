@@ -277,12 +277,12 @@ class TestInformationAssembly:
         zp = zero_pattern(ds)
         link = LinkSpec(ref_index=ref_index, model_kind=kind)
         derivatives = _objective_pair(ds, X, zp, link, mode)[1]
-        logY, Xd, U = _prepare(ds, X, zp)  # component-major; the oracle takes rows
+        logY, U = _prepare(ds.values, X.design, zp)  # component-major; the oracle takes rows
         rng = np.random.default_rng(10)
         for _ in range(5):
             theta = random_theta(rng, kind)
             info = derivatives(theta)[1]
-            expected = rowkron_information(theta, logY.T, Xd, U.T, ref_index,
+            expected = rowkron_information(theta, logY.T, X.design, U.T, ref_index,
                                            kind is ModelKind.MIXED, mode is ZeroMode.RENORMALIZED)
             assert np.max(np.abs(info - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -665,6 +665,17 @@ class TestEngine:
         initial, final = fit(*tiny_component_dataset(1e-100), link)
         assert initial.converged and final.converged
 
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_as_written_fit_of_zeros_is_a_named_error_without_warning(self, link, seed):
+        # No MLE exists: the final stage's phi runs away until phi**2 times
+        # trigamma overflows or the information stops being positive definite.
+        ds, X = simulate_dataset(n=30, seed=seed, n_zero=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((NonFiniteObjective, NotPositiveDefinite)):
+                fit(ds, X, link, ZeroMode.AS_WRITTEN)
+
     def test_aitchison_baseline_is_ols_on_zero_free_rows(self, small_dataset):
         ds, X = small_dataset
         model = fit_aitchison(ds, X, SIMPLE_LINK, ZeroMode.RENORMALIZED)
@@ -676,17 +687,30 @@ class TestEngine:
         assert model.loglik is None
         assert model.covariance.shape == (model.B.size, model.B.size)
 
+    def test_aitchison_standard_errors_are_ols_standard_errors(self, small_dataset):
+        ds, X = small_dataset
+        model = fit_aitchison(ds, X, SIMPLE_LINK, ZeroMode.RENORMALIZED)
+        mask = ds.zero_free_mask()
+        Xd = X.design[mask]
+        logs = np.log(ds.values[mask])
+        Z = logs[:, 1:] - logs[:, :1]
+        _, rss, _, _ = np.linalg.lstsq(Xd, Z, rcond=None)
+        n_free, q = Xd.shape
+        sigma2 = rss / (n_free - q)
+        expected = np.outer(sigma2, np.diag(np.linalg.inv(Xd.T @ Xd))).ravel()
+        assert np.max(np.abs(np.diag(model.covariance) / expected - 1)) <= 1e-12
+
     def test_aitchison_baseline_solves_ols_once(self, small_dataset, monkeypatch):
         import zadr.model as model_mod
 
         calls = []
-        real = model_mod.ols_init
+        real = model_mod._normal_matrix
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(model_mod, "ols_init", counted)
+        monkeypatch.setattr(model_mod, "_normal_matrix", counted)
         ds, X = small_dataset
         fit_aitchison(ds, X, SIMPLE_LINK, ZeroMode.RENORMALIZED)
         assert len(calls) == 1

@@ -25,11 +25,12 @@ study draws each replicate's design rows and zero pattern in the parent,
 from that replicate's generator, and hands the same generator to the worker
 for the response, whose fit then prepares its own design. Results are
 merged by replicate index, so output is independent of execution order.
-Failed replicates are counted by cause, a failure of the shared design half
-once for each replicate. Each command starts at most one process pool,
-whose worker count is the least of `ZADR_THREADS`, the CPUs this process
-may use and the tasks; the pool receives the replicates in chunks of
-several, the simulation study's largest samples first.
+Failed replicates are counted by cause. Every replicate's fit would meet a
+failure of the shared design half, so it is counted once for each replicate
+without drawing or fitting any. Each command starts at most one process
+pool, whose worker count is the least of `ZADR_THREADS`, the CPUs this
+process may use and the tasks; the pool receives the replicates in chunks
+of several, the simulation study's largest samples first.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def simulate_response(
     rows with zeros come from the renormalized sub-Dirichlet on their
     positive set, which is the Dirichlet marginality-consistent mechanism.
     """
-    A, phis = _row_parameters(X.design, model.B, model.precision, model.link.ref_index, model.kind)
+    A, phis = _row_parameters(X.design, model.B, model.precision, model.link)
     # A is component-major; the transposed view keeps the draws in row-major cell order.
     g = rng.standard_gamma((phis * A).T)
     g = np.maximum(g, np.finfo(float).tiny)
@@ -211,11 +212,13 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
     U = zero_pattern(ds)
     try:
         # Every replicate keeps X and U, so they share one design half.
-        X = prepare_design(X, U, final.link, final.zero_mode)
-    except (ZadrError, np.linalg.LinAlgError):
-        pass  # each replicate's fit then meets this error and counts it by cause
-    args = [(final, X, U, np.random.default_rng(s)) for s in _replicate_seeds(seed, B)]
-    records = _map_indexed(_replicate_one, args)
+        design = prepare_design(X, U, final.link, final.zero_mode)
+    except (ZadrError, np.linalg.LinAlgError) as exc:
+        # Every replicate's fit would meet this error: count it once for each.
+        records = [(type(exc).__name__, None, None)] * B
+    else:
+        args = [(final, design, U, np.random.default_rng(s)) for s in _replicate_seeds(seed, B)]
+        records = _map_indexed(_replicate_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
     if len(kept) < MIN_REPLICATES:

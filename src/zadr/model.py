@@ -9,13 +9,16 @@ Zeros in the response are handled by restricting each row's Dirichlet
 term to its positive components and adding an independent-Bernoulli term
 for the zero pattern. No value is ever imputed.
 
-One vectorized engine evaluates every likelihood: `_row_parameters` maps
-(B, precision, kind) to row means and precisions, `_row_work` adds each
-row's normalizer mass and polygamma arguments, `_dirichlet_value` sums the
-Dirichlet part and one `binary_log_prob` call adds the Bernoulli term. The
-four `loglik_*` functions are thin wrappers whose names fix the kind; the
-fit objective and `_derivatives` (its gradient and information) share one
-point's row work on data prepared once. The public functions take
+One vectorized engine evaluates every likelihood on a stage
+(`_StageDesign`), which only `_stage_design` builds and which carries its
+link and zero mode, so no engine call passes a kind, a reference or a zero
+mode beside it. `_row_parameters` maps (B, precision) under a link to row
+means and precisions, `_row_work` adds a stage's normalizer masses and
+polygamma arguments, `_dirichlet_value` sums the Dirichlet part and one
+`binary_log_prob` call adds the Bernoulli term. The four `loglik_*`
+functions are thin wrappers whose names fix the kind of their link; the fit
+objective and `_derivatives` (its gradient and information) share one
+point's row work on a stage prepared once. The public functions take
 `CompositionDataset` and `CovariateMatrix` objects, which validate their
 rows once; the private helpers behind them take the plain arrays (response
 values, design, zero pattern) and slice rows from those. A fit splits into
@@ -63,6 +66,7 @@ from .errors import (
     NoZeroFreeRows,
     NotPositiveDefinite,
     SchemaMismatch,
+    ShapeMismatch,
     SingularDesign,
 )
 from .numerics import OptimizerOptions, minimize, trigamma
@@ -193,23 +197,70 @@ def binary_log_prob(u_row, p) -> float:
 # ---------------------------------------------------------------------------
 # vectorized likelihood engine
 
-def _row_parameters(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind):
+class _StageDesign(NamedTuple):
+    """The covariate side of a fit stage: everything its objective and
+    derivative calls need apart from the response, prepared once for all of
+    them, and through a `FitDesign` once for every response fitted on the
+    same design. It carries the link and zero mode whose likelihood the stage
+    evaluates. Its cell arrays are component-major, D x n, so that every
+    per-cell operation runs over contiguous rows of n."""
+
+    Xd: np.ndarray  # design (n, q)
+    U: np.ndarray  # retained cells (D, n), bool
+    keep: np.ndarray  # U as floats (D, n); a product with it zeroes the cells not retained
+    u: np.ndarray  # cells in the normalizer (D, n): `keep` when renormalized, zeros as written
+    XX: np.ndarray  # per-row outer products x x^T of the design (n, q*q)
+    P: np.ndarray  # design of the precision: ones (n, 1) for phi, Xd for the mixed log phi
+    nonref: slice | np.ndarray  # the non-reference components' rows of a cell array
+    link: LinkSpec
+    zero_mode: ZeroMode
+
+
+def _stage_design(Xd: np.ndarray, zp: np.ndarray, link: LinkSpec,
+                  zero_mode: ZeroMode) -> _StageDesign:
+    """The stage of design Xd and zero pattern zp (n x D) under a link and a
+    zero mode; DomainError when Xd and zp differ in rows."""
+    n, q = Xd.shape
+    if zp.shape[0] != n:
+        raise DomainError("design and dataset row counts differ")
+    U = np.ascontiguousarray(zp.T, dtype=bool)
+    D = U.shape[0]
+    ref = link.ref_index
+    keep = U.astype(float)
+    return _StageDesign(
+        Xd=Xd,
+        U=U,
+        keep=keep,
+        u=keep if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
+        XX=(Xd[:, :, None] * Xd[:, None, :]).reshape(n, q * q),
+        P=np.ones((n, 1)) if link.model_kind is ModelKind.SIMPLE else Xd,
+        # A slice, which selects a view instead of a copy, when the reference
+        # is the first or the last component.
+        nonref=(slice(1, None) if ref == 0 else slice(None, -1) if ref == D - 1
+                else np.array([j for j in range(D) if j != ref])),
+        link=link,
+        zero_mode=zero_mode,
+    )
+
+
+def _row_parameters(Xd: np.ndarray, B, precision, link: LinkSpec):
     """Means A (D x n) and precisions phis (n,) of a simple or mixed model."""
-    A = _means(Xd, np.asarray(B, dtype=float), ref_index)
-    if kind is ModelKind.SIMPLE:
+    A = _means(Xd, np.asarray(B, dtype=float), link.ref_index)
+    if link.model_kind is ModelKind.SIMPLE:
         return A, np.full(Xd.shape[0], float(precision))
     return A, phi_rows(Xd, np.asarray(precision, dtype=float))
 
 
-def _row_work(Xd: np.ndarray, B, precision, ref_index: int, kind: ModelKind, U: np.ndarray,
-              zero_mode: ZeroMode):
-    """A point's row quantities, component-major like U (D x n): means A,
-    precisions phis (n,), the mean mass S (n,) in each row's normalizer (1 as
-    written) and the polygamma arguments, alpha = phis * A on the retained
-    cells (1 elsewhere) raveled and followed by the normalizers' phis * S."""
-    A, phis = _row_parameters(Xd, B, precision, ref_index, kind)
-    S = np.add.reduce(A * U, axis=0) if zero_mode is ZeroMode.RENORMALIZED else np.ones(A.shape[1])
-    args = np.concatenate([np.where(U, A * phis, 1.0).ravel(), phis * S])
+def _row_work(stage: _StageDesign, B, precision):
+    """A point's row quantities on a stage, component-major like its cells
+    (D x n): means A, precisions phis (n,), the mean mass S (n,) in each
+    row's normalizer (1 as written) and the polygamma arguments, alpha =
+    phis * A on the retained cells (1 elsewhere) raveled and followed by the
+    normalizers' phis * S."""
+    A, phis = _row_parameters(stage.Xd, B, precision, stage.link)
+    S = (np.add.reduce(A * stage.U, axis=0) if stage.zero_mode is ZeroMode.RENORMALIZED
+         else np.ones(A.shape[1]))
+    args = np.concatenate([np.where(stage.U, A * phis, 1.0).ravel(), phis * S])
     return A, phis, S, args
 
 
@@ -229,40 +280,34 @@ def _dirichlet_value(work, logY: np.ndarray) -> float:
         return float(np.add.reduce(lgamma[cells:]) + body)
 
 
-def _prepare(values: np.ndarray, Xd: np.ndarray, zp: np.ndarray):
-    """(logY, U), component-major (D x n), of response values (n x D) with
-    design Xd and zero pattern zp; U marks the retained components, logY is
-    log(y) there, 0 elsewhere."""
-    if Xd.shape[0] != values.shape[0]:
-        raise DomainError("design and dataset row counts differ")
-    U = _retained_cells(zp)
-    return _log_response(values, U), U
-
-
-def _retained_cells(zp: np.ndarray) -> np.ndarray:
-    """The retained cells of a zero pattern as component-major (D x n) booleans."""
-    return np.ascontiguousarray(zp.T, dtype=bool)
-
-
 def _log_response(values: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """log(y) of n x D `values` on the retained cells U, 0 elsewhere; D x n like U."""
+    """log(y) of n x D `values` on the retained cells U (a stage's), 0
+    elsewhere; D x n like U."""
+    if values.shape[0] != U.shape[1]:
+        raise DomainError("design and dataset row counts differ")
+    if values.shape[1] != U.shape[0]:
+        raise ShapeMismatch(f"the zero pattern has {U.shape[0]} components, "
+                            f"the dataset {values.shape[1]}")
     Y = np.ascontiguousarray(values.T)
     return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0)
 
 
-def _loglik(kind: ModelKind, B, precision, p, values: np.ndarray, Xd: np.ndarray,
-            zp: np.ndarray, link: LinkSpec, zero_mode: ZeroMode) -> float:
+def _loglik(B, precision, p, values: np.ndarray, Xd: np.ndarray, zp: np.ndarray,
+            link: LinkSpec, zero_mode: ZeroMode) -> float:
     """Dirichlet part plus, unless p is None, the Bernoulli zero-pattern term.
 
     With p None this is the plain Dirichlet likelihood, defined only on
     zero-free data.
     """
-    logY, U = _prepare(values, Xd, zp)
-    if p is None and not U.all():
-        raise DomainError(f"loglik_{kind.value} requires a zero-free dataset")
-    if kind is ModelKind.SIMPLE and precision <= 0:
+    stage = _stage_design(Xd, zp, link, zero_mode)
+    logY = _log_response(values, stage.U)
+    if p is None and not stage.U.all():
+        raise DomainError(f"loglik_{link.model_kind.value} requires a zero-free dataset")
+    if p is not None and np.shape(p) != (values.shape[1],):
+        raise ShapeMismatch(f"p has shape {np.shape(p)}, the dataset {values.shape[1]} components")
+    if link.model_kind is ModelKind.SIMPLE and precision <= 0:
         raise DomainError("phi must be > 0")
-    value = _dirichlet_value(_row_work(Xd, B, precision, link.ref_index, kind, U, zero_mode), logY)
+    value = _dirichlet_value(_row_work(stage, B, precision), logY)
     return value if p is None else value + binary_log_prob(zp, p)
 
 
@@ -277,10 +322,10 @@ def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset
     zp = zero_pattern(ds)
     mask = zp.all(axis=1)
     recomputed = [
-        (final, _loglik(final.kind, final.B, final.precision, final.p_hat, ds.values, X.design,
-                        zp, final.link, final.zero_mode)),
-        (initial, _loglik(initial.kind, initial.B, initial.precision, None, ds.values[mask],
-                          X.design[mask], zp[mask], initial.link, ZeroMode.AS_WRITTEN)),
+        (final, _loglik(final.B, final.precision, final.p_hat, ds.values, X.design, zp,
+                        final.link, final.zero_mode)),
+        (initial, _loglik(initial.B, initial.precision, None, ds.values[mask], X.design[mask],
+                          zp[mask], initial.link, ZeroMode.AS_WRITTEN)),
     ]
     for model, value in recomputed:
         if not abs(value - model.loglik) <= _LOGLIK_RTOL * abs(model.loglik):
@@ -291,13 +336,13 @@ def check_fitted_to(initial: ZadrModel, final: ZadrModel, ds: CompositionDataset
 
 def loglik_simple(B, phi, ds, X, link: LinkSpec) -> float:
     """Plain Dirichlet regression log-likelihood; requires zero-free data."""
-    return _loglik(ModelKind.SIMPLE, B, phi, None, ds.values, X.design, zero_pattern(ds), link,
-                   ZeroMode.AS_WRITTEN)
+    return _loglik(B, phi, None, ds.values, X.design, zero_pattern(ds),
+                   LinkSpec(link.ref_index, ModelKind.SIMPLE), ZeroMode.AS_WRITTEN)
 
 
 def loglik_mixed(B, gamma, ds, X, link: LinkSpec) -> float:
-    return _loglik(ModelKind.MIXED, B, gamma, None, ds.values, X.design, zero_pattern(ds), link,
-                   ZeroMode.AS_WRITTEN)
+    return _loglik(B, gamma, None, ds.values, X.design, zero_pattern(ds),
+                   LinkSpec(link.ref_index, ModelKind.MIXED), ZeroMode.AS_WRITTEN)
 
 
 def loglik_zadr_simple(B, phi, p, ds, X, zp, link: LinkSpec,
@@ -306,14 +351,16 @@ def loglik_zadr_simple(B, phi, p, ds, X, zp, link: LinkSpec,
     pattern of ds. `zero_mode` defaults to as-written, while `fit` defaults to
     renormalized: to evaluate a fitted model, pass its `zero_mode`."""
     zp = zero_pattern(ds) if zp is None else zp
-    return _loglik(ModelKind.SIMPLE, B, phi, p, ds.values, X.design, zp, link, zero_mode)
+    return _loglik(B, phi, p, ds.values, X.design, zp, LinkSpec(link.ref_index, ModelKind.SIMPLE),
+                   zero_mode)
 
 
 def loglik_zadr_mixed(B, gamma, p, ds, X, zp, link: LinkSpec,
                       zero_mode: ZeroMode = ZeroMode.AS_WRITTEN) -> float:
     """`loglik_zadr_simple` for the mixed model, with the same as-written default."""
     zp = zero_pattern(ds) if zp is None else zp
-    return _loglik(ModelKind.MIXED, B, gamma, p, ds.values, X.design, zp, link, zero_mode)
+    return _loglik(B, gamma, p, ds.values, X.design, zp, LinkSpec(link.ref_index, ModelKind.MIXED),
+                   zero_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -337,42 +384,6 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
     return B, theta[d * q:]
 
 
-class _StageDesign(NamedTuple):
-    """The covariate side of a fit stage: everything its objective and
-    derivative calls need apart from the response, prepared once for all of
-    them, and through a `FitDesign` once for every response fitted on the
-    same design. Its cell arrays are component-major, D x n, so that every
-    per-cell operation runs over contiguous rows of n."""
-
-    Xd: np.ndarray  # design (n, q)
-    U: np.ndarray  # retained cells (D, n), bool
-    keep: np.ndarray  # U as floats (D, n); a product with it zeroes the cells not retained
-    u: np.ndarray  # cells in the normalizer (D, n): `keep` when renormalized, zeros as written
-    XX: np.ndarray  # per-row outer products x x^T of the design (n, q*q)
-    P: np.ndarray  # design of the precision: ones (n, 1) for phi, Xd for the mixed log phi
-    nonref: slice | np.ndarray  # the non-reference components' rows of a cell array
-
-
-def _stage_design(Xd: np.ndarray, U: np.ndarray, link: LinkSpec,
-                  zero_mode: ZeroMode) -> _StageDesign:
-    n, q = Xd.shape
-    D = U.shape[0]
-    ref = link.ref_index
-    keep = U.astype(float)
-    return _StageDesign(
-        Xd=Xd,
-        U=U,
-        keep=keep,
-        u=keep if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
-        XX=(Xd[:, :, None] * Xd[:, None, :]).reshape(n, q * q),
-        P=np.ones((n, 1)) if link.model_kind is ModelKind.SIMPLE else Xd,
-        # A slice, which selects a view instead of a copy, when the reference
-        # is the first or the last component.
-        nonref=(slice(1, None) if ref == 0 else slice(None, -1) if ref == D - 1
-                else np.array([j for j in range(D) if j != ref])),
-    )
-
-
 def _block_sum(W: np.ndarray, XX: np.ndarray, q: int) -> np.ndarray:
     """Sum over rows of the Kronecker products W_i (x) x_i x_i^T, W (k, k, n)
     and XX (n, q*q) the outer products: a (k*q, k*q) matrix ordered like vec(B)."""
@@ -381,7 +392,7 @@ def _block_sum(W: np.ndarray, XX: np.ndarray, q: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(k * q, k * q)
 
 
-def _derivatives(work, logY: np.ndarray, stage: _StageDesign, kind: ModelKind):
+def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
     part from a point's `_row_work` on a stage's log response and prepared
     design; every cell quantity is component-major (D x n), like the stage's
@@ -406,11 +417,11 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign, kind: ModelKind):
     value a mask would give.
     """
     A, phis, S, args = work
-    Xd, _, keep, u, XX, P, nonref = stage
+    Xd, _, keep, u, XX, P, nonref, link, _ = stage
     D, n = A.shape
     d = D - 1
     q = Xd.shape[1]
-    simple = kind is ModelKind.SIMPLE
+    simple = link.model_kind is ModelKind.SIMPLE
     add = np.add.reduce
     psi = special.digamma(args)
     psi_nu = psi[n * D:]
@@ -491,9 +502,15 @@ def _normal_matrix(Xd: np.ndarray) -> np.ndarray:
     return XtX
 
 
+def _least_squares(XtX: np.ndarray, Xd: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (d x q) of the alr responses Z on the
+    design Xd, given its normal matrix XtX checked by `_normal_matrix`."""
+    return np.linalg.solve(XtX, Xd.T @ Z).T
+
+
 def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
     """Least-squares coefficients of the alr-transformed responses, d x (p+1)."""
-    return np.linalg.solve(_normal_matrix(X.design), X.design.T @ alr(ds, link.ref_index)).T
+    return _least_squares(_normal_matrix(X.design), X.design, alr(ds, link.ref_index))
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +519,11 @@ def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.n
 def _objective_pair(ds, X, zp, link, zero_mode):
     """The fit objective and its derivatives (`_objectives`) on a dataset,
     its design and zero pattern (None: that of the dataset)."""
-    logY, U = _prepare(ds.values, X.design, zero_pattern(ds) if zp is None else zp)
-    return _objectives(logY, _stage_design(X.design, U, link, zero_mode), link, zero_mode)
+    stage = _stage_design(X.design, zero_pattern(ds) if zp is None else zp, link, zero_mode)
+    return _objectives(_log_response(ds.values, stage.U), stage)
 
 
-def _objectives(logY: np.ndarray, stage: _StageDesign, link: LinkSpec, zero_mode: ZeroMode):
+def _objectives(logY: np.ndarray, stage: _StageDesign):
     """Negated Dirichlet-part log-likelihood closure, and one returning its
     gradient and Hessian (the observed information), on a stage's log
     response and prepared design.
@@ -524,12 +541,11 @@ def _objectives(logY: np.ndarray, stage: _StageDesign, link: LinkSpec, zero_mode
     D, _ = stage.U.shape
     d = D - 1
     q = stage.Xd.shape[1]
-    kind = link.model_kind
+    kind = stage.link.model_kind
     last_key, last_work = None, None
 
     def row_work(theta):
-        B, precision = unpack_params(theta, d, q, kind)
-        return _row_work(stage.Xd, B, precision, link.ref_index, kind, stage.U, zero_mode)
+        return _row_work(stage, *unpack_params(theta, d, q, kind))
 
     def negloglik(theta):
         nonlocal last_key, last_work
@@ -549,7 +565,7 @@ def _objectives(logY: np.ndarray, stage: _StageDesign, link: LinkSpec, zero_mode
         # NonFiniteObjective.
         work = last_work if theta.tobytes() == last_key else row_work(theta)
         with np.errstate(over="ignore", invalid="ignore"):
-            grad, information = _derivatives(work, logY, stage, kind)
+            grad, information = _derivatives(work, logY, stage)
         return -grad, information
 
     return negloglik, negderivatives
@@ -563,18 +579,18 @@ def check_positive_definite(matrix: np.ndarray, name: str) -> None:
     raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, link: LinkSpec,
-               zero_mode: ZeroMode, theta0, fit_mode: ZeroMode, stage: FitStage,
-               p_hat: np.ndarray, names: tuple[list[str], list[str]],
+def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, theta0, fit_mode: ZeroMode,
+               stage: FitStage, p_hat: np.ndarray, names: tuple[list[str], list[str]],
                loglik_offset: float = 0.0) -> ZadrModel:
-    """Maximize one stage's Dirichlet-part likelihood under `zero_mode` from
-    theta0 and wrap the optimum as a model whose covariance is the inverse of
-    the information there, once that is checked positive definite;
-    loglik_offset adds back the Bernoulli term. The model records
-    `fit_mode`, the zero mode of the whole fit, and the (component,
-    covariate) `names`."""
-    negloglik, negderivatives = _objectives(logY, stage_design, link, zero_mode)
+    """Maximize one stage's Dirichlet-part likelihood, under the link and
+    zero mode the stage carries, from theta0 and wrap the optimum as a model
+    whose covariance is the inverse of the information there, once that is
+    checked positive definite; loglik_offset adds back the Bernoulli term.
+    The model records the stage's link, `fit_mode`, the zero mode of the
+    whole fit, and the (component, covariate) `names`."""
+    negloglik, negderivatives = _objectives(logY, stage_design)
     n, q = stage_design.Xd.shape
+    link = stage_design.link
     res = minimize(negloglik, theta0, gradient=negderivatives,
                    opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * n))
     B, precision = unpack_params(res.argmin, logY.shape[0] - 1, q, link.model_kind)
@@ -597,7 +613,8 @@ def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, link: LinkSpec,
 @dataclass(frozen=True, eq=False)
 class FitDesign:
     """The half of `fit` that depends only on the covariates X, the zero
-    pattern, the link and the zero mode, prepared by `prepare_design`.
+    pattern, the link and the zero mode, prepared by `prepare_design`; its
+    stages carry the link and the zero mode.
 
     A parametric bootstrap refits many responses that share all four, so it
     prepares this half once and passes it to `fit` in place of X.
@@ -605,8 +622,6 @@ class FitDesign:
 
     X: CovariateMatrix
     zp: np.ndarray  # the zero pattern (n, D) it was prepared for
-    link: LinkSpec
-    zero_mode: ZeroMode
     mask: np.ndarray  # zero-free rows
     XtX: np.ndarray  # X^T X of those rows, checked for the least-squares start
     p_hat: np.ndarray  # closed-form zero-pattern probabilities
@@ -616,7 +631,7 @@ class FitDesign:
 
     def prepared_for(self, zp: np.ndarray, link: LinkSpec, zero_mode: ZeroMode) -> bool:
         """Whether this design was prepared for zero pattern zp, link and zero mode."""
-        return (self.link == link and self.zero_mode is zero_mode
+        return (self.final.link == link and self.final.zero_mode is zero_mode
                 and self.zp.shape == zp.shape and bool((self.zp == zp).all()))
 
 
@@ -628,19 +643,17 @@ def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
     when X and zp differ in rows, NoZeroFreeRows, InsufficientRows and
     SingularDesign.
     """
-    if X.n != zp.shape[0]:
-        raise DomainError("design and dataset row counts differ")
+    final = _stage_design(X.design, zp, link, zero_mode)
     mask = zp.all(axis=1)
     if not mask.any():
         raise NoZeroFreeRows("no zero-free rows to warm-start from")
     Xd_free = X.design[mask]
     p_hat = estimate_p(zp)
     return FitDesign(
-        X=X, zp=zp, link=link, zero_mode=zero_mode, mask=mask, XtX=_normal_matrix(Xd_free),
-        p_hat=p_hat,
+        X=X, zp=zp, mask=mask, XtX=_normal_matrix(Xd_free), p_hat=p_hat,
         bernoulli=binary_log_prob(zp, p_hat),
-        initial=_stage_design(Xd_free, _retained_cells(zp[mask]), link, ZeroMode.AS_WRITTEN),
-        final=_stage_design(X.design, _retained_cells(zp), link, zero_mode),
+        initial=_stage_design(Xd_free, zp[mask], link, ZeroMode.AS_WRITTEN),
+        final=final,
     )
 
 
@@ -662,8 +675,10 @@ def fit(
 
     The fit has two halves. The design half (`prepare_design`) depends only
     on the covariates, the zero pattern of `ds`, the link and the zero mode;
-    the response half fits the values of `ds` on it. X is the covariates or
-    a `FitDesign`. A FitDesign is used only when it was prepared for this
+    the response half fits the values of `ds` on it. The design half builds
+    both stages, each carrying the link and the zero mode it is fitted under:
+    as written for stage one, `zero_mode` for stage two. X is the covariates
+    or a `FitDesign`. A FitDesign is used only when it was prepared for this
     call's zero pattern, link and zero mode; otherwise the design half is
     prepared again from its covariates, as it is for plain X. Either way the
     result is bit for bit the same.
@@ -684,7 +699,7 @@ def fit(
     if design is None or not design.prepared_for(u, link, zero_mode):
         design = prepare_design(X if design is None else design.X, u, link, zero_mode)
     values_free = ds.values[design.mask]
-    B0 = np.linalg.solve(design.XtX, design.initial.Xd.T @ alr(values_free, link.ref_index)).T
+    B0 = _least_squares(design.XtX, design.initial.Xd, alr(values_free, link.ref_index))
     q = B0.shape[1]
     names = (ds.component_names, design.X.covariate_names)
 
@@ -697,12 +712,11 @@ def fit(
         precision0 = np.zeros(q)
         precision0[0] = np.log(_PHI_START)
     theta0 = np.concatenate([B0.ravel(), precision0])
-    initial = _fit_stage(_log_response(values_free, design.initial.U), design.initial, link,
-                         ZeroMode.AS_WRITTEN, theta0, zero_mode, FitStage.ZERO_FREE_INITIAL,
-                         np.ones(ds.D), names)
+    initial = _fit_stage(_log_response(values_free, design.initial.U), design.initial, theta0,
+                         zero_mode, FitStage.ZERO_FREE_INITIAL, np.ones(ds.D), names)
 
     # Stage two: zero-adjusted likelihood on the full data.
-    final = _fit_stage(_log_response(ds.values, design.final.U), design.final, link, zero_mode,
+    final = _fit_stage(_log_response(ds.values, design.final.U), design.final,
                        initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
                        names, design.bernoulli)
     return initial, final
@@ -716,7 +730,7 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
     Xd = X.design[mask]
     XtX = _normal_matrix(Xd)
     Z = alr(ds.values[mask], link.ref_index)
-    B = np.linalg.solve(XtX, Xd.T @ Z).T
+    B = _least_squares(XtX, Xd, Z)
     n, q = Xd.shape
     sigma2 = np.sum((Z - Xd @ B.T)**2, axis=0) / (n - q)
     se = np.sqrt(np.outer(sigma2, np.diag(np.linalg.inv(XtX))))

@@ -97,9 +97,9 @@ def rowkron_information(theta, logY, Xd, U, ref_index, mixed, renormalized):
     Kronecker products of weights and design, a loop over components and
     T + T^T: the reference for the engine's per-row weight matrices.
 
-    Takes row-major (n x D) cell arrays, `model._prepare`'s transposed (log y
-    on retained cells, retained-cell mask), and the design; trigamma is
-    scipy's polygamma.
+    Takes row-major (n x D) cell arrays, the transposes of `model._log_response`
+    and of a stage's `U` (log y on retained cells, retained-cell mask), and
+    the design; trigamma is scipy's polygamma.
     """
     n, q = Xd.shape
     D = logY.shape[1]

@@ -221,8 +221,11 @@ class TestBootstrap:
     @pytest.mark.parametrize("zero_free, cause", [(0, "NoZeroFreeRows"), (2, "InsufficientRows")])
     def test_design_failure_counted_per_replicate(self, small_dataset, monkeypatch, zero_free,
                                                   cause):
-        # Data whose design half cannot be prepared: each replicate's fit
-        # meets the error and counts it under its cause.
+        # Data whose design half cannot be prepared: every replicate's fit
+        # would meet the error, so it counts once per replicate under its
+        # cause, and no replicate's response is drawn.
+        import zadr.inference as inference_mod
+
         monkeypatch.setenv("ZADR_THREADS", "1")
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK)
@@ -230,9 +233,13 @@ class TestBootstrap:
         values[zero_free:, 1] = 0.0
         ds_few = load_dataset(values / values.sum(axis=1, keepdims=True))
         assert int(ds_few.zero_free_mask().sum()) == zero_free
+        real, drawn = inference_mod.simulate_response, []
+        monkeypatch.setattr(inference_mod, "simulate_response",
+                            lambda *args: drawn.append(1) or real(*args))
         message = f"only 0 converged replicates out of 19; failures by cause: {{'{cause}': 19}}"
         with pytest.raises(TooFewSuccessfulReplicates, match=f"^{re.escape(message)}$"):
             bootstrap_bias(final, ds_few, X, B=19, seed=5)
+        assert drawn == []
 
     def test_replicates_preserve_zero_pattern(self, small_dataset):
         ds, X = small_dataset

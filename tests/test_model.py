@@ -24,14 +24,16 @@ from zadr.errors import (
     NonFiniteObjective,
     NoZeroFreeRows,
     NotPositiveDefinite,
+    ShapeMismatch,
     SingularDesign,
 )
 from zadr.model import (
     FitStage,
     LinkSpec,
     ModelKind,
+    _log_response,
     _objective_pair,
-    _prepare,
+    _stage_design,
     analytic_gradient,
     binary_log_prob,
     fit,
@@ -171,6 +173,41 @@ class TestLoglikOracle:
         assert abs(gap_at_truth - gap_elsewhere) < 1e-10
 
 
+class TestShapeErrors:
+    """A zero pattern or p of the wrong shape is a named error in the public
+    likelihood calls, not a numpy broadcast error."""
+
+    CALLS = {
+        "loglik_zadr_simple": lambda ds, X, zp, p: loglik_zadr_simple(
+            TRUE_B, TRUE_PHI, p, ds, X, zp, SIMPLE_LINK),
+        "loglik_zadr_mixed": lambda ds, X, zp, p: loglik_zadr_mixed(
+            TRUE_B, np.array([2.0, 0.1]), p, ds, X, zp, MIXED_LINK),
+        "analytic_gradient": lambda ds, X, zp, p: analytic_gradient(
+            pack_params(TRUE_B, TRUE_PHI, ModelKind.SIMPLE), ds, X, zp, SIMPLE_LINK),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_zero_pattern_with_a_row_too_few(self, small_dataset, call):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        with pytest.raises(DomainError, match="row counts differ"):
+            self.CALLS[call](ds, X, zp[:-1], estimate_p(zp))
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_zero_pattern_with_a_column_too_few(self, small_dataset, call):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        with pytest.raises(ShapeMismatch):
+            self.CALLS[call](ds, X, zp[:, :-1], estimate_p(zp))
+
+    @pytest.mark.parametrize("call", ["loglik_zadr_simple", "loglik_zadr_mixed"])
+    def test_p_with_a_component_too_few(self, small_dataset, call):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        with pytest.raises(ShapeMismatch):
+            self.CALLS[call](ds, X, zp, estimate_p(zp)[:-1])
+
+
 class TestGradients:
     @pytest.mark.parametrize("mode", list(ZeroMode))
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
@@ -277,7 +314,8 @@ class TestInformationAssembly:
         zp = zero_pattern(ds)
         link = LinkSpec(ref_index=ref_index, model_kind=kind)
         derivatives = _objective_pair(ds, X, zp, link, mode)[1]
-        logY, U = _prepare(ds.values, X.design, zp)  # component-major; the oracle takes rows
+        U = _stage_design(X.design, zp, link, mode).U  # component-major; the oracle takes rows
+        logY = _log_response(ds.values, U)
         rng = np.random.default_rng(10)
         for _ in range(5):
             theta = random_theta(rng, kind)

@@ -10,13 +10,12 @@ reads the two stage files that `fit` wrote and refits only bootstrap replicates.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
-from .compositions import make_design, read_covariates, read_csv
+from .compositions import _write_csv, make_design, read_covariates, read_csv
 from .dirichlet import ZeroMode
 from .errors import KindMismatch, SchemaMismatch, TernaryRequiresThree, ZadrError
 from .inference import (
@@ -47,11 +46,6 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _fmt(x: float) -> str:
-    """Shortest-round-trip decimal representation."""
-    return repr(float(x))
-
-
 def _split_csv_list(text: str | None) -> list[str] | None:
     if text is None:
         return None
@@ -66,24 +60,22 @@ def _resolve_ref(components: list[str], ref: str | None) -> int:
     return components.index(ref)
 
 
-def _print_estimate_table(model: ZadrModel, out=None) -> None:
+def _print_estimate_table(model: ZadrModel) -> None:
     """Constant/slope rows per non-reference component, then the precision."""
-    if out is None:
-        out = sys.stdout
     se_B = se_precision = None
     if model.covariance is not None:
         se = np.sqrt(np.diag(model.covariance))
         se_B, se_precision = unpack_params(se, model.D - 1, len(model.covariate_names), model.kind)
     comp = [c for j, c in enumerate(model.component_names) if j != model.link.ref_index]
     header = ["Response"] + [model.covariate_names[0].capitalize()] + model.covariate_names[1:]
-    print("  ".join(f"{h:>16}" for h in header), file=out)
+    print("  ".join(f"{h:>16}" for h in header))
 
     def row(label, values, ses):
         if ses is None:
             cells = [f"{v:.3f}" for v in values]
         else:
             cells = [f"{v:.3f} ({s:.3f})" for v, s in zip(values, ses)]
-        print("  ".join(f"{c:>16}" for c in [label, *cells]), file=out)
+        print("  ".join(f"{c:>16}" for c in [label, *cells]))
 
     for i, name in enumerate(comp):
         row(name, model.B[i], None if se_B is None else se_B[i])
@@ -139,11 +131,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     X = read_covariates(args.input, model.covariate_names[1:])
     fitted = fitted_values(model, X)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fitted.component_names)
-        for row in fitted.values:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(args.out, fitted.component_names, fitted.values)
     return EXIT_OK
 
 
@@ -200,9 +188,12 @@ def barycentric_xy(rows: np.ndarray) -> np.ndarray:
     return rows @ _TRI_V
 
 
-def _svg_header(w, h):
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-            f'viewBox="0 0 {w} {h}">')
+def _write_svg(path, w, h, parts) -> None:
+    """Write a w x h SVG document whose body is the elements `parts`, one a line."""
+    header = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+              f'viewBox="0 0 {w} {h}">')
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *parts, "</svg>"]) + "\n")
 
 
 def _ternary_svg(obs_xy, fit_xy, labels, path):
@@ -212,10 +203,9 @@ def _ternary_svg(obs_xy, fit_xy, labels, path):
     def to_px(pt):
         return pad + pt[0] * scale, h - pad - pt[1] * scale
 
-    parts = [_svg_header(w, h)]
     tri = [to_px(v) for v in _TRI_V]
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in tri)
-    parts.append(f'<polygon points="{pts}" fill="none" stroke="black"/>')
+    parts = [f'<polygon points="{pts}" fill="none" stroke="black"/>']
     corners = [(tri[0], labels[0], "end"), (tri[1], labels[1], "start"), (tri[2], labels[2], "middle")]
     for (x, y), label, anchor in corners:
         parts.append(f'<text x="{x:.2f}" y="{y + 16:.2f}" text-anchor="{anchor}" '
@@ -226,9 +216,7 @@ def _ternary_svg(obs_xy, fit_xy, labels, path):
     if fit_xy is not None and len(fit_xy):
         pts = " ".join("{:.2f},{:.2f}".format(*to_px(pt)) for pt in fit_xy)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, w, h, parts)
 
 
 def _bar_svg(observed, names, path):
@@ -236,7 +224,7 @@ def _bar_svg(observed, names, path):
     w, h, pad = max(480, 12 * n + 80), 360, 40
     bar_w = (w - 2 * pad) / n
     palette = ["black", "crimson", "seagreen", "steelblue", "darkorange", "purple"]
-    parts = [_svg_header(w, h)]
+    parts = []
     for i in range(n):
         y0 = h - pad
         for j in range(D):
@@ -249,9 +237,7 @@ def _bar_svg(observed, names, path):
         color = palette[j % len(palette)]
         parts.append(f'<text x="{pad + 80 * j}" y="{pad / 2:.2f}" fill="{color}" '
                      f'font-size="12">{name}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, w, h, parts)
 
 
 def cmd_plot(args) -> int:
@@ -270,30 +256,20 @@ def cmd_plot(args) -> int:
     if args.ternary:
         obs_xy = barycentric_xy(ds.values)
         fit_xy = barycentric_xy(fitted.values[order]) if fitted is not None else None
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "x", "y"])
-            for pt in obs_xy:
-                writer.writerow(["observed", _fmt(pt[0]), _fmt(pt[1])])
-            if fit_xy is not None:
-                for pt in fit_xy:
-                    writer.writerow(["fitted", _fmt(pt[0]), _fmt(pt[1])])
+        rows = [["observed", *pt] for pt in obs_xy]
+        if fit_xy is not None:
+            rows += [["fitted", *pt] for pt in fit_xy]
+        _write_csv(args.out, ["kind", "x", "y"], rows)
         if args.svg:
             _ternary_svg(obs_xy, fit_xy, ds.component_names, args.svg)
     else:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["row_id", args.order_by or "index"]
-            header += [f"observed:{c}" for c in ds.component_names]
-            if fitted is not None:
-                header += [f"fitted:{c}" for c in ds.component_names]
-            writer.writerow(header)
-            for i in order:
-                row = [str(i), _fmt(order_vals[i])]
-                row += [_fmt(v) for v in ds.values[i]]
-                if fitted is not None:
-                    row += [_fmt(v) for v in fitted.values[i]]
-                writer.writerow(row)
+        header = ["row_id", args.order_by or "index"]
+        header += [f"observed:{c}" for c in ds.component_names]
+        table = ds.values
+        if fitted is not None:
+            header += [f"fitted:{c}" for c in ds.component_names]
+            table = np.hstack([ds.values, fitted.values])
+        _write_csv(args.out, header, ([i, order_vals[i], *table[i]] for i in order))
         if args.svg:
             _bar_svg(ds.values[order], ds.component_names, args.svg)
 

@@ -5,7 +5,8 @@ zeros are meaningful here (structural absence of a component) and are never
 imputed or perturbed; renormalization of noisy row sums touches only the
 positive entries. A dataset's zero pattern is the read-only int8 array of
 its indicators u[i, j] = 1[y_ij > 0], derived from the values on demand.
-Rows are identified by their index.
+Rows are identified by their index. This module reads zadr's CSV inputs
+(`read_csv`, `read_covariates`) and writes its CSV outputs (`_write_csv`).
 """
 
 from __future__ import annotations
@@ -359,3 +360,16 @@ def read_csv(
     k = len(comp_cols)
     ds = load_dataset(values[:, :k], names=comp_names)
     return ds, make_design(values[:, k:], names=cov_names)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV file: the header row, then `rows`, each ending in \\r\\n.
+
+    A float cell is written as repr(float(x)), the shortest decimal that
+    reads back as the same double; any other cell as the csv module writes it.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, float | np.floating) else x for x in row]
+                         for row in rows)

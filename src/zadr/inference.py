@@ -30,12 +30,13 @@ failure of the shared design half, so it is counted once for each replicate
 without drawing or fitting any. Each command starts at most one process
 pool, whose worker count is the least of `ZADR_THREADS`, the CPUs this
 process may use and the tasks; the pool receives the replicates in chunks
-of several, the simulation study's largest samples first.
+of several, the simulation study's largest samples first. A drawn response
+keeps every retained cell positive, so a replicate keeps its zero pattern
+at any precision.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from collections import Counter
@@ -48,6 +49,7 @@ from scipy import special
 from .compositions import (
     CompositionDataset,
     CovariateMatrix,
+    _write_csv,
     load_dataset,
     zero_pattern,
 )
@@ -106,17 +108,11 @@ class SimulationReport:
     reps: int
     seed: int
 
-    def rows(self):
-        for n in self.sizes:
-            for name, value in zip(self.parameter_names, self.mse[n]):
-                yield n, name, value, self.successes[n]
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "parameter", "MSE", "successes"])
-            for n, name, value, succ in self.rows():
-                writer.writerow([n, name, repr(float(value)), succ])
+        """One row per sample size and parameter: n, parameter, MSE, successes."""
+        _write_csv(path, ["n", "parameter", "MSE", "successes"],
+                   ([n, name, value, self.successes[n]]
+                    for n in self.sizes for name, value in zip(self.parameter_names, self.mse[n])))
 
 
 def diagnostic_T(initial: ZadrModel, final: ZadrModel) -> DiagnosticResult:
@@ -143,13 +139,18 @@ def simulate_response(
     Rows marked zero-free come from the full Dirichlet at their covariates;
     rows with zeros come from the renormalized sub-Dirichlet on their
     positive set, which is the Dirichlet marginality-consistent mechanism.
+    Every retained cell stays positive, at least the smallest normal double,
+    so the draw keeps U at any precision.
     """
     A, phis = _row_parameters(X.design, model.B, model.precision, model.link)
+    keep = U.astype(bool)
+    tiny = np.finfo(float).tiny
     # A is component-major; the transposed view keeps the draws in row-major cell order.
     g = rng.standard_gamma((phis * A).T)
-    g = np.maximum(g, np.finfo(float).tiny)
-    g = np.where(U.astype(bool), g, 0.0)
+    g = np.where(keep, np.maximum(g, tiny), 0.0)
     values = g / g.sum(axis=1, keepdims=True)
+    # A row sum past about 1e16 divides a floored draw to 0, so floor again.
+    np.maximum(values, tiny, out=values, where=keep)
     return load_dataset(values, names=model.component_names)
 
 

@@ -216,16 +216,35 @@ class _StageDesign(NamedTuple):
     zero_mode: ZeroMode
 
 
+def _check_reference(ref: int, D: int) -> None:
+    if not 0 <= ref < D:
+        raise DomainError(f"reference component {ref} is outside 0..{D - 1} for D={D}")
+
+
+def _check_parameter_shapes(B, precision, D: int, q: int, kind: ModelKind) -> None:
+    """ShapeMismatch unless B is (D-1) x q and the precision is one phi
+    (simple) or q gammas (mixed), for D components and q design columns."""
+    if np.shape(B) != (D - 1, q):
+        raise ShapeMismatch(f"B has shape {np.shape(B)}; D={D} components and {q} design "
+                            f"columns need ({D - 1}, {q})")
+    need = () if kind is ModelKind.SIMPLE else (q,)
+    if np.shape(precision) != need:
+        raise ShapeMismatch(f"the {kind.value} model's precision has shape "
+                            f"{np.shape(precision)}; {q} design columns need {need}")
+
+
 def _stage_design(Xd: np.ndarray, zp: np.ndarray, link: LinkSpec,
                   zero_mode: ZeroMode) -> _StageDesign:
     """The stage of design Xd and zero pattern zp (n x D) under a link and a
-    zero mode; DomainError when Xd and zp differ in rows."""
+    zero mode; DomainError when Xd and zp differ in rows or the link's
+    reference is not one of the D components."""
     n, q = Xd.shape
     if zp.shape[0] != n:
         raise DomainError("design and dataset row counts differ")
     U = np.ascontiguousarray(zp.T, dtype=bool)
     D = U.shape[0]
     ref = link.ref_index
+    _check_reference(ref, D)
     keep = U.astype(float)
     return _StageDesign(
         Xd=Xd,
@@ -297,10 +316,12 @@ def _loglik(B, precision, p, values: np.ndarray, Xd: np.ndarray, zp: np.ndarray,
     """Dirichlet part plus, unless p is None, the Bernoulli zero-pattern term.
 
     With p None this is the plain Dirichlet likelihood, defined only on
-    zero-free data.
+    zero-free data. Parameters whose shapes do not fit the data's D and
+    design columns are a ShapeMismatch.
     """
     stage = _stage_design(Xd, zp, link, zero_mode)
     logY = _log_response(values, stage.U)
+    _check_parameter_shapes(B, precision, values.shape[1], Xd.shape[1], link.model_kind)
     if p is None and not stage.U.all():
         raise DomainError(f"loglik_{link.model_kind.value} requires a zero-free dataset")
     if p is not None and np.shape(p) != (values.shape[1],):
@@ -482,9 +503,17 @@ def analytic_gradient(
     The Bernoulli zero-pattern term carries no free parameters, so the same
     gradient serves both the plain and the zero-adjusted likelihoods. Like
     the `loglik_*` functions, `zero_mode` defaults to as-written while `fit`
-    defaults to renormalized: at a fitted model, pass its `zero_mode`.
+    defaults to renormalized: at a fitted model, pass its `zero_mode`. A
+    theta whose length does not fit the data is a ShapeMismatch.
     """
-    return -_objective_pair(ds, X, zp, link, zero_mode)[1](theta)[0]
+    negderivatives = _objective_pair(ds, X, zp, link, zero_mode)[1]
+    d, q = ds.D - 1, X.design.shape[1]
+    size = d * q + (1 if link.model_kind is ModelKind.SIMPLE else q)
+    if np.shape(theta) != (size,):
+        raise ShapeMismatch(f"theta has shape {np.shape(theta)}; a {link.model_kind.value} "
+                            f"model of D={d + 1} components and {q} design columns has "
+                            f"{size} parameters")
+    return -negderivatives(theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +755,7 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
                   zero_mode: ZeroMode) -> ZadrModel:
     """Aitchison comparison baseline: OLS of the alr responses on the zero-free
     rows, with squared OLS standard errors as a diagonal covariance."""
+    _check_reference(link.ref_index, ds.D)
     mask = ds.zero_free_mask()
     Xd = X.design[mask]
     XtX = _normal_matrix(Xd)

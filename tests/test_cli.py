@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     COMPONENTS,
     TRUE_B,
+    depth_design,
     negate_stage_information,
     simulate_dataset,
     tiny_component_dataset,
@@ -21,8 +22,9 @@ from conftest import (
 
 import zadr.inference
 from zadr import cli
+from zadr.compositions import read_csv
 from zadr.errors import NonFiniteObjective
-from zadr.inference import diagnostic_T
+from zadr.inference import diagnostic_T, run_simulation_study
 from zadr.model import fitted_values, load_model, save_model
 
 
@@ -66,6 +68,16 @@ def count_replicate_fits(monkeypatch, fail_every=0):
 
 
 COMP_ARG = ",".join(COMPONENTS)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def float_cells(rows):
+    """The cells of CSV rows read back as doubles."""
+    return np.array([[float(v) for v in row] for row in rows])
 
 
 def run(*argv):
@@ -219,15 +231,13 @@ class TestPredict:
         pred_path = tmp_path / "pred.csv"
         assert run("predict", "--model", str(model_path), "--input", str(data_csv),
                    "--out", str(pred_path)) == 0
-        from zadr.compositions import read_csv
-
         _, X = read_csv(data_csv, components=COMPONENTS, covariates=["logdepth"])
         expected = fitted_values(load_model(model_path), X).values
-        with open(pred_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_rows(pred_path)
         assert rows[0] == COMPONENTS
-        got = np.array([[float(v) for v in row] for row in rows[1:]])
-        assert np.array_equal(got, expected)
+        assert np.array_equal(float_cells(rows[1:]), expected)
+        raw = pred_path.read_bytes()
+        assert raw.count(b"\r\n") == raw.count(b"\n") == len(rows)
 
     def test_missing_covariate_column_is_schema_error(self, data_csv, tmp_path):
         model_path = tmp_path / "m.json"
@@ -390,6 +400,16 @@ class TestDiagnose:
         assert "ModelDataMismatch" in capsys.readouterr().err
         assert calls == []
 
+    def test_reference_outside_the_components_is_named(self, data_csv, tmp_path, capsys):
+        model_path = self._fit(data_csv, tmp_path / "m.json")
+        for path in (model_path, tmp_path / "m.initial.json"):
+            save_model(replace(load_model(path), link=replace(load_model(path).link, ref_index=7)),
+                       path)
+        capsys.readouterr()
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "19") == 2
+        assert "DomainError: reference component 7 is outside 0..3" in capsys.readouterr().err
+
     def test_missing_initial_model_is_io_error(self, data_csv, tmp_path, capsys):
         model_path = self._fit(data_csv, tmp_path / "m.json")
         (tmp_path / "m.initial.json").unlink()
@@ -446,6 +466,13 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,parameter,MSE,successes"
         assert len(lines) == 8  # 7 parameters for D=4, p=1
+        # The default design is log depth 1..30 and the zero fraction 1/6.
+        report = run_simulation_study(load_model(model_path), depth_design(30), sizes=[30],
+                                      reps=3, zero_fraction=1.0 / 6.0, seed=1)
+        rows = read_rows(out)[1:]
+        assert [r[1] for r in rows] == report.parameter_names
+        assert np.array_equal([float(r[2]) for r in rows], report.mse[30])
+        assert {r[3] for r in rows} == {str(report.successes[30])}
 
     def test_covariates_only_design(self, data_csv, tmp_path):
         model_path = tmp_path / "m.json"
@@ -505,6 +532,42 @@ class TestSimulate:
         assert len(rows) == 14 and all(row["successes"] == "0" for row in rows)
 
 
+FOUR_ROWS = "a,b,c,x\n0.2,0.3,0.5,1.0\n0.1,0.1,0.8,2.0\n0.4,0.4,0.2,3.0\n0.25,0.25,0.5,4.0\n"
+
+TERNARY_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="520" height="480" viewBox="0 0 520 480">
+<polygon points="40.00,440.00 480.00,440.00 260.00,58.95" fill="none" stroke="black"/>
+<text x="40.00" y="456.00" text-anchor="end" font-size="12">a</text>
+<text x="480.00" y="456.00" text-anchor="start" font-size="12">b</text>
+<text x="260.00" y="74.95" text-anchor="middle" font-size="12">c</text>
+<circle cx="282.00" cy="249.47" r="3" fill="steelblue"/>
+<circle cx="260.00" cy="135.16" r="3" fill="steelblue"/>
+<circle cx="260.00" cy="363.79" r="3" fill="steelblue"/>
+<circle cx="260.00" cy="249.47" r="3" fill="steelblue"/>
+</svg>
+"""
+
+BAR_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" viewBox="0 0 480 360">
+<rect x="40.00" y="264.00" width="90.00" height="56.00" fill="black"/>
+<rect x="40.00" y="180.00" width="90.00" height="84.00" fill="crimson"/>
+<rect x="40.00" y="40.00" width="90.00" height="140.00" fill="seagreen"/>
+<rect x="140.00" y="292.00" width="90.00" height="28.00" fill="black"/>
+<rect x="140.00" y="264.00" width="90.00" height="28.00" fill="crimson"/>
+<rect x="140.00" y="40.00" width="90.00" height="224.00" fill="seagreen"/>
+<rect x="240.00" y="208.00" width="90.00" height="112.00" fill="black"/>
+<rect x="240.00" y="96.00" width="90.00" height="112.00" fill="crimson"/>
+<rect x="240.00" y="40.00" width="90.00" height="56.00" fill="seagreen"/>
+<rect x="340.00" y="250.00" width="90.00" height="70.00" fill="black"/>
+<rect x="340.00" y="180.00" width="90.00" height="70.00" fill="crimson"/>
+<rect x="340.00" y="40.00" width="90.00" height="140.00" fill="seagreen"/>
+<text x="40" y="20.00" fill="black" font-size="12">a</text>
+<text x="120" y="20.00" fill="crimson" font-size="12">b</text>
+<text x="200" y="20.00" fill="seagreen" font-size="12">c</text>
+</svg>
+"""
+
+
 class TestPlot:
     def _model(self, data_csv, tmp_path):
         model_path = tmp_path / "m.json"
@@ -512,33 +575,61 @@ class TestPlot:
             "--covariates", "logdepth", "--out", str(model_path))
         return model_path
 
-    def test_ordered_bar_data(self, data_csv, tmp_path):
-        model_path = self._model(data_csv, tmp_path)
+    @pytest.mark.parametrize("with_model", [True, False], ids=["fitted", "observed"])
+    def test_ordered_bar_data(self, data_csv, tmp_path, with_model):
+        model_args = ["--model", str(self._model(data_csv, tmp_path))] if with_model else []
         out = tmp_path / "plot.csv"
         svg = tmp_path / "plot.svg"
         assert run("plot", "--input", str(data_csv), "--components", COMP_ARG,
-                   "--covariates", "logdepth", "--model", str(model_path),
+                   "--covariates", "logdepth", *model_args,
                    "--order-by", "logdepth", "--out", str(out), "--svg", str(svg)) == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        order_col = [float(r[1]) for r in rows[1:]]
-        assert order_col == sorted(order_col)
+        rows = read_rows(out)
         assert rows[0][2] == "observed:Triloba"
-        assert rows[0][6] == "fitted:Triloba"
+        assert rows[0][6:7] == (["fitted:Triloba"] if with_model else [])
         assert svg.read_text().startswith("<svg")
+        # Every cell reads back as the double it was written from.
+        ds, X = read_csv(data_csv, components=COMPONENTS, covariates=["logdepth"])
+        order = np.argsort(X.design[:, 1], kind="stable")
+        assert [int(r[0]) for r in rows[1:]] == order.tolist()
+        expected = [X.design[order, 1:], ds.values[order]]
+        if with_model:
+            expected.append(fitted_values(load_model(model_args[1]), X).values[order])
+        assert np.array_equal(float_cells(r[1:] for r in rows[1:]), np.hstack(expected))
 
-    def test_ternary_projection(self, tmp_path):
+    @pytest.mark.parametrize("with_model", [True, False], ids=["fitted", "observed"])
+    def test_ternary_projection(self, tmp_path, with_model):
         data3 = tmp_path / "d3.csv"
-        data3.write_text("a,b,c,x\n0.2,0.3,0.5,1.0\n0.1,0.1,0.8,2.0\n"
-                         "0.4,0.4,0.2,3.0\n0.25,0.25,0.5,4.0\n")
+        data3.write_text(FOUR_ROWS)
+        model_args = []
+        if with_model:
+            model_path = tmp_path / "m3.json"
+            assert run("fit", "--input", str(data3), "--components", "a,b,c",
+                       "--covariates", "x", "--out", str(model_path)) == 0
+            model_args = ["--model", str(model_path)]
         out = tmp_path / "tern.csv"
         assert run("plot", "--input", str(data3), "--components", "a,b,c",
-                   "--covariates", "x", "--ternary", "--out", str(out)) == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
+                   "--covariates", "x", *model_args, "--ternary", "--out", str(out)) == 0
+        rows = read_rows(out)
         assert rows[0] == ["kind", "x", "y"]
-        pts = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
+        assert [r[0] for r in rows[1:]] == ["observed"] * 4 + ["fitted"] * (4 * with_model)
+        pts = float_cells(r[1:] for r in rows[1:])
         assert np.all(pts[:, 1] >= 0.0) and np.all(pts[:, 1] <= np.sqrt(3) / 2 + 1e-12)
+        # Every cell reads back as the double it was written from.
+        ds, X = read_csv(data3, components=["a", "b", "c"], covariates=["x"])
+        expected = [cli.barycentric_xy(ds.values)]
+        if with_model:
+            expected.append(cli.barycentric_xy(fitted_values(load_model(model_path), X).values))
+        assert np.array_equal(pts, np.vstack(expected))
+
+    @pytest.mark.parametrize("kind", ["bar", "ternary"])
+    def test_observed_svg_document(self, tmp_path, kind):
+        data3 = tmp_path / "d3.csv"
+        data3.write_text(FOUR_ROWS)
+        svg = tmp_path / "plot.svg"
+        plot_args = ["--ternary"] if kind == "ternary" else ["--order-by", "x"]
+        assert run("plot", "--input", str(data3), "--components", "a,b,c", "--covariates", "x",
+                   *plot_args, "--out", str(tmp_path / "plot.csv"), "--svg", str(svg)) == 0
+        assert svg.read_text() == (TERNARY_SVG if kind == "ternary" else BAR_SVG)
 
     def test_ternary_centroid(self):
         xy = cli.barycentric_xy(np.array([1 / 3, 1 / 3, 1 / 3]))

@@ -1,10 +1,17 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import depth_design, negate_stage_information, simulate_dataset, truth_model
+from conftest import (
+    TRUE_B,
+    depth_design,
+    negate_stage_information,
+    simulate_dataset,
+    truth_model,
+)
 
 from zadr.compositions import load_dataset, zero_pattern
 from zadr.errors import (
@@ -69,8 +76,6 @@ class TestDiagnosticT:
         assert abs(result.T - T_perm) < 1e-8 * max(1.0, result.T)
 
     def test_covariance_sum_must_be_positive_definite(self, small_dataset):
-        from dataclasses import replace
-
         initial, final = fit(*small_dataset, SIMPLE_LINK)
         with pytest.raises(NotPositiveDefinite, match="sum of the two stages' covariances"):
             diagnostic_T(initial, replace(final, covariance=-3 * final.covariance))
@@ -249,6 +254,20 @@ class TestBootstrap:
         rep = simulate_response(final, X, U, rng)
         assert np.array_equal(zero_pattern(rep), U)
 
+    @pytest.mark.parametrize("phi", [1e16, 1e20])
+    def test_replicates_preserve_zero_pattern_at_any_precision(self, phi):
+        # Column 2's mean is about e^-690, so its gamma draws are floored at
+        # the smallest normal double, and a row sum near phi divides that
+        # floor below the smallest subnormal.
+        B = TRUE_B.copy()
+        B[1, 0] = -690.0
+        model = replace(truth_model(), B=B, precision=phi)
+        U = np.ones((30, 4), dtype=np.int8)
+        U[::6, 2] = 0
+        for seed in range(100):
+            rep = simulate_response(model, depth_design(30), U, np.random.default_rng(seed))
+            assert np.array_equal(zero_pattern(rep), U), seed
+
     @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
     def test_replicate_draws_cells_in_row_major_order(self, small_dataset, link):
         # The engine keeps its means component-major; the draw must still take
@@ -303,8 +322,6 @@ class TestChi2AndLrt:
         ds, X = small_dataset
         _, simple = fit(ds, X, SIMPLE_LINK)
         _, mixed = fit(ds, X, MIXED_LINK)
-        from dataclasses import replace
-
         broken = replace(mixed, loglik=simple.loglik - 1.0)
         with pytest.raises(NegativeStat):
             lrt(simple, broken)
@@ -485,7 +502,6 @@ class TestSimulationStudy:
 
     def test_replicate_needs_both_stages_converged(self, monkeypatch):
         import zadr.inference as inference_mod
-        from dataclasses import replace
 
         def zero_free_stage_unconverged(*args):
             initial, final = fit(*args)

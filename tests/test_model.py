@@ -174,8 +174,9 @@ class TestLoglikOracle:
 
 
 class TestShapeErrors:
-    """A zero pattern or p of the wrong shape is a named error in the public
-    likelihood calls, not a numpy broadcast error."""
+    """A zero pattern, p, parameter or reference that does not fit the data
+    is a named error in the public likelihood calls, not a numpy broadcast
+    or index error."""
 
     CALLS = {
         "loglik_zadr_simple": lambda ds, X, zp, p: loglik_zadr_simple(
@@ -206,6 +207,52 @@ class TestShapeErrors:
         zp = zero_pattern(ds)
         with pytest.raises(ShapeMismatch):
             self.CALLS[call](ds, X, zp, estimate_p(zp)[:-1])
+
+    @pytest.mark.parametrize("B", [TRUE_B[:2], np.column_stack([TRUE_B, TRUE_B[:, 0]])],
+                             ids=["a_row_too_few", "a_column_too_many"])
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_B_that_does_not_fit(self, small_dataset, link, B):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        precision = TRUE_PHI if link is SIMPLE_LINK else np.array([2.0, 0.1])
+        call = loglik_zadr_simple if link is SIMPLE_LINK else loglik_zadr_mixed
+        with pytest.raises(ShapeMismatch, match=r"^B has shape .* need \(3, 2\)$"):
+            call(B, precision, estimate_p(zp), ds, X, zp, link)
+
+    def test_gamma_that_does_not_fit(self, small_dataset):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        for gamma in (np.array([2.0]), np.array([2.0, 0.1, 0.0])):
+            with pytest.raises(ShapeMismatch, match="precision"):
+                loglik_zadr_mixed(TRUE_B, gamma, estimate_p(zp), ds, X, zp, MIXED_LINK)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_theta_that_does_not_fit(self, small_dataset, link, extra):
+        ds, X = small_dataset
+        size = 7 if link is SIMPLE_LINK else 8
+        theta = np.ones(size + extra)
+        with pytest.raises(ShapeMismatch, match=f"has {size} parameters$"):
+            analytic_gradient(theta, ds, X, None, link)
+
+    REFERENCE_CALLS = {
+        "loglik_zadr_simple": lambda ds, X, link: loglik_zadr_simple(
+            TRUE_B, TRUE_PHI, estimate_p(zero_pattern(ds)), ds, X, None, link),
+        "loglik_simple": lambda ds, X, link: loglik_simple(TRUE_B, TRUE_PHI, ds, X, link),
+        "analytic_gradient": lambda ds, X, link: analytic_gradient(
+            pack_params(TRUE_B, TRUE_PHI, ModelKind.SIMPLE), ds, X, None, link),
+        "prepare_design": lambda ds, X, link: prepare_design(
+            X, zero_pattern(ds), link, ZeroMode.RENORMALIZED),
+        "fit": lambda ds, X, link: fit(ds, X, link),
+        "fit_aitchison": lambda ds, X, link: fit_aitchison(ds, X, link, ZeroMode.RENORMALIZED),
+    }
+
+    @pytest.mark.parametrize("ref_index", [7, 4, -1])
+    @pytest.mark.parametrize("call", list(REFERENCE_CALLS))
+    def test_reference_outside_the_components(self, zero_free_dataset, call, ref_index):
+        ds, X = zero_free_dataset
+        with pytest.raises(DomainError, match=f"reference component {ref_index} is outside 0..3"):
+            self.REFERENCE_CALLS[call](ds, X, LinkSpec(ref_index=ref_index))
 
 
 class TestGradients:

@@ -62,26 +62,20 @@ def _resolve_ref(components: list[str], ref: str | None) -> int:
 
 def _print_estimate_table(model: ZadrModel) -> None:
     """Constant/slope rows per non-reference component, then the precision."""
-    se_B = se_precision = None
-    if model.covariance is not None:
-        se = np.sqrt(np.diag(model.covariance))
-        se_B, se_precision = unpack_params(se, model.D - 1, len(model.covariate_names), model.kind)
+    se = np.sqrt(np.diag(model.covariance))
+    se_B, se_precision = unpack_params(se, model.D - 1, len(model.covariate_names), model.kind)
     comp = [c for j, c in enumerate(model.component_names) if j != model.link.ref_index]
     header = ["Response"] + [model.covariate_names[0].capitalize()] + model.covariate_names[1:]
     print("  ".join(f"{h:>16}" for h in header))
 
     def row(label, values, ses):
-        if ses is None:
-            cells = [f"{v:.3f}" for v in values]
-        else:
-            cells = [f"{v:.3f} ({s:.3f})" for v, s in zip(values, ses)]
+        cells = [f"{v:.3f} ({s:.3f})" for v, s in zip(values, ses)]
         print("  ".join(f"{c:>16}" for c in [label, *cells]))
 
     for i, name in enumerate(comp):
-        row(name, model.B[i], None if se_B is None else se_B[i])
+        row(name, model.B[i], se_B[i])
     if model.kind is not ModelKind.AITCHISON:
-        row("phi", np.atleast_1d(model.precision),
-            None if se_precision is None else np.atleast_1d(se_precision))
+        row("phi", np.atleast_1d(model.precision), np.atleast_1d(se_precision))
 
 
 def _read_data(args):
@@ -213,7 +207,7 @@ def _ternary_svg(obs_xy, fit_xy, labels, path):
     for pt in obs_xy:
         x, y = to_px(pt)
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="steelblue"/>')
-    if fit_xy is not None and len(fit_xy):
+    if fit_xy is not None:
         pts = " ".join("{:.2f},{:.2f}".format(*to_px(pt)) for pt in fit_xy)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>')
     _write_svg(path, w, h, parts)

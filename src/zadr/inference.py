@@ -105,8 +105,6 @@ class SimulationReport:
     parameter_names: list[str]
     mse: dict[int, np.ndarray]
     successes: dict[int, int]
-    reps: int
-    seed: int
 
     def to_csv(self, path) -> None:
         """One row per sample size and parameter: n, parameter, MSE, successes."""
@@ -154,33 +152,29 @@ def simulate_response(
     return load_dataset(values, names=model.component_names)
 
 
-def _replicate_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(master_seed).spawn(count)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("ZADR_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"ZADR_THREADS must be an integer, got {env!r}") from None
-    return _usable_cpus()
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _replicate_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
+    """One private generator per replicate, spawned from the master seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(master_seed).spawn(count)]
 
 
 def _map_indexed(func, args_list):
     """Order-preserving map, optionally across processes.
 
-    Tasks reach the pool in chunks of ceil(tasks / (_CHUNKS_PER_WORKER *
-    workers)), so each worker gets about that many chunks: few round trips,
-    each pickling the shared model and design once, and still enough chunks
-    to even out replicates of uneven cost.
+    The pool has min(ZADR_THREADS, usable CPUs, tasks) workers. An unset or
+    blank ZADR_THREADS means the usable CPUs, a value below 1 counts as 1,
+    and one that is not an integer is a ValueError that names it; with one
+    worker the map runs in this process. Tasks reach the pool in chunks of
+    ceil(tasks / (_CHUNKS_PER_WORKER * workers)), so each worker gets about
+    that many chunks: few round trips, each pickling the shared model and
+    design once, and still enough chunks to even out replicates of uneven cost.
     """
-    workers = min(_worker_count(), _usable_cpus(), len(args_list))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    env = os.environ.get("ZADR_THREADS", "").strip()
+    try:
+        threads = max(1, int(env)) if env else cpus
+    except ValueError:
+        raise ValueError(f"ZADR_THREADS must be an integer, got {env!r}") from None
+    workers = min(threads, cpus, len(args_list))
     if workers <= 1:
         return [func(a) for a in args_list]
     chunksize = -(-len(args_list) // (_CHUNKS_PER_WORKER * workers))
@@ -218,7 +212,7 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
         # Every replicate's fit would meet this error: count it once for each.
         records = [(type(exc).__name__, None, None)] * B
     else:
-        args = [(final, design, U, np.random.default_rng(s)) for s in _replicate_seeds(seed, B)]
+        args = [(final, design, U, rng) for rng in _replicate_rngs(seed, B)]
         records = _map_indexed(_replicate_one, args)
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
@@ -339,8 +333,7 @@ def run_simulation_study(
     D = true_model.D
     ns = np.repeat(sizes, reps)
     args = []
-    for n, seed_seq in zip(ns, _replicate_seeds(seed, len(sizes) * reps)):
-        rng = np.random.default_rng(seed_seq)
+    for n, rng in zip(ns, _replicate_rngs(seed, len(sizes) * reps)):
         rows = design.design[rng.integers(0, design.design.shape[0], size=n)]
         U = np.ones((n, D), dtype=np.int8)
         n_zero = int(round(zero_fraction * n))
@@ -370,8 +363,6 @@ def run_simulation_study(
         parameter_names=true_model.parameter_names(),
         mse=mse,
         successes=successes,
-        reps=reps,
-        seed=seed,
     )
 
 

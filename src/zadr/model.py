@@ -229,7 +229,8 @@ def _check_parameter_shapes(B, precision, D: int, q: int, kind: ModelKind) -> No
                             f"columns need ({D - 1}, {q})")
     need = () if kind is ModelKind.SIMPLE else (q,)
     if np.shape(precision) != need:
-        raise ShapeMismatch(f"the {kind.value} model's precision has shape "
+        name = "phi" if kind is ModelKind.SIMPLE else "gamma"
+        raise ShapeMismatch(f"the {kind.value} model's precision {name} has shape "
                             f"{np.shape(precision)}; {q} design columns need {need}")
 
 
@@ -806,32 +807,46 @@ def model_to_dict(model: ZadrModel) -> dict:
     }
 
 
+def _field(doc: dict, key: str, shape: tuple[int, ...], need: str) -> np.ndarray:
+    """doc[key] as an array of the given shape; ShapeMismatch, naming the key,
+    unless it holds as many numbers as the shape."""
+    values = np.array(doc[key], dtype=float)
+    if values.size != np.prod(shape):
+        raise ShapeMismatch(f"model field {key!r} has {values.size} numbers; "
+                            f"{need} need {np.prod(shape)}")
+    return values.reshape(shape)
+
+
 def model_from_dict(doc: dict) -> ZadrModel:
-    """The model a `model_to_dict` document describes. Keys it does not read,
-    such as the "seed" that older model files carry, are ignored."""
+    """The model a `model_to_dict` document describes, checked against its
+    names before it is built: DomainError for a reference outside the
+    components, ShapeMismatch naming a field of the wrong size. Keys it does
+    not read, such as the "seed" that older model files carry, are ignored."""
     kind = ModelKind(doc["model_kind"])
     D = len(doc["component_names"])
     q = len(doc["covariate_names"])
-    d = D - 1
-    B = np.array(doc["B"], dtype=float).reshape(d, q)
-    if kind is ModelKind.SIMPLE:
-        precision = float(doc["precision"]["phi"])
-    elif kind is ModelKind.MIXED:
-        precision = np.array(doc["precision"]["gamma"], dtype=float)
-    else:
+    link = LinkSpec(ref_index=int(doc["ref_index"]), model_kind=kind)
+    _check_reference(link.ref_index, D)
+    B = _field(doc, "B", (D - 1, q), f"{D} components and {q} design columns")
+    if kind is ModelKind.AITCHISON:
         precision = None
+    else:
+        precision = doc["precision"]["phi" if kind is ModelKind.SIMPLE else "gamma"]
+        _check_parameter_shapes(B, precision, D, q, kind)
+        precision = (float(precision) if kind is ModelKind.SIMPLE
+                     else np.array(precision, dtype=float))
     m = pack_params(B, precision, kind).size
-    cov = doc.get("covariance")
-    covariance = None if cov is None else np.array(cov, dtype=float).reshape(m, m)
+    covariance = (None if doc.get("covariance") is None
+                  else _field(doc, "covariance", (m, m), f"{m} parameters"))
     return ZadrModel(
         B=B,
         precision=precision,
-        p_hat=np.array(doc["p_hat"], dtype=float),
+        p_hat=_field(doc, "p_hat", (D,), f"{D} components"),
         covariance=covariance,
         loglik=None if doc["loglik"] is None else float(doc["loglik"]),
         converged=bool(doc["converged"]),
         stage=FitStage(doc.get("stage", "final")),
-        link=LinkSpec(ref_index=int(doc["ref_index"]), model_kind=kind),
+        link=link,
         zero_mode=ZeroMode(doc["zero_mode"]),
         component_names=list(doc["component_names"]),
         covariate_names=list(doc["covariate_names"]),

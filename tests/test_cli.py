@@ -99,6 +99,22 @@ class TestFit:
         assert run("fit", "--input", str(tmp_path / "nope.csv"),
                    "--components", COMP_ARG, "--out", str(tmp_path / "m.json")) == 1
 
+    def test_output_path_that_is_a_directory_is_io_error(self, data_csv, tmp_path, capsys):
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--out", str(tmp_path)) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_reference_by_name(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--ref", "Atlantica", "--out", str(out)) == 0
+        assert load_model(out).link.ref_index == 3
+        assert load_model(tmp_path / "model.initial.json").link.ref_index == 3
+        capsys.readouterr()
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--ref", "Bulloides", "--out", str(out)) == 2
+        assert "ZadrError: reference component 'Bulloides' not among" in capsys.readouterr().err
+
     def test_unknown_component_is_validation_error(self, data_csv, tmp_path):
         assert run("fit", "--input", str(data_csv), "--components", "a,b,c,d",
                    "--out", str(tmp_path / "m.json")) == 2
@@ -410,6 +426,12 @@ class TestDiagnose:
                    "--B", "19") == 2
         assert "DomainError: reference component 7 is outside 0..3" in capsys.readouterr().err
 
+    def test_model_path_without_json_suffix(self, data_csv, tmp_path):
+        model_path = self._fit(data_csv, tmp_path / "model")
+        assert (tmp_path / "model.initial").exists()
+        assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
+                   "--B", "19") == 0
+
     def test_missing_initial_model_is_io_error(self, data_csv, tmp_path, capsys):
         model_path = self._fit(data_csv, tmp_path / "m.json")
         (tmp_path / "m.initial.json").unlink()
@@ -453,6 +475,52 @@ class TestOldModelFiles:
                        "--seed", "1", "--out", str(out)) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# (kind, edit of the saved model document, error class, text the error must carry)
+MALFORMED_MODELS = {
+    "ref_index_past_the_components": ("simple", lambda doc: {"ref_index": 5}, "DomainError",
+                                      "reference component 5 is outside 0..3"),
+    "negative_ref_index": ("simple", lambda doc: {"ref_index": -1}, "DomainError",
+                           "reference component -1 is outside 0..3"),
+    "three_gammas": ("mixed",
+                     lambda doc: {"precision": {"gamma": doc["precision"]["gamma"] + [0.0]}},
+                     "ShapeMismatch", "gamma has shape (3,)"),
+    "B_one_short": ("simple", lambda doc: {"B": doc["B"][:-1]}, "ShapeMismatch",
+                    "model field 'B' has 5 numbers"),
+    "covariance_one_short": ("simple", lambda doc: {"covariance": doc["covariance"][:-1]},
+                             "ShapeMismatch", "model field 'covariance' has 48 numbers"),
+    "p_hat_one_short": ("mixed", lambda doc: {"p_hat": doc["p_hat"][:-1]}, "ShapeMismatch",
+                        "model field 'p_hat' has 3 numbers"),
+}
+
+
+class TestMalformedModelFiles:
+    """A model file whose fields do not fit its names fails where it is read."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+    def test_every_command_names_the_error(self, data_csv, tmp_path, capsys, monkeypatch, case):
+        kind, edit, error, text = MALFORMED_MODELS[case]
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--kind", kind, "--out", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps({**doc, **edit(doc)}))
+        calls = count_replicate_fits(monkeypatch)
+        data, model, out = str(data_csv), str(model_path), str(tmp_path / "out.csv")
+        commands = [
+            ["predict", "--model", model, "--input", data, "--out", out],
+            ["plot", "--input", data, "--components", COMP_ARG, "--covariates", "logdepth",
+             "--model", model, "--out", out],
+            ["simulate", "--model", model, "--sizes", "30", "--reps", "3", "--out", out],
+            ["diagnose", "--input", data, "--model", model, "--B", "19"],
+        ]
+        for argv in commands:
+            capsys.readouterr()
+            assert run(*argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"error: {error}: " in err and text in err, (argv[0], err)
+        assert calls == []
 
 
 class TestSimulate:
@@ -547,6 +615,10 @@ TERNARY_SVG = """\
 </svg>
 """
 
+# The fitted curve of `plot --ternary --model`, drawn over TERNARY_SVG's points.
+TERNARY_FIT_POLYLINE = ('<polyline points="270.19,222.90 266.76,246.13 262.11,269.66 '
+                        '256.21,292.76" fill="none" stroke="crimson" stroke-width="1.5"/>')
+
 BAR_SVG = """\
 <svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" viewBox="0 0 480 360">
 <rect x="40.00" y="264.00" width="90.00" height="56.00" fill="black"/>
@@ -630,6 +702,25 @@ class TestPlot:
         assert run("plot", "--input", str(data3), "--components", "a,b,c", "--covariates", "x",
                    *plot_args, "--out", str(tmp_path / "plot.csv"), "--svg", str(svg)) == 0
         assert svg.read_text() == (TERNARY_SVG if kind == "ternary" else BAR_SVG)
+
+    def test_fitted_ternary_svg_document(self, tmp_path):
+        data3 = tmp_path / "d3.csv"
+        data3.write_text(FOUR_ROWS)
+        model_path = tmp_path / "m3.json"
+        assert run("fit", "--input", str(data3), "--components", "a,b,c",
+                   "--covariates", "x", "--out", str(model_path)) == 0
+        svg = tmp_path / "plot.svg"
+        assert run("plot", "--input", str(data3), "--components", "a,b,c", "--covariates", "x",
+                   "--model", str(model_path), "--ternary", "--out", str(tmp_path / "plot.csv"),
+                   "--svg", str(svg)) == 0
+        assert svg.read_text() == TERNARY_SVG.replace("</svg>", TERNARY_FIT_POLYLINE + "\n</svg>")
+
+    def test_unknown_order_by_column_is_schema_error(self, data_csv, tmp_path, capsys):
+        assert run("plot", "--input", str(data_csv), "--components", COMP_ARG,
+                   "--covariates", "logdepth", "--order-by", "depth",
+                   "--out", str(tmp_path / "plot.csv")) == 2
+        err = capsys.readouterr().err
+        assert "SchemaMismatch: --order-by column 'depth' not a covariate" in err
 
     def test_ternary_centroid(self):
         xy = cli.barycentric_xy(np.array([1 / 3, 1 / 3, 1 / 3]))

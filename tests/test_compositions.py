@@ -11,6 +11,7 @@ from oracle import oracle_read_covariates, oracle_read_csv
 from zadr import compositions
 from zadr.compositions import (
     CompositionDataset,
+    CovariateMatrix,
     alr,
     alr_inv,
     estimate_p,
@@ -74,6 +75,18 @@ class TestLoadDataset:
         ds = load_dataset([[0.5, 0.5]])
         assert ds.component_names == ["c1", "c2"]
 
+    def test_one_flat_row_is_a_dataset_of_one_row(self):
+        assert load_dataset([0.25, 0.75]).values.tolist() == [[0.25, 0.75]]
+
+    @pytest.mark.parametrize("rows, names, error, match", [
+        (np.full((2, 2, 2), 0.5), None, EmptyInput, "rectangular"),
+        ([[1.0], [1.0]], None, DegenerateRow, "at least 2 components"),
+        ([[0.5, 0.5]], ["a", "b", "c"], ValueError, "name count"),
+    ], ids=["three_dimensional", "one_component", "wrong_name_count"])
+    def test_rejects_malformed_input(self, rows, names, error, match):
+        with pytest.raises(error, match=match):
+            load_dataset(rows, names=names)
+
 
 class TestZeroPattern:
     def test_indicator_matches_positivity(self):
@@ -126,6 +139,13 @@ class TestAlr:
     def test_ref_out_of_range(self):
         with pytest.raises(IndexError):
             alr(np.array([[0.5, 0.5]]), ref_index=2)
+        with pytest.raises(IndexError):
+            alr_inv(np.array([[0.5, 0.5]]), ref_index=3)
+
+    def test_flat_row_is_one_row(self):
+        z = alr(np.array([0.25, 0.25, 0.5]), ref_index=2)
+        assert z.shape == (1, 2)
+        assert np.array_equal(alr_inv(z[0], ref_index=2).values, [[0.25, 0.25, 0.5]])
 
     def test_overflow_safe(self):
         y = alr_inv(np.array([[800.0, -800.0]])).values
@@ -142,6 +162,16 @@ class TestDesign:
         X = make_design(np.empty((4, 0)))
         assert X.design.shape == (4, 1)
         assert X.p == 0
+
+    @pytest.mark.parametrize("design, names, error, match", [
+        (np.ones(3), ["intercept"], EmptyInput, "2-D"),
+        (np.ones((3, 0)), [], EmptyInput, "2-D"),
+        (np.ones((3, 2)), ["intercept"], ValueError, "names length"),
+        (np.full((3, 2), 2.0), ["intercept", "x"], ValueError, "intercept"),
+    ], ids=["one_dimensional", "no_columns", "name_count", "no_intercept"])
+    def test_covariate_matrix_checks(self, design, names, error, match):
+        with pytest.raises(error, match=match):
+            CovariateMatrix(design=design, covariate_names=names)
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_covariate_naming_row_and_column(self, cell):
@@ -258,6 +288,16 @@ class TestReadCsv:
         self._write(path, ["a", "b"], [[0.4, 0.6]])
         with pytest.raises(SchemaMismatch):
             read_csv(path, components=["a", "zzz"])
+        with pytest.raises(SchemaMismatch, match="no 'y:'-prefixed columns"):
+            read_csv(path)
+
+    def test_empty_file_is_empty_input(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        with pytest.raises(EmptyInput, match="empty file"):
+            read_csv(path, components=["a", "b"])
+        with pytest.raises(EmptyInput, match="empty file"):
+            read_covariates(path, ["x"])
 
     @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n  \r\n", " , ,\t\n", '""\n'])
     def test_blank_body_is_empty_input_without_warning(self, tmp_path, body):

@@ -116,6 +116,8 @@ class TestSubcompositionDensity:
     def test_rejects_mismatched_support(self):
         with pytest.raises(DomainError):
             subcomposition_log_density([0.5, 0.5, 0.0], PARAM_SETS[0], [0, 2])
+        with pytest.raises(DomainError, match="sum to 1 over C"):
+            subcomposition_log_density([0.5, 0.4, 0.0], PARAM_SETS[0], [0, 1])
 
 
 class TestSampling:
@@ -153,6 +155,10 @@ class TestSampling:
     def test_deterministic_given_seed(self):
         params = PARAM_SETS[0]
         assert np.array_equal(sample(params, 50, seed=3), sample(params, 50, seed=3))
+
+    def test_rejects_count_below_one(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample(PARAM_SETS[0], 0, seed=3)
 
     def test_rows_on_simplex(self):
         draws = sample(PARAM_SETS[2], 1000, seed=5)

@@ -13,7 +13,7 @@ from conftest import (
     truth_model,
 )
 
-from zadr.compositions import load_dataset, zero_pattern
+from zadr.compositions import load_dataset, make_design, zero_pattern
 from zadr.errors import (
     KindMismatch,
     NegativeStat,
@@ -86,6 +86,30 @@ class TestDiagnosticT:
         _, mixed = fit(ds, X, MIXED_LINK)
         with pytest.raises(KindMismatch):
             diagnostic_T(simple, mixed)
+
+    def test_needs_both_covariances(self, small_dataset):
+        initial, final = fit(*small_dataset, SIMPLE_LINK)
+        with pytest.raises(ValueError, match="covariance"):
+            diagnostic_T(initial, replace(final, covariance=None))
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED], ids=lambda k: k.value)
+    def test_does_not_depend_on_the_reference(self, small_dataset, monkeypatch, kind):
+        # Another reference is an invertible linear map of the coefficients,
+        # so the quadratic form T, its bootstrap and the fit itself stay put.
+        ds, X = small_dataset
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        results = []
+        for ref in range(ds.D):
+            initial, final = fit(ds, X, LinkSpec(ref_index=ref, model_kind=kind))
+            T = diagnostic_T(initial, final).T
+            boot = bootstrap_pvalue(final, ds, X, B=19, seed=4, t_observed=T)
+            results.append((T, boot.pvalue, final.loglik, fitted_values(final, X).values))
+        T0, p0, loglik0, fitted0 = results[0]
+        for T, p, loglik, fitted in results[1:]:
+            assert abs(T - T0) <= 1e-10 * abs(T0)
+            assert p == p0
+            assert abs(loglik - loglik0) <= 1e-10 * abs(loglik0)
+            assert np.max(np.abs(fitted - fitted0)) <= 1e-12
 
     def test_serialization(self):
         diag = DiagnosticResult(T=1.5, delta=np.array([0.1]), sigma2=np.eye(1))
@@ -317,6 +341,18 @@ class TestChi2AndLrt:
         _, simple = fit(ds, X, SIMPLE_LINK)
         with pytest.raises(KindMismatch):
             lrt(simple, simple)
+        _, mixed = fit(ds, X, LinkSpec(ref_index=1, model_kind=ModelKind.MIXED))
+        with pytest.raises(KindMismatch, match="reference component"):
+            lrt(simple, mixed)
+
+    def test_lrt_without_covariates_has_no_degrees_of_freedom(self, small_dataset):
+        ds, _ = small_dataset
+        X = make_design(np.empty((ds.n, 0)))
+        _, simple = fit(ds, X, SIMPLE_LINK)
+        _, mixed = fit(ds, X, MIXED_LINK)
+        stat, df, pvalue = lrt(simple, mixed)
+        assert df == 0 and pvalue == 1.0
+        assert stat == pytest.approx(0.0, abs=1e-6)
 
     def test_negative_stat_raises(self, small_dataset):
         ds, X = small_dataset
@@ -358,14 +394,15 @@ def serial_pool(monkeypatch):
 
 
 class TestWorkerCount:
-    def test_non_integer_threads_named_in_error(self, monkeypatch):
-        from zadr.inference import _worker_count
+    def test_non_integer_threads_named_in_error(self, serial_pool, monkeypatch):
+        import zadr.inference as inference_mod
 
         monkeypatch.setenv("ZADR_THREADS", "two")
         with pytest.raises(ValueError, match="ZADR_THREADS.*'two'"):
-            _worker_count()
+            inference_mod._map_indexed(abs, [-1, -2, -3, -4])
         monkeypatch.setenv("ZADR_THREADS", "3")
-        assert _worker_count() == 3
+        assert inference_mod._map_indexed(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+        assert serial_pool == [3]
 
     def test_pool_never_larger_than_task_count(self, serial_pool, monkeypatch):
         import zadr.inference as inference_mod

@@ -195,6 +195,21 @@ class TestShapeErrors:
             self.CALLS[call](ds, X, zp[:-1], estimate_p(zp))
 
     @pytest.mark.parametrize("call", list(CALLS))
+    def test_dataset_with_a_row_too_few(self, small_dataset, call):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        short = load_dataset(ds.values[:-1], names=ds.component_names)
+        with pytest.raises(DomainError, match="row counts differ"):
+            self.CALLS[call](short, X, zp, estimate_p(zp))
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0])
+    def test_precision_must_be_positive(self, small_dataset, phi):
+        ds, X = small_dataset
+        zp = zero_pattern(ds)
+        with pytest.raises(DomainError, match="phi must be > 0"):
+            loglik_zadr_simple(TRUE_B, phi, estimate_p(zp), ds, X, zp, SIMPLE_LINK)
+
+    @pytest.mark.parametrize("call", list(CALLS))
     def test_zero_pattern_with_a_column_too_few(self, small_dataset, call):
         ds, X = small_dataset
         zp = zero_pattern(ds)

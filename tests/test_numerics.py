@@ -76,6 +76,17 @@ class TestDerivativeHelpers:
         ])
         assert np.max(np.abs(H - expected)) < 1e-4
 
+    @pytest.mark.parametrize("bad, match", [
+        (lambda x: True, "at expansion point"),
+        (lambda x: x[0] > 1.0, "near component 0$"),
+        (lambda x: x[0] > 1.0 and x[2] < -1.0, "near components 0,2"),
+    ], ids=["at_the_point", "near_a_component", "near_a_pair"])
+    def test_hessian_of_non_finite_objective_raises(self, bad, match):
+        # finite everywhere except where `bad` holds, probed around x = (1, 1, -1)
+        f = lambda x: np.inf if bad(x) else float(np.sum(x**2))
+        with pytest.raises(NonFiniteObjective, match=match):
+            numerical_hessian(f, np.array([1.0, 1.0, -1.0]))
+
     def test_jacobian_of_linear_map_is_its_matrix(self):
         # row i holds the derivative along x[i], so x -> x @ M has Jacobian M
         M = np.array([[1.0, -2.0], [0.5, 3.0], [4.0, 0.25]])
@@ -183,6 +194,12 @@ class TestMinimize:
         assert [x[0] for x in derivative_args] == [3.0, -0.75]
         # the accepted trial point itself, not a rebuilt copy
         assert derivative_args[1] is objective_args[-1]
+
+    def test_line_search_without_a_finite_trial_raises(self):
+        # finite only at the start: every trial step, however short, is +inf
+        f = lambda x: 0.0 if x[0] == 0.0 else np.inf
+        with pytest.raises(NonFiniteObjective, match="line search"):
+            minimize(f, np.zeros(1), gradient=lambda x: (np.ones(1), np.eye(1)))
 
     def test_nonfinite_start_raises(self):
         f = lambda x: np.inf

@@ -18,21 +18,22 @@ One worker, `_replicate_one`, does that step for both, and a replicate
 counts only when both fit stages converged and its T could be formed. Each
 replicate owns a private generator spawned from the master seed. Every
 bootstrap replicate keeps the observed covariates and zero pattern, so the
-bootstrap prepares the design half of `fit` (`model.prepare_design`) once
-and every replicate fits only its response on it; a replicate fitted alone
-from the covariates gives the same numbers bit for bit. The simulation
-study draws each replicate's design rows and zero pattern in the parent,
-from that replicate's generator, and hands the same generator to the worker
-for the response, whose fit then prepares its own design. Results are
-merged by replicate index, so output is independent of execution order.
-Failed replicates are counted by cause. Every replicate's fit would meet a
-failure of the shared design half, so it is counted once for each replicate
-without drawing or fitting any. Each command starts at most one process
-pool, whose worker count is the least of `ZADR_THREADS`, the CPUs this
-process may use and the tasks; the pool receives the replicates in chunks
-of several, the simulation study's largest samples first. A drawn response
-keeps every retained cell positive, so a replicate keeps its zero pattern
-at any precision.
+bootstrap prepares the design half of `fit` once (`model.prepare_design`).
+The `FitDesign` it gets is those covariates together with that half, and
+every replicate draws its response at it and fits only that response; a
+replicate fitted alone from the covariates gives the same numbers bit for
+bit. The simulation study draws each replicate's design rows and zero
+pattern in the parent, from that replicate's generator, and hands the same
+generator to the worker for the response, whose fit then prepares its own
+design. Results are merged by replicate index, so output is independent of
+execution order. Failed replicates are counted by cause. Every replicate's
+fit would meet a failure of the shared design half, so it is counted once
+for each replicate without drawing or fitting any. Each command starts at
+most one process pool, whose worker count is the least of `ZADR_THREADS`,
+the CPUs this process may use and the tasks; the pool receives the
+replicates in chunks of several, the simulation study's largest samples
+first. A drawn response keeps every retained cell positive, so a replicate
+keeps its zero pattern at any precision.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .errors import (
     ZadrError,
 )
 from .model import (
-    FitDesign,
     ModelKind,
     ZadrModel,
     _row_parameters,
@@ -183,15 +183,15 @@ def _map_indexed(func, args_list):
 
 
 def _replicate_one(args):
-    """Draw a response from `model` with pattern U and refit it. X is the
-    covariates, or a `FitDesign` prepared from them for U and the model's
-    link and zero mode, which `fit` then takes in their place.
+    """Draw a response from `model` with pattern U at the covariates X and
+    refit it on them. X may be a `FitDesign` prepared for U and the model's
+    link and zero mode; `fit` then fits only the response.
 
     Returns (failure cause or None, T or None, final parameters or None).
     """
     model, X, U, rng = args
     try:
-        ds_rep = simulate_response(model, X.X if isinstance(X, FitDesign) else X, U, rng)
+        ds_rep = simulate_response(model, X, U, rng)
         initial, final = fit(ds_rep, X, model.link, model.zero_mode)
         if not (initial.converged and final.converged):
             return "NotConverged", None, None

@@ -22,12 +22,14 @@ point's row work on a stage prepared once. The public functions take
 `CompositionDataset` and `CovariateMatrix` objects, which validate their
 rows once; the private helpers behind them take the plain arrays (response
 values, design, zero pattern) and slice rows from those. A fit splits into
-a design half (`prepare_design`: zero-free rows, the least-squares normal
-matrix, the zero-pattern probabilities and each stage's covariate arrays),
-which a bootstrap prepares once for all its replicates, and a response
-half. The engine's hot path calls numpy's ufuncs and their reductions
-directly (`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point
-is mostly per-call overhead, and each method wrapper adds to it without
+a design half (`prepare_design`: the least-squares normal matrix of the
+zero-free rows, the zero-pattern probabilities and each stage's covariate
+arrays, whose retained cells hold the zero pattern) and a response half. A
+bootstrap prepares the design half once for all its replicates; the
+`FitDesign` it gets is a `CovariateMatrix`, so `fit` takes it as X. The
+engine's hot path calls numpy's ufuncs and their reductions directly
+(`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point is
+mostly per-call overhead, and each method wrapper adds to it without
 changing a result bit. The engine keeps every cell array component-major,
 D x n (means, retained-cell mask, log y, per-row weight matrices as
 D x D x n), so each per-cell operation runs over contiguous rows of n
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -210,7 +213,6 @@ class _StageDesign(NamedTuple):
     keep: np.ndarray  # U as floats (D, n); a product with it zeroes the cells not retained
     u: np.ndarray  # cells in the normalizer (D, n): `keep` when renormalized, zeros as written
     XX: np.ndarray  # per-row outer products x x^T of the design (n, q*q)
-    P: np.ndarray  # design of the precision: ones (n, 1) for phi, Xd for the mixed log phi
     nonref: slice | np.ndarray  # the non-reference components' rows of a cell array
     link: LinkSpec
     zero_mode: ZeroMode
@@ -253,7 +255,6 @@ def _stage_design(Xd: np.ndarray, zp: np.ndarray, link: LinkSpec,
         keep=keep,
         u=keep if zero_mode is ZeroMode.RENORMALIZED else np.zeros(U.shape),
         XX=(Xd[:, :, None] * Xd[:, None, :]).reshape(n, q * q),
-        P=np.ones((n, 1)) if link.model_kind is ModelKind.SIMPLE else Xd,
         # A slice, which selects a view instead of a copy, when the reference
         # is the first or the last component.
         nonref=(slice(1, None) if ref == 0 else slice(None, -1) if ref == D - 1
@@ -439,7 +440,7 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     value a mask would give.
     """
     A, phis, S, args = work
-    Xd, _, keep, u, XX, P, nonref, link, _ = stage
+    Xd, _, keep, u, XX, nonref, link, _ = stage
     D, n = A.shape
     d = D - 1
     q = Xd.shape[1]
@@ -451,8 +452,10 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     g = phis * (resid + psi_nu * u)  # d/da, a free
     dphi = S * psi_nu + add(A * resid, axis=0)  # d/dphi
     e = A * (g - add(g * A, axis=0))  # d/deta
+    # phi's design is the intercept column; a dot with contiguous ones sums
+    # dphi in unit-stride order, which a dot with that strided column does not.
     grad = np.concatenate([(e[nonref] @ Xd).ravel(),
-                           P.T @ (dphi if simple else dphi * phis)])
+                           [np.ones(n) @ dphi] if simple else Xd.T @ (dphi * phis)])
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     psi1 = trigamma(args)
@@ -641,19 +644,17 @@ def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, theta0, fit_mode: Z
 
 
 @dataclass(frozen=True, eq=False)
-class FitDesign:
-    """The half of `fit` that depends only on the covariates X, the zero
-    pattern, the link and the zero mode, prepared by `prepare_design`; its
-    stages carry the link and the zero mode.
+class FitDesign(CovariateMatrix):
+    """Covariates together with the half of `fit` that depends only on them,
+    the zero pattern, the link and the zero mode, prepared by
+    `prepare_design`. Its stages carry the link, the zero mode and the zero
+    pattern (the final stage's retained cells).
 
     A parametric bootstrap refits many responses that share all four, so it
-    prepares this half once and passes it to `fit` in place of X.
+    prepares this half once and passes the design to `fit` as the covariates.
     """
 
-    X: CovariateMatrix
-    zp: np.ndarray  # the zero pattern (n, D) it was prepared for
-    mask: np.ndarray  # zero-free rows
-    XtX: np.ndarray  # X^T X of those rows, checked for the least-squares start
+    XtX: np.ndarray  # X^T X of the zero-free rows, checked for the least-squares start
     p_hat: np.ndarray  # closed-form zero-pattern probabilities
     bernoulli: float  # log-probability of the zero pattern under p_hat
     initial: _StageDesign  # stage one: plain likelihood on the zero-free rows
@@ -662,7 +663,7 @@ class FitDesign:
     def prepared_for(self, zp: np.ndarray, link: LinkSpec, zero_mode: ZeroMode) -> bool:
         """Whether this design was prepared for zero pattern zp, link and zero mode."""
         return (self.final.link == link and self.final.zero_mode is zero_mode
-                and self.zp.shape == zp.shape and bool((self.zp == zp).all()))
+                and np.array_equal(self.final.U, zp.T))
 
 
 def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
@@ -680,8 +681,8 @@ def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
     Xd_free = X.design[mask]
     p_hat = estimate_p(zp)
     return FitDesign(
-        X=X, zp=zp, mask=mask, XtX=_normal_matrix(Xd_free), p_hat=p_hat,
-        bernoulli=binary_log_prob(zp, p_hat),
+        design=X.design, covariate_names=X.covariate_names, XtX=_normal_matrix(Xd_free),
+        p_hat=p_hat, bernoulli=binary_log_prob(zp, p_hat),
         initial=_stage_design(Xd_free, zp[mask], link, ZeroMode.AS_WRITTEN),
         final=final,
     )
@@ -689,7 +690,7 @@ def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
 
 def fit(
     ds: CompositionDataset,
-    X: CovariateMatrix | FitDesign,
+    X: CovariateMatrix,
     link: LinkSpec = LinkSpec(),
     zero_mode: ZeroMode = ZeroMode.RENORMALIZED,
 ) -> tuple[ZadrModel, ZadrModel]:
@@ -707,11 +708,10 @@ def fit(
     on the covariates, the zero pattern of `ds`, the link and the zero mode;
     the response half fits the values of `ds` on it. The design half builds
     both stages, each carrying the link and the zero mode it is fitted under:
-    as written for stage one, `zero_mode` for stage two. X is the covariates
-    or a `FitDesign`. A FitDesign is used only when it was prepared for this
-    call's zero pattern, link and zero mode; otherwise the design half is
-    prepared again from its covariates, as it is for plain X. Either way the
-    result is bit for bit the same.
+    as written for stage one, `zero_mode` for stage two. When X is a
+    `FitDesign` prepared for this call's zero pattern, link and zero mode, its
+    design half is used; otherwise the half is prepared from X, whatever its
+    type. Either way the result is bit for bit the same.
 
     Every stage ends the same way: its optimizer stops, and counts as
     converged, only once max|gradient| < 1e-6 per row fitted in that stage,
@@ -725,13 +725,12 @@ def fit(
     large phi, S < 1 the retained mean mass), so no MLE exists.
     """
     u = zero_pattern(ds)
-    design = X if isinstance(X, FitDesign) else None
-    if design is None or not design.prepared_for(u, link, zero_mode):
-        design = prepare_design(X if design is None else design.X, u, link, zero_mode)
-    values_free = ds.values[design.mask]
+    design = (X if isinstance(X, FitDesign) and X.prepared_for(u, link, zero_mode)
+              else prepare_design(X, u, link, zero_mode))
+    values_free = ds.values[design.final.U.all(axis=0)]
     B0 = _least_squares(design.XtX, design.initial.Xd, alr(values_free, link.ref_index))
     q = B0.shape[1]
-    names = (ds.component_names, design.X.covariate_names)
+    names = (ds.component_names, design.covariate_names)
 
     # Stage one: plain likelihood on zero-free rows. Both kinds start from
     # the precision _PHI_START; the mixed model anchors its precision
@@ -807,10 +806,43 @@ def model_to_dict(model: ZadrModel) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number that a float holds: not a bool, and
+    not an integer past the largest float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _checked(key: str, value, ok, need: str):
+    """The model field `key` holding value, once ok(value); SchemaMismatch
+    naming the field and what it needs otherwise."""
+    if not ok(value):
+        shown = json.dumps(value)
+        raise SchemaMismatch(f"model field {key!r} must be {need}, not "
+                             f"{shown if len(shown) <= 40 else shown[:36] + ' ...'}")
+    return value
+
+
+# (test, what passes it) of the JSON values a model file holds.
+_NUMBER = (_is_number, "a number")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+          "a list of strings")
+
+
+def _member(key: str, value, kind: type[enum.Enum]):
+    """The member of enum `kind` whose value the model field `key` holds."""
+    values = [member.value for member in kind]
+    return kind(_checked(key, value, lambda v: v in values,
+                         "one of " + ", ".join(map(json.dumps, values))))
+
+
 def _field(doc: dict, key: str, shape: tuple[int, ...], need: str) -> np.ndarray:
-    """doc[key] as an array of the given shape; ShapeMismatch, naming the key,
-    unless it holds as many numbers as the shape."""
-    values = np.array(doc[key], dtype=float)
+    """doc[key] as an array of the given shape; SchemaMismatch unless it is a
+    list of numbers, ShapeMismatch unless it holds as many as the shape, each
+    naming the key."""
+    values = np.array(_checked(key, doc[key], *_NUMBERS), dtype=float)
     if values.size != np.prod(shape):
         raise ShapeMismatch(f"model field {key!r} has {values.size} numbers; "
                             f"{need} need {np.prod(shape)}")
@@ -818,38 +850,48 @@ def _field(doc: dict, key: str, shape: tuple[int, ...], need: str) -> np.ndarray
 
 
 def model_from_dict(doc: dict) -> ZadrModel:
-    """The model a `model_to_dict` document describes, checked against its
-    names before it is built: DomainError for a reference outside the
-    components, ShapeMismatch naming a field of the wrong size. Keys it does
-    not read, such as the "seed" that older model files carry, are ignored."""
-    kind = ModelKind(doc["model_kind"])
-    D = len(doc["component_names"])
-    q = len(doc["covariate_names"])
-    link = LinkSpec(ref_index=int(doc["ref_index"]), model_kind=kind)
-    _check_reference(link.ref_index, D)
+    """The model a `model_to_dict` document describes, checked before it is
+    built: SchemaMismatch naming a field of the wrong JSON type or an unknown
+    value, then DomainError for a reference outside the components and
+    ShapeMismatch naming a field of the wrong size. Keys it does not read,
+    such as the "seed" that older model files carry, are ignored."""
+    kind = _member("model_kind", doc["model_kind"], ModelKind)
+    component_names = _checked("component_names", doc["component_names"], *_NAMES)
+    covariate_names = _checked("covariate_names", doc["covariate_names"], *_NAMES)
+    D, q = len(component_names), len(covariate_names)
+    ref = _checked("ref_index", doc["ref_index"],
+                   lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+    _check_reference(ref, D)
     B = _field(doc, "B", (D - 1, q), f"{D} components and {q} design columns")
     if kind is ModelKind.AITCHISON:
         precision = None
     else:
-        precision = doc["precision"]["phi" if kind is ModelKind.SIMPLE else "gamma"]
+        precision_doc = _checked("precision", doc["precision"], lambda v: isinstance(v, dict),
+                                 "an object")
+        name = "phi" if kind is ModelKind.SIMPLE else "gamma"
+        precision = _checked(name, precision_doc[name],
+                             *(_NUMBER if kind is ModelKind.SIMPLE else _NUMBERS))
         _check_parameter_shapes(B, precision, D, q, kind)
         precision = (float(precision) if kind is ModelKind.SIMPLE
                      else np.array(precision, dtype=float))
     m = pack_params(B, precision, kind).size
     covariance = (None if doc.get("covariance") is None
                   else _field(doc, "covariance", (m, m), f"{m} parameters"))
+    loglik = _checked("loglik", doc["loglik"], lambda v: v is None or _is_number(v),
+                      "a number or null")
     return ZadrModel(
         B=B,
         precision=precision,
         p_hat=_field(doc, "p_hat", (D,), f"{D} components"),
         covariance=covariance,
-        loglik=None if doc["loglik"] is None else float(doc["loglik"]),
-        converged=bool(doc["converged"]),
-        stage=FitStage(doc.get("stage", "final")),
-        link=link,
-        zero_mode=ZeroMode(doc["zero_mode"]),
-        component_names=list(doc["component_names"]),
-        covariate_names=list(doc["covariate_names"]),
+        loglik=None if loglik is None else float(loglik),
+        converged=_checked("converged", doc["converged"], lambda v: isinstance(v, bool),
+                           "true or false"),
+        stage=_member("stage", doc.get("stage", "final"), FitStage),
+        link=LinkSpec(ref_index=ref, model_kind=kind),
+        zero_mode=_member("zero_mode", doc["zero_mode"], ZeroMode),
+        component_names=list(component_names),
+        covariate_names=list(covariate_names),
     )
 
 

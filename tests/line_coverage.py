@@ -3,10 +3,11 @@
 Runs the suite in this process under the stdlib `trace` module and lists
 each line of src/zadr that compiles to code and never ran. Exits 1 when a
 line outside ALLOWED is listed, or with pytest's own code when a test
-fails. The two tests that run zadr in child processes, which `trace` does
-not follow, are deselected; hypothesis draws from a fixed seed so that the
-run repeats. Tracing every line makes the suite about four times slower,
-about 2 minutes on 2 cores. Run it from any directory:
+fails. `test_console_script`, the one test that runs zadr in a child
+process, which `trace` does not follow, is deselected; the example scripts
+run in the test process, so they are traced. hypothesis draws from a fixed
+seed so that the run repeats. Tracing every line makes the suite about
+four times slower, about 2 minutes on 2 cores. Run it from any directory:
 
     python tests/line_coverage.py
 
@@ -39,7 +40,7 @@ ALLOWED = Counter({
 })
 
 PYTEST_ARGS = ["-q", "--capture=fd", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-               "-k", "not test_scripts and not test_console_script"]
+               "-k", "not test_console_script"]
 
 
 def code_lines(path: Path) -> set[int]:

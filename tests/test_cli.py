@@ -492,11 +492,50 @@ MALFORMED_MODELS = {
                              "ShapeMismatch", "model field 'covariance' has 48 numbers"),
     "p_hat_one_short": ("mixed", lambda doc: {"p_hat": doc["p_hat"][:-1]}, "ShapeMismatch",
                         "model field 'p_hat' has 3 numbers"),
+    # A field of the wrong JSON type, or with a value its type does not know.
+    "fractional_ref_index": ("simple", lambda doc: {"ref_index": 1.7}, "SchemaMismatch",
+                             "'ref_index' must be an integer, not 1.7"),
+    "boolean_ref_index": ("simple", lambda doc: {"ref_index": True}, "SchemaMismatch",
+                          "'ref_index' must be an integer, not true"),
+    "null_ref_index": ("simple", lambda doc: {"ref_index": None}, "SchemaMismatch",
+                       "'ref_index' must be an integer, not null"),
+    "string_converged": ("simple", lambda doc: {"converged": "no"}, "SchemaMismatch",
+                         "'converged' must be true or false"),
+    "string_component_names": ("simple", lambda doc: {"component_names": "WXYZ"},
+                               "SchemaMismatch", "'component_names' must be a list of strings"),
+    "number_component_names": ("simple", lambda doc: {"component_names": 5}, "SchemaMismatch",
+                               "'component_names' must be a list of strings, not 5"),
+    "null_covariate_names": ("mixed", lambda doc: {"covariate_names": None}, "SchemaMismatch",
+                             "'covariate_names' must be a list of strings, not null"),
+    "list_precision": ("simple", lambda doc: {"precision": []}, "SchemaMismatch",
+                       "'precision' must be an object, not []"),
+    "string_phi": ("simple", lambda doc: {"precision": {"phi": "abc"}}, "SchemaMismatch",
+                   "'phi' must be a number"),
+    "string_in_gamma": ("mixed", lambda doc: {"precision": {"gamma": ["0", 1.0]}},
+                        "SchemaMismatch", "'gamma' must be a list of numbers"),
+    "ragged_B": ("simple", lambda doc: {"B": doc["B"][:-2] + [doc["B"][-2:]]}, "SchemaMismatch",
+                 "'B' must be a list of numbers"),
+    "integer_past_the_floats_in_B": ("simple", lambda doc: {"B": [10**400] + doc["B"][1:]},
+                                     "SchemaMismatch", "'B' must be a list of numbers, not [1000"),
+    "integer_past_the_floats_as_phi": ("simple", lambda doc: {"precision": {"phi": 10**400}},
+                                       "SchemaMismatch", "'phi' must be a number, not 1000"),
+    "null_in_p_hat": ("mixed", lambda doc: {"p_hat": doc["p_hat"][:-1] + [None]},
+                      "SchemaMismatch", "'p_hat' must be a list of numbers"),
+    "string_loglik": ("simple", lambda doc: {"loglik": "x"}, "SchemaMismatch",
+                      "'loglik' must be a number or null"),
+    "number_stage": ("simple", lambda doc: {"stage": 5}, "SchemaMismatch",
+                     "'stage' must be one of \"zero-free-initial\", \"final\", not 5"),
+    "unknown_model_kind": ("mixed", lambda doc: {"model_kind": "quadratic"}, "SchemaMismatch",
+                           "'model_kind' must be one of \"simple\", \"mixed\""),
+    "unknown_zero_mode": ("simple", lambda doc: {"zero_mode": "imputed"}, "SchemaMismatch",
+                          "'zero_mode' must be one of"),
 }
 
 
 class TestMalformedModelFiles:
-    """A model file whose fields do not fit its names fails where it is read."""
+    """A model file with a field of the wrong JSON type, an unknown value or
+    a size that does not fit its names fails where it is read, naming the
+    field, in every command that reads it."""
 
     @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
     def test_every_command_names_the_error(self, data_csv, tmp_path, capsys, monkeypatch, case):

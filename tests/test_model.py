@@ -647,7 +647,7 @@ class TestFitDesign:
         for design in others:
             prepared.clear()
             assert [model_bytes(m) for m in fit(ds, design, SIMPLE_LINK)] == expected
-            assert len(prepared) == 1 and prepared[0][0] is X
+            assert len(prepared) == 1 and prepared[0][0].design is X.design
         prepared.clear()
         fit(ds, real(X, u, SIMPLE_LINK, ZeroMode.RENORMALIZED), SIMPLE_LINK)
         assert prepared == []

@@ -1,30 +1,27 @@
 """Smoke test: the example scripts run end to end against this checkout,
-without a RuntimeWarning or ResourceWarning.
+without a RuntimeWarning, ResourceWarning or unraisable exception.
 
-The scripts run in subprocesses, which the suite's warning filters do not
-reach, so each runs with those warnings turned into errors and must leave
-stderr empty.
+Each script runs in this process as `__main__` (`runpy.run_path`), in the
+order a reader runs them, so the suite's own warning filters turn those
+warnings into errors; each must leave stderr empty.
 """
 
-import os
-import subprocess
+import runpy
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_example_scripts_run(tmp_path):
-    env = dict(os.environ, ZADR_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+def test_example_scripts_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ZADR_THREADS", "1")
     for script, args in [
         ("make_example_data.py", []),
         ("run_diagnostic_example.py", ["--B", "19"]),
         ("run_simulation_study.py", ["--sizes", "30", "--reps", "2"]),
     ]:
-        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                               "-W", "error::ResourceWarning",
-                               str(ROOT / "scripts" / script), *args],
-                              cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, f"{script} exited {proc.returncode}:\n{proc.stderr}"
-        assert proc.stderr == "", f"{script} wrote to stderr:\n{proc.stderr}"
+        path = str(SCRIPTS / script)
+        monkeypatch.setattr(sys, "argv", [path, *args])
+        runpy.run_path(path, run_name="__main__")
+        assert capsys.readouterr().err == "", f"{script} wrote to stderr"

@@ -13,27 +13,41 @@ covariance checked positive definite. A saved diagnosis is T
 (`BootstrapResult`).
 
 The bootstrap and the simulation study are the same Monte Carlo step: draw
-a response from a model with a fixed zero pattern and refit it end to end.
-One worker, `_replicate_one`, does that step for both, and a replicate
-counts only when both fit stages converged and its T could be formed. Each
-replicate owns a private generator spawned from the master seed. Every
-bootstrap replicate keeps the observed covariates and zero pattern, so the
-bootstrap prepares the design half of `fit` once (`model.prepare_design`).
-The `FitDesign` it gets is those covariates together with that half, and
-every replicate draws its response at it and fits only that response; a
-replicate fitted alone from the covariates gives the same numbers bit for
-bit. The simulation study draws each replicate's design rows and zero
-pattern in the parent, from that replicate's generator, and hands the same
-generator to the worker for the response, whose fit then prepares its own
-design. Results are merged by replicate index, so output is independent of
-execution order. Failed replicates are counted by cause. Every replicate's
-fit would meet a failure of the shared design half, so it is counted once
-for each replicate without drawing or fitting any. Each command starts at
-most one process pool, whose worker count is the least of `ZADR_THREADS`,
-the CPUs this process may use and the tasks; the pool receives the
-replicates in chunks of several, the simulation study's largest samples
-first. A drawn response keeps every retained cell positive, so a replicate
-keeps its zero pattern at any precision.
+a response from a model with a fixed zero pattern and refit it end to end,
+and a replicate counts only when both fit stages converged and its T could
+be formed. Each replicate owns a private generator spawned from the master
+seed. Failed replicates are counted by cause, and results are merged by
+replicate index, so output is independent of execution order. A drawn
+response keeps every retained cell positive, so a replicate keeps its zero
+pattern at any precision.
+
+Every bootstrap replicate keeps the observed covariates and zero pattern,
+so the bootstrap prepares the design half of `fit` once
+(`model.prepare_design`). Every replicate's fit would meet a failure of
+that half, so it is counted once for each replicate without drawing or
+fitting any. A bootstrap of replicates of at most `_BATCH_REPLICATE_CELLS`
+response cells runs in this process, with no pool: it draws the
+replicates' responses in generator order and fits them together on that
+half with `model.fit_batch`, whose Newton loop serves every replicate still
+fitting. The batch is cut into chunks of at most `_BATCH_CELLS` response
+cells, so a large n x B cannot exhaust memory. A replicate's numbers are
+bit for bit those of `_replicate_one`, its fit alone from the covariates,
+whatever the chunks. Larger replicates leave a batch little per-call
+overhead to share, so their bootstrap maps `_replicate_one` over the
+process pool instead. `fit_batch` reports each replicate stage through a
+one-response restart of the fit stage where the batch stopped: the traced
+benchmark reads its counts and its probe point from that single-fit
+`minimize`, and the restart goes once the fit records those itself
+(ROADMAP item 1).
+
+The simulation study draws each replicate's design rows and zero pattern in
+the parent, from that replicate's generator, and hands the same generator
+to `_replicate_one` for the response, whose fit then prepares its own
+design. Its replicates, and those of a bootstrap too large to batch, are
+the only work of a process pool: `ZADR_THREADS` caps the pool's workers,
+at most the CPUs this process may use and the tasks, and the pool receives
+the replicates in chunks of several, the simulation study's largest
+samples first.
 """
 
 from __future__ import annotations
@@ -62,15 +76,26 @@ from .errors import (
     ZadrError,
 )
 from .model import (
+    FitDesign,
     ModelKind,
     ZadrModel,
     _row_parameters,
     check_positive_definite,
     fit,
+    fit_batch,
     prepare_design,
 )
 
 MIN_REPLICATES = 19
+# Response cells (replicates x rows x components) in one batch of bootstrap
+# refits. The batch's arrays take about 250 bytes per cell, so a batch holds
+# about 2 MB whatever n and B are.
+_BATCH_CELLS = 1 << 13
+# Response cells (rows x components) of the largest replicate refitted in a
+# batch. A larger one leaves a batch little per-call overhead to share, so
+# its bootstrap refits each replicate alone, through the process pool: with
+# four components the batch and the 2-worker pool broke even at 180-240 rows.
+_BATCH_REPLICATE_CELLS = 1 << 9
 # Chunks of replicates handed to each pool worker (`_map_indexed`).
 _CHUNKS_PER_WORKER = 8
 
@@ -182,22 +207,49 @@ def _map_indexed(func, args_list):
         return list(pool.map(func, args_list, chunksize=chunksize))
 
 
+def _failure(exc: Exception):
+    return type(exc).__name__, None, None
+
+
+def _outcome(initial: ZadrModel, final: ZadrModel):
+    """A refitted replicate's record: (failure cause or None, T or None,
+    final parameters or None)."""
+    if not (initial.converged and final.converged):
+        return "NotConverged", None, None
+    try:
+        return None, diagnostic_T(initial, final).T, final.parameter_vector()
+    except (ZadrError, np.linalg.LinAlgError) as exc:
+        return _failure(exc)
+
+
 def _replicate_one(args):
     """Draw a response from `model` with pattern U at the covariates X and
-    refit it on them. X may be a `FitDesign` prepared for U and the model's
-    link and zero mode; `fit` then fits only the response.
+    refit it on them.
 
     Returns (failure cause or None, T or None, final parameters or None).
     """
     model, X, U, rng = args
     try:
         ds_rep = simulate_response(model, X, U, rng)
-        initial, final = fit(ds_rep, X, model.link, model.zero_mode)
-        if not (initial.converged and final.converged):
-            return "NotConverged", None, None
-        return None, diagnostic_T(initial, final).T, final.parameter_vector()
+        fitted = fit(ds_rep, X, model.link, model.zero_mode)
     except (ZadrError, np.linalg.LinAlgError) as exc:
-        return type(exc).__name__, None, None
+        return _failure(exc)
+    return _outcome(*fitted)
+
+
+def _replicate_batch(model: ZadrModel, design: FitDesign, U: np.ndarray, rngs) -> list:
+    """`_replicate_one` of each generator on a design prepared for U and the
+    model's link and zero mode, bit for bit, with all the refits in one
+    `fit_batch`. The responses are drawn first, in generator order."""
+    records, drawn = [None] * len(rngs), {}
+    for k, rng in enumerate(rngs):
+        try:
+            drawn[k] = simulate_response(model, design, U, rng)
+        except (ZadrError, np.linalg.LinAlgError) as exc:
+            records[k] = _failure(exc)
+    for k, fitted in zip(drawn, fit_batch(list(drawn.values()), design)):
+        records[k] = _failure(fitted) if isinstance(fitted, Exception) else _outcome(*fitted)
+    return records
 
 
 def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
@@ -210,10 +262,15 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
         design = prepare_design(X, U, final.link, final.zero_mode)
     except (ZadrError, np.linalg.LinAlgError) as exc:
         # Every replicate's fit would meet this error: count it once for each.
-        records = [(type(exc).__name__, None, None)] * B
+        records = [_failure(exc)] * B
     else:
-        args = [(final, design, U, rng) for rng in _replicate_rngs(seed, B)]
-        records = _map_indexed(_replicate_one, args)
+        rngs = _replicate_rngs(seed, B)
+        if U.size > _BATCH_REPLICATE_CELLS:
+            records = _map_indexed(_replicate_one, [(final, X, U, rng) for rng in rngs])
+        else:
+            size = _BATCH_CELLS // U.size
+            records = [record for start in range(0, B, size)
+                       for record in _replicate_batch(final, design, U, rngs[start:start + size])]
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
     if len(kept) < MIN_REPLICATES:

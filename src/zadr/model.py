@@ -15,26 +15,33 @@ link and zero mode, so no engine call passes a kind, a reference or a zero
 mode beside it. `_row_parameters` maps (B, precision) under a link to row
 means and precisions, `_row_work` adds a stage's normalizer masses and
 polygamma arguments, `_dirichlet_value` sums the Dirichlet part and one
-`binary_log_prob` call adds the Bernoulli term. The four `loglik_*`
+`binary_log_prob` call adds the Bernoulli term. The engine's functions take
+one point on one response, or a stack of R points on R responses behind a
+leading axis; every reduction and product runs per point, so a point's
+numbers do not depend on the others in its stack. `fit` evaluates single
+points and the bootstrap's `fit_batch` stacks. The four `loglik_*`
 functions are thin wrappers whose names fix the kind of their link; the fit
-objective and `_derivatives` (its gradient and information) share one
-point's row work on a stage prepared once. The public functions take
-`CompositionDataset` and `CovariateMatrix` objects, which validate their
-rows once; the private helpers behind them take the plain arrays (response
-values, design, zero pattern) and slice rows from those. A fit splits into
-a design half (`prepare_design`: the least-squares normal matrix of the
-zero-free rows, the zero-pattern probabilities and each stage's covariate
-arrays, whose retained cells hold the zero pattern) and a response half. A
-bootstrap prepares the design half once for all its replicates; the
-`FitDesign` it gets is a `CovariateMatrix`, so `fit` takes it as X. The
-engine's hot path calls numpy's ufuncs and their reductions directly
+objective (`_objectives`, or `_Objective` for a stack) and `_derivatives`
+(its gradient and information) share each point's row work on a stage
+prepared once. The public functions take `CompositionDataset` and
+`CovariateMatrix` objects, which validate their rows once; the private
+helpers behind them take the plain arrays (response values, design, zero
+pattern) and slice rows from those. A fit splits into a design half
+(`prepare_design`: the least-squares normal matrix of the zero-free rows,
+the zero-pattern probabilities and each stage's covariate arrays, whose
+retained cells hold the zero pattern) and a response half. A bootstrap
+of small replicates prepares the design half once for all of them and
+fits them on it together (`fit_batch`: one Newton loop per stage over all
+the responses); the `FitDesign` it gets is a `CovariateMatrix`, at which it
+draws them.
+The engine's hot path calls numpy's ufuncs and their reductions directly
 (`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point is
 mostly per-call overhead, and each method wrapper adds to it without
-changing a result bit. The engine keeps every cell array component-major,
-D x n (means, retained-cell mask, log y, per-row weight matrices as
-D x D x n), so each per-cell operation runs over contiguous rows of n
-instead of short rows of D; the public `alpha_matrix` still returns its
-means row by row (n x D).
+changing a result bit. The engine keeps every cell array component-major, D
+x n behind any stack axis (means, retained-cell mask, log y, per-row weight
+matrices as D x D x n), so each per-cell operation runs over contiguous
+rows of n instead of short rows of D; the public `alpha_matrix` still
+returns its means row by row (n x D).
 
 Free-parameter ordering everywhere (gradients, Hessians, covariances):
 vec(B) in row-major order (one block of p+1 coefficients per non-reference
@@ -65,14 +72,22 @@ from .dirichlet import ZeroMode
 from .errors import (
     DomainError,
     InsufficientRows,
+    NonFiniteObjective,
     ModelDataMismatch,
     NoZeroFreeRows,
     NotPositiveDefinite,
     SchemaMismatch,
     ShapeMismatch,
     SingularDesign,
+    ZadrError,
 )
-from .numerics import OptimizerOptions, minimize, trigamma
+from .numerics import (
+    OptimizerOptions,
+    TerminationReason,
+    minimize,
+    minimize_batch,
+    trigamma,
+)
 from .numerics import numerical_hessian  # noqa: F401  perfbench/tracing.py patches it here
 
 _LINPRED_CLAMP = 700.0
@@ -147,16 +162,18 @@ class ZadrModel:
 
 def _means(Xd: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
     """Mean parameters a* of every row, component-major (D x n): the softmax
-    over axis 0 of the linear predictors B Xd^T with a zeroed reference slot."""
+    over the component axis of the linear predictors B Xd^T with a zeroed
+    reference slot. A stack of coefficients (R x d x q) gives a stack of
+    means (R x D x n)."""
     linear = B @ Xd.T
     np.maximum(linear, -_LINPRED_CLAMP, out=linear)
     np.minimum(linear, _LINPRED_CLAMP, out=linear)
-    e = np.zeros((B.shape[0] + 1, Xd.shape[0]))
-    e[:ref_index] = linear[:ref_index]
-    e[ref_index + 1:] = linear[ref_index:]
-    e -= np.maximum.reduce(e, axis=0)
+    e = np.zeros(B.shape[:-2] + (B.shape[-2] + 1, Xd.shape[0]))
+    e[..., :ref_index, :] = linear[..., :ref_index, :]
+    e[..., ref_index + 1:, :] = linear[..., ref_index:, :]
+    e -= np.maximum.reduce(e, axis=-2)[..., None, :]
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=0)
+    e /= np.add.reduce(e, axis=-2)[..., None, :]
     return e
 
 
@@ -171,7 +188,8 @@ def link_alpha(x_row: np.ndarray, B: np.ndarray, ref_index: int = 0) -> np.ndarr
 
 
 def phi_rows(X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Per-row precision exp(x^T gamma), clamped against overflow."""
+    """Per-row precision exp(x^T gamma), clamped against overflow; gamma
+    columns (q x 1, or a stack R x q x 1) give a column of precisions each."""
     linear = X @ gamma
     np.maximum(linear, -_LINPRED_CLAMP, out=linear)
     np.minimum(linear, _LINPRED_CLAMP, out=linear)
@@ -206,7 +224,8 @@ class _StageDesign(NamedTuple):
     them, and through a `FitDesign` once for every response fitted on the
     same design. It carries the link and zero mode whose likelihood the stage
     evaluates. Its cell arrays are component-major, D x n, so that every
-    per-cell operation runs over contiguous rows of n."""
+    per-cell operation runs over contiguous rows of n; they broadcast over
+    the engine's leading replicate axis."""
 
     Xd: np.ndarray  # design (n, q)
     U: np.ndarray  # retained cells (D, n), bool
@@ -265,11 +284,14 @@ def _stage_design(Xd: np.ndarray, zp: np.ndarray, link: LinkSpec,
 
 
 def _row_parameters(Xd: np.ndarray, B, precision, link: LinkSpec):
-    """Means A (D x n) and precisions phis (n,) of a simple or mixed model."""
+    """Means A (D x n) and precisions phis (n,) of a simple or mixed model;
+    a stack of points (B as R x d x q, phi as R or gamma as R x q) gives
+    stacks (R x D x n and R x n)."""
     A = _means(Xd, np.asarray(B, dtype=float), link.ref_index)
+    precision = np.asarray(precision, dtype=float)
     if link.model_kind is ModelKind.SIMPLE:
-        return A, np.full(Xd.shape[0], float(precision))
-    return A, phi_rows(Xd, np.asarray(precision, dtype=float))
+        return A, np.repeat(precision[..., None], Xd.shape[0], axis=-1)
+    return A, phi_rows(Xd, precision[..., None])[..., 0]
 
 
 def _row_work(stage: _StageDesign, B, precision):
@@ -277,28 +299,31 @@ def _row_work(stage: _StageDesign, B, precision):
     (D x n): means A, precisions phis (n,), the mean mass S (n,) in each
     row's normalizer (1 as written) and the polygamma arguments, alpha =
     phis * A on the retained cells (1 elsewhere) raveled and followed by the
-    normalizers' phis * S."""
+    normalizers' phis * S. A stack of R points (as `_row_parameters` takes
+    them) gives each quantity behind a leading axis of R."""
     A, phis = _row_parameters(stage.Xd, B, precision, stage.link)
-    S = (np.add.reduce(A * stage.U, axis=0) if stage.zero_mode is ZeroMode.RENORMALIZED
-         else np.ones(A.shape[1]))
-    args = np.concatenate([np.where(stage.U, A * phis, 1.0).ravel(), phis * S])
-    return A, phis, S, args
+    S = (np.add.reduce(A * stage.U, axis=-2) if stage.zero_mode is ZeroMode.RENORMALIZED
+         else np.ones(phis.shape))
+    cells = np.where(stage.U, A * phis[..., None, :], 1.0).reshape(phis.shape[:-1] + (-1,))
+    return A, phis, S, np.concatenate([cells, phis * S], axis=-1)
 
 
-def _dirichlet_value(work, logY: np.ndarray) -> float:
+def _dirichlet_value(work, logY: np.ndarray):
     """Dirichlet part of the log-likelihood from a point's `_row_work` and
-    the log response logY (D x n, as `_log_response` forms it). A cell that
-    is not retained adds exactly 0: its argument is 1 and its logY 0.
+    the log response logY (D x n, as `_log_response` forms it); for a stack
+    of points and responses (R x D x n), one value each. A cell that is not
+    retained adds exactly 0: its argument is 1 and its logY 0.
 
     Extreme line-search probes overflow to a non-finite value, which the
     objective maps to +inf, so those floating-point warnings are silenced.
     """
     A, _, _, args = work
-    cells = A.size
+    cells = A.shape[-2] * A.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         lgamma = special.gammaln(args)
-        body = np.add.reduce((args[:cells] - 1.0) * logY.ravel() - lgamma[:cells])
-        return float(np.add.reduce(lgamma[cells:]) + body)
+        body = np.add.reduce((args[..., :cells] - 1.0) * logY.reshape(logY.shape[:-2] + (cells,))
+                             - lgamma[..., :cells], axis=-1)
+        return np.add.reduce(lgamma[..., cells:], axis=-1) + body
 
 
 def _log_response(values: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -330,7 +355,7 @@ def _loglik(B, precision, p, values: np.ndarray, Xd: np.ndarray, zp: np.ndarray,
         raise ShapeMismatch(f"p has shape {np.shape(p)}, the dataset {values.shape[1]} components")
     if link.model_kind is ModelKind.SIMPLE and precision <= 0:
         raise DomainError("phi must be > 0")
-    value = _dirichlet_value(_row_work(stage, B, precision), logY)
+    value = float(_dirichlet_value(_row_work(stage, B, precision), logY))
     return value if p is None else value + binary_log_prob(zp, p)
 
 
@@ -409,17 +434,21 @@ def unpack_params(theta: np.ndarray, d: int, q: int, kind: ModelKind):
 
 def _block_sum(W: np.ndarray, XX: np.ndarray, q: int) -> np.ndarray:
     """Sum over rows of the Kronecker products W_i (x) x_i x_i^T, W (k, k, n)
-    and XX (n, q*q) the outer products: a (k*q, k*q) matrix ordered like vec(B)."""
-    k = W.shape[0]
-    blocks = (W.reshape(k * k, -1) @ XX).reshape(k, k, q, q)
-    return blocks.transpose(0, 2, 1, 3).reshape(k * q, k * q)
+    and XX (n, q*q) the outer products: a (k*q, k*q) matrix ordered like
+    vec(B); one per point for a stack of W (R, k, k, n)."""
+    lead, k = W.shape[:-3], W.shape[-3]
+    blocks = (W.reshape(lead + (k * k, -1)) @ XX).reshape(lead + (k, k, q, q))
+    return blocks.swapaxes(-3, -2).reshape(lead + (k * q, k * q))
 
 
 def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
     part from a point's `_row_work` on a stage's log response and prepared
     design; every cell quantity is component-major (D x n), like the stage's
-    cell arrays.
+    cell arrays. A stack of points and responses (R x D x n) gives a
+    gradient (R x m) and an information (R x m x m) each; every reduction and
+    product runs per point, so a point's derivatives do not depend on the
+    others in its stack.
 
     Per row, with a the means, phi the precision, alpha = phi * a and S the
     mean mass in the normalizer (1 as written), the derivatives are first
@@ -441,57 +470,58 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     """
     A, phis, S, args = work
     Xd, _, keep, u, XX, nonref, link, _ = stage
-    D, n = A.shape
+    lead, (D, n) = A.shape[:-2], A.shape[-2:]
     d = D - 1
     q = Xd.shape[1]
     simple = link.model_kind is ModelKind.SIMPLE
     add = np.add.reduce
     psi = special.digamma(args)
-    psi_nu = psi[n * D:]
-    resid = (logY - psi[: n * D].reshape(D, n)) * keep
-    g = phis * (resid + psi_nu * u)  # d/da, a free
-    dphi = S * psi_nu + add(A * resid, axis=0)  # d/dphi
-    e = A * (g - add(g * A, axis=0))  # d/deta
+    psi_nu = psi[..., n * D:]
+    resid = (logY - psi[..., : n * D].reshape(lead + (D, n))) * keep
+    g = phis[..., None, :] * (resid + psi_nu[..., None, :] * u)  # d/da, a free
+    dphi = S * psi_nu + add(A * resid, axis=-2)  # d/dphi
+    e = A * (g - add(g * A, axis=-2)[..., None, :])  # d/deta
     # phi's design is the intercept column; a dot with contiguous ones sums
     # dphi in unit-stride order, which a dot with that strided column does not.
-    grad = np.concatenate([(e[nonref] @ Xd).ravel(),
-                           [np.ones(n) @ dphi] if simple else Xd.T @ (dphi * phis)])
+    grad = np.concatenate([(e[..., nonref, :] @ Xd).reshape(lead + (d * q,)),
+                           np.ones(n) @ dphi[..., None] if simple
+                           else (Xd.T @ (dphi * phis)[..., None])[..., 0]], axis=-1)
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     psi1 = trigamma(args)
     phi2 = phis**2
-    t = phi2 * psi1[: n * D].reshape(D, n) * keep
-    r = phi2 * psi1[n * D:]
+    t = phi2[..., None, :] * psi1[..., : n * D].reshape(lead + (D, n)) * keep
+    r = phi2 * psi1[..., n * D:]
     v = A * A * t
-    s = add(v, axis=0)
+    s = add(v, axis=-2)
     c = e - v
-    w = A * (u - add(A * u, axis=0))  # (diag(a) - a a^T) u
-    h = (g - t * A + (r * S) * u) / phis  # d2/(da dphi)
-    h_eta = A * (h - add(h * A, axis=0))  # d2/(deta dphi)
+    w = A * (u - add(A * u, axis=-2)[..., None, :])  # (diag(a) - a a^T) u
+    h = (g - t * A + (r * S)[..., None, :] * u) / phis[..., None, :]  # d2/(da dphi)
+    h_eta = A * (h - add(h * A, axis=-2)[..., None, :])  # d2/(deta dphi)
     h_phi = (r * S * S - s) / phi2  # d2/dphi2
 
     # Minus the Hessian in eta, -diag(c) + f a^T + a f^T - r w w^T with
     # f = c + s a / 2, then the precision's row and column; from here on
     # the cell quantities keep only their non-reference rows.
-    a, c, w, h_eta = A[nonref], c[nonref], w[nonref], h_eta[nonref]
-    fa = (c + 0.5 * s * a)[:, None] * a
-    W = np.empty((D, D, n))
-    np.add(fa, fa.transpose(1, 0, 2), out=W[:d, :d])
-    W[:d, :d] -= (r * w)[:, None] * w
-    W.reshape(D * D, n)[: d * (D + 1): D + 1] -= c  # the eta block's diagonal
+    a, c, w, h_eta = A[..., nonref, :], c[..., nonref, :], w[..., nonref, :], h_eta[..., nonref, :]
+    fa = (c + 0.5 * s[..., None, :] * a)[..., None, :] * a[..., None, :, :]
+    W = np.empty(lead + (D, D, n))
+    np.add(fa, fa.swapaxes(-3, -2), out=W[..., :d, :d, :])
+    W[..., :d, :d, :] -= (r[..., None, :] * w)[..., None, :] * w[..., None, :, :]
+    W.reshape(lead + (D * D, n))[..., : d * (D + 1): D + 1, :] -= c  # the eta block's diagonal
     if simple:
-        W[:d, d] = W[d, :d] = -h_eta
-        W[d, d] = -h_phi
+        W[..., :d, d, :] = W[..., d, :d, :] = -h_eta
+        W[..., d, d, :] = -h_phi
         dq = d * q
-        info = np.empty((dq + 1, dq + 1))
-        info[:dq, :dq] = _block_sum(W[:d, :d], XX, q)
-        info[:dq, dq] = info[dq, :dq] = (W[:d, d] @ Xd).ravel()
-        info[dq, dq] = add(W[d, d])
+        info = np.empty(lead + (dq + 1, dq + 1))
+        info[..., :dq, :dq] = _block_sum(W[..., :d, :d, :], XX, q)
+        info[..., :dq, dq] = info[..., dq, :dq] = (W[..., :d, d, :] @ Xd).reshape(lead + (dq,))
+        info[..., dq, dq] = add(W[..., d, d, :], axis=-1)
     else:
-        W[:d, d] = W[d, :d] = -h_eta * phis
-        W[d, d] = -(h_phi * phi2 + dphi * phis)
+        W[..., :d, d, :] = W[..., d, :d, :] = -h_eta * phis[..., None, :]
+        W[..., d, d, :] = -(h_phi * phi2 + dphi * phis)
         info = _block_sum(W, XX, q)
-    return grad, 0.5 * (info + info.T)
+    return grad, 0.5 * (info + info.swapaxes(-1, -2))
 
 
 def analytic_gradient(
@@ -604,6 +634,86 @@ def _objectives(logY: np.ndarray, stage: _StageDesign):
     return negloglik, negderivatives
 
 
+class _Objective:
+    """`_objectives` of R responses on one stage (their log responses logY,
+    R x D x n, on a prepared stage design), in the form
+    `numerics.minimize_batch` calls: `value(theta, rows)` and
+    `derivatives(theta, rows)` evaluate response rows[i] at theta[i], for
+    rows distinct and increasing.
+
+    `value` keeps each response's latest point (its theta, row work and
+    value). A call whose thetas have, row for row, the bytes of the kept
+    points reuses what is kept; otherwise it computes afresh. So each
+    accepted Newton point builds its row work once, and a response's fit
+    restarted where the batch stopped (`pair`) computes only its
+    derivatives again.
+    """
+
+    def __init__(self, logY: np.ndarray, stage: _StageDesign):
+        self.logY, self.stage = logY, stage
+        R, D, _ = logY.shape
+        self.d, self.q = D - 1, stage.Xd.shape[1]
+        self.simple = stage.link.model_kind is ModelKind.SIMPLE
+        m = self.d * self.q + (1 if self.simple else self.q)
+        # The kept points, NaN until a response has one: the only thetas a
+        # NaN could match are not finite, and neither call keeps those.
+        self.keys = np.full((R, m), np.nan)
+        self.work = None  # the row work there
+        self.values = np.empty(R)
+
+    def _row_work(self, theta: np.ndarray):
+        dq = self.d * self.q
+        B = theta[:, :dq].reshape(len(theta), self.d, self.q)
+        return _row_work(self.stage, B, theta[:, dq] if self.simple else theta[:, dq:])
+
+    def _kept(self, theta: np.ndarray, rows) -> bool:
+        return self.keys[rows].tobytes() == theta.tobytes()
+
+    def value(self, theta, rows) -> np.ndarray:
+        theta = np.ascontiguousarray(theta, dtype=float)
+        ok = np.isfinite(theta).all(axis=1)
+        if self.simple:
+            ok &= theta[:, self.d * self.q] > 0
+        if not ok.all():
+            values = np.full(len(theta), np.inf)
+            if ok.any():
+                values[ok] = self.value(theta[ok], rows[ok])
+            return values
+        if self._kept(theta, rows):
+            return self.values[rows]
+        work = self._row_work(theta)
+        if self.work is None:
+            self.work = tuple(np.empty((len(self.keys),) + a.shape[1:]) for a in work)
+        for kept, a in zip(self.work, work):
+            kept[rows] = a
+        value = _dirichlet_value(work, self.logY[rows])
+        values = np.where(np.isfinite(value), -value, np.inf)
+        self.keys[rows], self.values[rows] = theta, values
+        return values
+
+    def derivatives(self, theta, rows):
+        theta = np.ascontiguousarray(theta, dtype=float)
+        kept = self.work is not None and self._kept(theta, rows)
+        work = tuple(a[rows] for a in self.work) if kept else self._row_work(theta)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in `_objectives`
+            grad, information = _derivatives(work, self.logY[rows], self.stage)
+        return -grad, information
+
+    def pair(self, k: int):
+        """Response k's objective and derivative closures, as `_objectives`
+        gives them, sharing what this objective keeps."""
+        row = np.array([k])
+
+        def negloglik(theta):
+            return float(self.value(np.asarray(theta, dtype=float)[None], row)[0])
+
+        def negderivatives(theta):
+            grad, information = self.derivatives(np.asarray(theta, dtype=float)[None], row)
+            return grad[0], information[0]
+
+        return negloglik, negderivatives
+
+
 def check_positive_definite(matrix: np.ndarray, name: str) -> None:
     """Raise NotPositiveDefinite, naming the matrix, unless it has a finite Cholesky factor."""
     with suppress(np.linalg.LinAlgError):
@@ -612,21 +722,26 @@ def check_positive_definite(matrix: np.ndarray, name: str) -> None:
     raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, theta0, fit_mode: ZeroMode,
+def _stage_options(n: int) -> OptimizerOptions:
+    """The optimizer options of a stage that fits n rows."""
+    return OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * n)
+
+
+def _fit_stage(objectives, stage_design: _StageDesign, theta0, fit_mode: ZeroMode,
                stage: FitStage, p_hat: np.ndarray, names: tuple[list[str], list[str]],
                loglik_offset: float = 0.0) -> ZadrModel:
     """Maximize one stage's Dirichlet-part likelihood, under the link and
     zero mode the stage carries, from theta0 and wrap the optimum as a model
     whose covariance is the inverse of the information there, once that is
     checked positive definite; loglik_offset adds back the Bernoulli term.
-    The model records the stage's link, `fit_mode`, the zero mode of the
-    whole fit, and the (component, covariate) `names`."""
-    negloglik, negderivatives = _objectives(logY, stage_design)
+    `objectives` is the stage's (objective, derivatives) pair as
+    `_objectives` builds it. The model records the stage's link, `fit_mode`,
+    the zero mode of the whole fit, and the (component, covariate) `names`."""
+    negloglik, negderivatives = objectives
     n, q = stage_design.Xd.shape
     link = stage_design.link
-    res = minimize(negloglik, theta0, gradient=negderivatives,
-                   opts=OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * n))
-    B, precision = unpack_params(res.argmin, logY.shape[0] - 1, q, link.model_kind)
+    res = minimize(negloglik, theta0, gradient=negderivatives, opts=_stage_options(n))
+    B, precision = unpack_params(res.argmin, stage_design.U.shape[0] - 1, q, link.model_kind)
     check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
     return ZadrModel(
         B=B,
@@ -643,6 +758,40 @@ def _fit_stage(logY: np.ndarray, stage_design: _StageDesign, theta0, fit_mode: Z
     )
 
 
+def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray,
+                fit_mode: ZeroMode, stage: FitStage, p_hat: np.ndarray,
+                names: tuple[list[str], list[str]], loglik_offset: float = 0.0) -> list:
+    """`_fit_stage` of R log responses (R x D x n) from R starts (R x m) as
+    one `minimize_batch` run; per response its model, or the error that
+    `_fit_stage` raises for it.
+
+    Each response's model comes from `_fit_stage` restarted where the batch
+    stopped, so every stage is still reported through `minimize`. Where the
+    batch passed the gradient test, the restart passes it at iteration 0;
+    where the batch stalled, the restart stalls again at its first
+    iteration; a stage the batch ended on MaxIter is refitted alone from its
+    start. Either way the model is bit for bit the one the batch found. The
+    restart shares the batch's objective, whose kept value and row work at
+    the batch's optimum leave its first point only the derivatives to compute.
+    """
+    objective = _Objective(logY, stage_design)
+    batch = minimize_batch(objective.value, theta0, objective.derivatives,
+                           _stage_options(stage_design.Xd.shape[0]))
+    models = []
+    for k, (start, res) in enumerate(zip(theta0, batch)):
+        if isinstance(res, NonFiniteObjective):
+            models.append(res)
+            continue
+        if res.termination_reason is not TerminationReason.MAX_ITER:
+            start = res.argmin
+        try:
+            models.append(_fit_stage(objective.pair(k), stage_design, start, fit_mode, stage,
+                                     p_hat, names, loglik_offset))
+        except (ZadrError, np.linalg.LinAlgError) as exc:
+            models.append(exc)
+    return models
+
+
 @dataclass(frozen=True, eq=False)
 class FitDesign(CovariateMatrix):
     """Covariates together with the half of `fit` that depends only on them,
@@ -651,7 +800,8 @@ class FitDesign(CovariateMatrix):
     pattern (the final stage's retained cells).
 
     A parametric bootstrap refits many responses that share all four, so it
-    prepares this half once and passes the design to `fit` as the covariates.
+    prepares this half once, draws the responses at these covariates and
+    fits them on it with `fit_batch`.
     """
 
     XtX: np.ndarray  # X^T X of the zero-free rows, checked for the least-squares start
@@ -659,11 +809,6 @@ class FitDesign(CovariateMatrix):
     bernoulli: float  # log-probability of the zero pattern under p_hat
     initial: _StageDesign  # stage one: plain likelihood on the zero-free rows
     final: _StageDesign  # stage two: zero-adjusted likelihood on every row
-
-    def prepared_for(self, zp: np.ndarray, link: LinkSpec, zero_mode: ZeroMode) -> bool:
-        """Whether this design was prepared for zero pattern zp, link and zero mode."""
-        return (self.final.link == link and self.final.zero_mode is zero_mode
-                and np.array_equal(self.final.U, zp.T))
 
 
 def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
@@ -708,10 +853,8 @@ def fit(
     on the covariates, the zero pattern of `ds`, the link and the zero mode;
     the response half fits the values of `ds` on it. The design half builds
     both stages, each carrying the link and the zero mode it is fitted under:
-    as written for stage one, `zero_mode` for stage two. When X is a
-    `FitDesign` prepared for this call's zero pattern, link and zero mode, its
-    design half is used; otherwise the half is prepared from X, whatever its
-    type. Either way the result is bit for bit the same.
+    as written for stage one, `zero_mode` for stage two. `fit_batch` fits
+    many responses on one prepared design half.
 
     Every stage ends the same way: its optimizer stops, and counts as
     converged, only once max|gradient| < 1e-6 per row fitted in that stage,
@@ -724,31 +867,68 @@ def fit(
     precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
     large phi, S < 1 the retained mean mass), so no MLE exists.
     """
-    u = zero_pattern(ds)
-    design = (X if isinstance(X, FitDesign) and X.prepared_for(u, link, zero_mode)
-              else prepare_design(X, u, link, zero_mode))
+    design = prepare_design(X, zero_pattern(ds), link, zero_mode)
     values_free = ds.values[design.final.U.all(axis=0)]
     B0 = _least_squares(design.XtX, design.initial.Xd, alr(values_free, link.ref_index))
-    q = B0.shape[1]
     names = (ds.component_names, design.covariate_names)
 
-    # Stage one: plain likelihood on zero-free rows. Both kinds start from
-    # the precision _PHI_START; the mixed model anchors its precision
-    # intercept there and starts its slopes at 0.
-    if link.model_kind is ModelKind.SIMPLE:
-        precision0 = [_PHI_START]
-    else:
-        precision0 = np.zeros(q)
-        precision0[0] = np.log(_PHI_START)
-    theta0 = np.concatenate([B0.ravel(), precision0])
-    initial = _fit_stage(_log_response(values_free, design.initial.U), design.initial, theta0,
-                         zero_mode, FitStage.ZERO_FREE_INITIAL, np.ones(ds.D), names)
+    # Stage one: plain likelihood on zero-free rows.
+    initial = _fit_stage(_objectives(_log_response(values_free, design.initial.U), design.initial),
+                         design.initial, _starts(B0, 1, link.model_kind)[0], zero_mode,
+                         FitStage.ZERO_FREE_INITIAL, np.ones(ds.D), names)
 
     # Stage two: zero-adjusted likelihood on the full data.
-    final = _fit_stage(_log_response(ds.values, design.final.U), design.final,
-                       initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
+    final = _fit_stage(_objectives(_log_response(ds.values, design.final.U), design.final),
+                       design.final, initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
                        names, design.bernoulli)
     return initial, final
+
+
+def _starts(B0: np.ndarray, R: int, kind: ModelKind) -> np.ndarray:
+    """Stage one's starting points (R x m) of R responses from their
+    least-squares coefficients, stacked as `_least_squares` returns them ((R
+    d) x q). Both kinds start from the precision _PHI_START; the mixed model
+    anchors its precision intercept there and starts its slopes at 0."""
+    if kind is ModelKind.SIMPLE:
+        precision0 = [_PHI_START]
+    else:
+        precision0 = np.zeros(B0.shape[1])
+        precision0[0] = np.log(_PHI_START)
+    return np.concatenate([B0.reshape(R, -1), np.repeat([precision0], R, axis=0)], axis=1)
+
+
+def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
+    """`fit` of many datasets on one prepared design, under the link and zero
+    mode it was prepared for: entry k is, bit for bit, what `fit(datasets[k],
+    design, link, zero_mode)` returns, or the error it raises. Every dataset
+    must have the zero pattern the design was prepared for and the same
+    components, as bootstrap replicates drawn at one model and design have.
+
+    One least-squares solve gives every dataset's start, and each stage is
+    one batched Newton run over the datasets still fitting (`_fit_stages`).
+    Memory grows with the datasets' cells, so callers pass them in chunks.
+    """
+    if not datasets:
+        return []
+    link, zero_mode = design.final.link, design.final.zero_mode
+    free = design.final.U.all(axis=0)
+    values_free = [ds.values[free] for ds in datasets]
+    B0 = _least_squares(design.XtX, design.initial.Xd,
+                        np.concatenate([alr(v, link.ref_index) for v in values_free], axis=1))
+    names = (datasets[0].component_names, design.covariate_names)
+    initial = _fit_stages(np.stack([_log_response(v, design.initial.U) for v in values_free]),
+                          design.initial, _starts(B0, len(datasets), link.model_kind), zero_mode,
+                          FitStage.ZERO_FREE_INITIAL, np.ones(datasets[0].D), names)
+    fitted = [k for k, model in enumerate(initial) if isinstance(model, ZadrModel)]
+    results = list(initial)
+    if fitted:
+        final = _fit_stages(
+            np.stack([_log_response(datasets[k].values, design.final.U) for k in fitted]),
+            design.final, np.stack([initial[k].parameter_vector() for k in fitted]), zero_mode,
+            FitStage.FINAL, design.p_hat, names, design.bernoulli)
+        for k, model in zip(fitted, final):
+            results[k] = (initial[k], model) if isinstance(model, ZadrModel) else model
+    return results
 
 
 def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,

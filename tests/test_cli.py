@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,20 +52,43 @@ def data_csv(tmp_path):
 
 
 def count_replicate_fits(monkeypatch, fail_every=0):
-    """Route zadr.inference.fit through a counter in this process, failing every
-    `fail_every`-th call; returns the list of calls."""
+    """Log the replicates' draws (zadr.inference.simulate_response) and refits
+    (`fit` in the simulation study, `fit_batch` in the bootstrap) in this
+    process, failing every `fail_every`-th refit with NonFiniteObjective.
+    Returns the log: `drawn` and `fitted` list the drawn responses and the
+    refitted ones, in order."""
     monkeypatch.setenv("ZADR_THREADS", "1")
-    real_fit = zadr.inference.fit
-    calls = []
+    inference = zadr.inference
+    real_draw, real_fit, real_fit_batch = (inference.simulate_response, inference.fit,
+                                           inference.fit_batch)
+    log = SimpleNamespace(drawn=[], fitted=[])
 
-    def counted_fit(*args):
-        calls.append(1)
-        if fail_every and len(calls) % fail_every == 0:
+    def fails(ds):
+        log.fitted.append(ds)
+        return fail_every and len(log.fitted) % fail_every == 0
+
+    def counted_draw(*args):
+        log.drawn.append(real_draw(*args))
+        return log.drawn[-1]
+
+    def counted_fit(ds, *args):
+        if fails(ds):
             raise NonFiniteObjective("injected")
-        return real_fit(*args)
+        return real_fit(ds, *args)
 
-    monkeypatch.setattr(zadr.inference, "fit", counted_fit)
-    return calls
+    def counted_fit_batch(datasets, design):
+        return [NonFiniteObjective("injected") if fails(ds) else fitted
+                for ds, fitted in zip(datasets, real_fit_batch(datasets, design))]
+
+    monkeypatch.setattr(inference, "simulate_response", counted_draw)
+    monkeypatch.setattr(inference, "fit", counted_fit)
+    monkeypatch.setattr(inference, "fit_batch", counted_fit_batch)
+    return log
+
+
+def refitted_once_each(log) -> bool:
+    """Whether every drawn replicate was refitted exactly once, in draw order."""
+    return list(map(id, log.fitted)) == list(map(id, log.drawn))
 
 
 COMP_ARG = ",".join(COMPONENTS)
@@ -306,20 +330,20 @@ class TestDiagnose:
         assert "p-value" in printed
 
     def _diagnose_counting_fits(self, data_csv, tmp_path, monkeypatch, fail_every=0):
-        """Run `diagnose --B 28 --bias`; returns (replicate fit calls, JSON)."""
+        """Run `diagnose --B 28 --bias`; returns (replicate log, JSON)."""
         model_path = tmp_path / "m.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--out", str(model_path))
-        calls = count_replicate_fits(monkeypatch, fail_every)
+        log = count_replicate_fits(monkeypatch, fail_every)
         out = tmp_path / "diag.json"
         assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
                    "--B", "28", "--seed", "2", "--bias", "--out", str(out)) == 0
-        return len(calls), json.loads(out.read_text())
+        return log, json.loads(out.read_text())
 
     def test_bias_table_comes_from_the_one_bootstrap_pass(self, data_csv, tmp_path, capsys,
                                                           monkeypatch):
-        calls, doc = self._diagnose_counting_fits(data_csv, tmp_path, monkeypatch)
-        assert calls == 28
+        log, doc = self._diagnose_counting_fits(data_csv, tmp_path, monkeypatch)
+        assert len(log.fitted) == 28 and refitted_once_each(log)
         assert doc["failures"] == 0 and doc["failure_causes"] == {}
         lines = capsys.readouterr().out.splitlines()
         table = lines[lines.index(f"{'parameter':>24}  {'estimate':>12}  {'bias':>12}") + 1:]
@@ -329,9 +353,8 @@ class TestDiagnose:
 
     def test_failures_printed_and_saved_by_cause(self, data_csv, tmp_path, capsys,
                                                  monkeypatch):
-        calls, doc = self._diagnose_counting_fits(data_csv, tmp_path, monkeypatch,
-                                                  fail_every=4)
-        assert calls == 28
+        log, doc = self._diagnose_counting_fits(data_csv, tmp_path, monkeypatch, fail_every=4)
+        assert len(log.fitted) == 28 and refitted_once_each(log)
         assert doc["failures"] == 7 and doc["failure_causes"] == {"NonFiniteObjective": 7}
         assert "replicates = 21  failures = 7 (NonFiniteObjective: 7)" in capsys.readouterr().out
 
@@ -367,10 +390,10 @@ class TestDiagnose:
             raise AssertionError("diagnose refitted the observed data")
 
         monkeypatch.setattr(cli, "fit", no_refit)
-        calls = count_replicate_fits(monkeypatch)
+        log = count_replicate_fits(monkeypatch)
         assert run("diagnose", "--input", str(data_csv), "--model", str(model_path),
                    "--B", "19", "--seed", "2") == 0
-        assert len(calls) == 19
+        assert len(log.fitted) == 19 and refitted_once_each(log)
 
     def test_T_comes_from_the_model_files(self, data_csv, tmp_path):
         model_path = self._fit(data_csv, tmp_path / "m.json")
@@ -395,11 +418,11 @@ class TestDiagnose:
             shutil.copy(tmp_path / "other.initial.json", tmp_path / "m.initial.json")
             data = data_csv
         capsys.readouterr()
-        calls = count_replicate_fits(monkeypatch)
+        log = count_replicate_fits(monkeypatch)
         assert run("diagnose", "--input", str(data), "--model", str(model_path),
                    "--B", "19") == 2
         assert "ModelDataMismatch" in capsys.readouterr().err
-        assert calls == []
+        assert log.drawn == [] and log.fitted == []
 
     @pytest.mark.parametrize("kind", ["simple", "mixed"])
     def test_data_without_zero_free_rows_is_rejected(self, data_csv, tmp_path, monkeypatch,
@@ -410,11 +433,11 @@ class TestDiagnose:
                    "--covariates", "logdepth", "--kind", kind, "--out", str(model_path)) == 0
         zeros_csv = write_csv(tmp_path / "zeros.csv", *simulate_dataset(n=30, seed=13, n_zero=30))
         capsys.readouterr()
-        calls = count_replicate_fits(monkeypatch)
+        log = count_replicate_fits(monkeypatch)
         assert run("diagnose", "--input", str(zeros_csv), "--model", str(model_path),
                    "--B", "19") == 2
         assert "ModelDataMismatch" in capsys.readouterr().err
-        assert calls == []
+        assert log.drawn == [] and log.fitted == []
 
     def test_reference_outside_the_components_is_named(self, data_csv, tmp_path, capsys):
         model_path = self._fit(data_csv, tmp_path / "m.json")
@@ -545,7 +568,7 @@ class TestMalformedModelFiles:
                    "--covariates", "logdepth", "--kind", kind, "--out", str(model_path)) == 0
         doc = json.loads(model_path.read_text())
         model_path.write_text(json.dumps({**doc, **edit(doc)}))
-        calls = count_replicate_fits(monkeypatch)
+        log = count_replicate_fits(monkeypatch)
         data, model, out = str(data_csv), str(model_path), str(tmp_path / "out.csv")
         commands = [
             ["predict", "--model", model, "--input", data, "--out", out],
@@ -559,7 +582,7 @@ class TestMalformedModelFiles:
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert f"error: {error}: " in err and text in err, (argv[0], err)
-        assert calls == []
+        assert log.drawn == [] and log.fitted == []
 
 
 class TestSimulate:
@@ -605,35 +628,35 @@ class TestSimulate:
         model_path = tmp_path / "m.json"
         save_model(replace(truth, B=np.column_stack([TRUE_B, np.zeros(3)]),
                            covariate_names=["intercept", "x1", "x2"]), model_path)
-        calls = count_replicate_fits(monkeypatch)
+        log = count_replicate_fits(monkeypatch)
         out = tmp_path / "mse.csv"
         assert run("simulate", "--model", str(model_path), "--sizes", "30",
                    "--reps", "3", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "--input" in err
-        assert calls == [] and not out.exists()
+        assert log.drawn == log.fitted == [] and not out.exists()
 
     def test_aitchison_model_rejected_before_any_fit(self, data_csv, tmp_path, monkeypatch,
                                                      capsys):
         model_path = tmp_path / "ait.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--kind", "aitchison-ols", "--out", str(model_path))
-        calls = count_replicate_fits(monkeypatch)
+        log = count_replicate_fits(monkeypatch)
         out = tmp_path / "mse.csv"
         assert run("simulate", "--model", str(model_path), "--sizes", "30",
                    "--reps", "2", "--out", str(out)) == 2
         assert "simulate requires a simple or mixed ZADR model" in capsys.readouterr().err
-        assert calls == [] and not out.exists()
+        assert log.drawn == log.fitted == [] and not out.exists()
 
     def test_size_without_successes_exits_3_with_csv(self, data_csv, tmp_path, monkeypatch):
         model_path = tmp_path / "m.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--out", str(model_path))
-        calls = count_replicate_fits(monkeypatch, fail_every=1)
+        log = count_replicate_fits(monkeypatch, fail_every=1)
         out = tmp_path / "mse.csv"
         assert run("simulate", "--model", str(model_path), "--sizes", "30,40",
                    "--reps", "2", "--seed", "1", "--out", str(out)) == 3
-        assert len(calls) == 4
+        assert len(log.fitted) == 4 and refitted_once_each(log)
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 14 and all(row["successes"] == "0" for row in rows)

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
 )
 
 from zadr.compositions import load_dataset, make_design, zero_pattern
+from zadr.dirichlet import ZeroMode
 from zadr.errors import (
     KindMismatch,
     NegativeStat,
@@ -25,7 +27,9 @@ from zadr.errors import (
 from zadr.inference import (
     BootstrapResult,
     DiagnosticResult,
+    _replicate_batch,
     _replicate_one,
+    _replicate_rngs,
     bootstrap_bias,
     bootstrap_pvalue,
     chi2_sf,
@@ -42,9 +46,12 @@ from zadr.model import (
     ModelKind,
     alpha_matrix,
     fit,
+    fit_batch,
     fitted_values,
     phi_rows,
+    prepare_design,
 )
+from zadr.numerics import OptimizerOptions, TerminationReason
 
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
 MIXED_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.MIXED)
@@ -183,42 +190,64 @@ class TestBootstrap:
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
-        _, final = fit(ds, X, SIMPLE_LINK)
-        monkeypatch.setenv("ZADR_THREADS", "1")
         seen = []
 
-        def recording_fit(ds, X, link, zero_mode):
-            seen.append((link, zero_mode))
-            return fit(ds, X, link, zero_mode)
+        def recording_fit_batch(datasets, design):
+            seen.extend([(design.final.link, design.final.zero_mode)] * len(datasets))
+            return fit_batch(datasets, design)
 
-        monkeypatch.setattr(inference_mod, "fit", recording_fit)
-        bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-        assert seen == [(final.link, final.zero_mode)] * 19
-        seen.clear()
-        bootstrap_bias(final, ds, X, B=19, seed=5)
-        assert seen == [(final.link, final.zero_mode)] * 19
+        monkeypatch.setattr(inference_mod, "fit_batch", recording_fit_batch)
+        for link in (SIMPLE_LINK, LinkSpec(2, ModelKind.MIXED)):
+            _, final = fit(ds, X, link)
+            seen.clear()
+            bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
+            assert seen == [(final.link, final.zero_mode)] * 19
+            seen.clear()
+            bootstrap_bias(final, ds, X, B=19, seed=5)
+            assert seen == [(final.link, final.zero_mode)] * 19
 
     def test_failures_counted_by_cause(self, small_dataset, monkeypatch):
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK)
-        monkeypatch.setenv("ZADR_THREADS", "1")
-        calls = []
+        fitted = []
 
-        def every_fourth_fails(*args):
-            calls.append(1)
-            if len(calls) % 4 == 0:
-                raise NonFiniteObjective("injected")
-            return fit(*args)
+        def every_fourth_fails(datasets, design):
+            results = fit_batch(datasets, design)
+            for k in range(len(datasets)):
+                fitted.append(1)
+                if len(fitted) % 4 == 0:
+                    results[k] = NonFiniteObjective("injected")
+            return results
 
-        monkeypatch.setattr(inference_mod, "fit", every_fourth_fails)
+        monkeypatch.setattr(inference_mod, "fit_batch", every_fourth_fails)
         result = bootstrap_bias(final, ds, X, B=28, seed=5)
         assert result.failure_causes == {"NonFiniteObjective": 7}
         assert result.failures == sum(result.failure_causes.values())
         assert result.B == 21
         with pytest.raises(TooFewSuccessfulReplicates, match="NonFiniteObjective"):
             bootstrap_bias(final, ds, X, B=19, seed=5)
+
+    def test_replicates_without_T_counted_by_cause(self, small_dataset, monkeypatch):
+        # Both stages converged, but the sum of their covariances is not
+        # positive definite: the replicate counts under that cause.
+        import zadr.inference as inference_mod
+
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK)
+        real, calls = inference_mod.diagnostic_T, []
+
+        def every_other_fails(initial, final):
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise NotPositiveDefinite("injected")
+            return real(initial, final)
+
+        monkeypatch.setattr(inference_mod, "diagnostic_T", every_other_fails)
+        result = bootstrap_pvalue(final, ds, X, B=38, seed=5, t_observed=1.0)
+        assert result.failure_causes == {"NotPositiveDefinite": 19}
+        assert result.B == 19 and len(calls) == 38
 
     def test_bias_replicates_pass_the_positive_definiteness_check(self, small_dataset,
                                                                   monkeypatch):
@@ -231,21 +260,152 @@ class TestBootstrap:
             bootstrap_bias(final, ds, X, B=19, seed=5)
 
     @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
-    def test_replicate_alone_equals_its_row_of_the_bootstrap(self, small_dataset, monkeypatch,
-                                                            link):
+    def test_replicate_alone_equals_its_row_of_the_bootstrap(self, monkeypatch, link):
         # Replicate k draws from the k-th generator spawned from the master
         # seed; refitted alone, from the covariates rather than the design the
-        # bootstrap prepares once, it must give the bootstrap's row k exactly.
-        monkeypatch.setenv("ZADR_THREADS", "1")
+        # bootstrap prepares once and outside any batch, it must give the
+        # bootstrap's row k exactly. A bootstrap cut into chunks of 1 or of 7
+        # replicates must give the same outputs as one batch.
+        import zadr.inference as inference_mod
+
+        for seed in range(1, 21):
+            ds, X = simulate_dataset(n=30, seed=seed, n_zero=5)
+            _, final = fit(ds, X, link)
+            pvalue = assert_bootstrap_equals_the_fits_alone(final, ds, X, 19, seed)
+            for per_chunk in (1, 7):
+                monkeypatch.setattr(inference_mod, "_BATCH_CELLS",
+                                    per_chunk * zero_pattern(ds).size)
+                chunked = bootstrap_pvalue(final, ds, X, B=19, seed=seed, t_observed=1.0)
+                assert bootstrap_outputs(chunked) == bootstrap_outputs(pvalue), (seed, per_chunk)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_one_chunk_of_199_replicates_equals_the_fits_alone(self, monkeypatch, link):
+        # Every stacked product, Cholesky and solve spans up to 199 problems
+        # here; the default budget cuts this bootstrap into chunks of 68.
+        import zadr.inference as inference_mod
+
+        ds, X = simulate_dataset(n=30, seed=1, n_zero=5)
+        _, final = fit(ds, X, link)
+        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", 199 * zero_pattern(ds).size)
+        chunks = []
+        real = inference_mod._replicate_batch
+        monkeypatch.setattr(inference_mod, "_replicate_batch",
+                            lambda *args: chunks.append(len(args[3])) or real(*args))
+        assert_bootstrap_equals_the_fits_alone(final, ds, X, 199, 1)
+        assert chunks == [199, 199]  # one chunk for the bias and one for the p-value
+
+    @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
+    def test_large_replicates_refitted_alone_through_the_pool(self, small_dataset, monkeypatch,
+                                                              link):
+        # Replicates above the batch's size limit are refitted one by one by
+        # `fit`, with the model's link and zero mode, through the pool, and
+        # the outputs do not change, whatever the workers.
+        import zadr.inference as inference_mod
+
         ds, X = small_dataset
         _, final = fit(ds, X, link)
-        batch = bootstrap_bias(final, ds, X, B=19, seed=5)
-        assert batch.failures == 0
+        batched = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
+        monkeypatch.setattr(inference_mod, "_BATCH_REPLICATE_CELLS", zero_pattern(ds).size - 1)
+        monkeypatch.setattr(inference_mod, "_replicate_batch", None)
+        real, seen = inference_mod.fit, []
+
+        def recording_fit(ds_rep, X_rep, *options):
+            seen.append(options)
+            return real(ds_rep, X_rep, *options)
+
+        monkeypatch.setattr(inference_mod, "fit", recording_fit)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZADR_THREADS", threads)
+            pooled = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
+            assert bootstrap_outputs(pooled) == bootstrap_outputs(batched), threads
+        # The workers of the 2-worker pool record into their own copies.
+        assert seen == [(final.link, final.zero_mode)] * 19
+
+    def test_every_restart_ends_where_its_batch_stage_ended(self, monkeypatch):
+        # Each replicate stage is reported through `minimize`, restarted at
+        # the batch's optimum: no iteration where the batch converged, one
+        # where it stalled and stalls again. At phi = 1e7 some stages stall.
+        import zadr.model as model_mod
+
+        real, restarts = model_mod.minimize, []
+
+        def recording(*args, **kwargs):
+            restarts.append(real(*args, **kwargs))
+            return restarts[-1]
+
+        monkeypatch.setattr(model_mod, "minimize", recording)
+        ds, X = simulate_dataset(n=30, seed=3, n_zero=5, phi=1e7)
+        _, final = fit(ds, X, SIMPLE_LINK)
         U = zero_pattern(ds)
-        for k, seed_seq in enumerate(np.random.SeedSequence(5).spawn(19)):
-            cause, _, params = _replicate_one((final, X, U, np.random.default_rng(seed_seq)))
-            assert cause is None
-            assert params.tobytes() == batch.replicate_stats[k].tobytes()
+        design = prepare_design(X, U, final.link, final.zero_mode)
+        restarts.clear()
+        _replicate_batch(final, design, U, _replicate_rngs(5, 19))
+        reasons = Counter((res.termination_reason, res.iterations) for res in restarts)
+        assert sum(reasons.values()) == 38
+        assert set(reasons) == {(TerminationReason.GRADIENT_TOL, 0),
+                                (TerminationReason.STEP_TOL, 1)}
+
+    def test_stage_out_of_iterations_is_refitted_alone(self, small_dataset, monkeypatch):
+        # A stage that the batch ends on MaxIter is refitted alone from its
+        # start, and the replicate still equals its fit outside the batch.
+        import zadr.model as model_mod
+
+        real, runs = model_mod.minimize, []
+
+        def recording(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(model_mod, "_stage_options",
+                            lambda n: OptimizerOptions(max_iterations=4,
+                                                       gradient_tolerance=1e-6 * n))
+        monkeypatch.setattr(model_mod, "minimize", recording)
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK)
+        U = zero_pattern(ds)
+        responses = [simulate_response(final, X, U, rng) for rng in _replicate_rngs(5, 19)]
+        runs.clear()
+        batch = fit_batch(responses, prepare_design(X, U, final.link, final.zero_mode))
+        maxed = [res for res in runs if res.termination_reason is TerminationReason.MAX_ITER]
+        assert maxed and all(res.iterations == 4 for res in maxed)
+        for ds_k, fitted in zip(responses, batch):
+            for one, other in zip(fit(ds_k, X, final.link, final.zero_mode), fitted):
+                assert model_outputs(one) == model_outputs(other)
+
+    def test_stage_failures_match_the_fits_alone(self, small_dataset):
+        # As written, the zero-adjusted likelihood of data with zeros has no
+        # MLE: stage two's precision runs away until the information is no
+        # longer finite, in the batch as in each fit alone.
+        ds, X = small_dataset
+        final = replace(fit(ds, X, SIMPLE_LINK)[1], zero_mode=ZeroMode.AS_WRITTEN)
+        U = zero_pattern(ds)
+        design = prepare_design(X, U, final.link, final.zero_mode)
+        alone = [_replicate_one((final, X, U, rng)) for rng in _replicate_rngs(5, 6)]
+        batch = _replicate_batch(final, design, U, _replicate_rngs(5, 6))
+        assert [cause for cause, _, _ in batch] == [cause for cause, _, _ in alone]
+        assert "NonFiniteObjective" in [cause for cause, _, _ in alone]
+
+    def test_draw_failures_counted_by_cause(self, small_dataset, monkeypatch):
+        # A replicate whose draw fails is counted under its cause and never
+        # fitted, also when it leaves its chunk with nothing to fit.
+        import zadr.inference as inference_mod
+
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK)
+        real, draws = inference_mod.simulate_response, []
+
+        def every_third_fails(*args):
+            draws.append(1)
+            if len(draws) % 3 == 0:
+                raise ShapeMismatch("injected")
+            return real(*args)
+
+        monkeypatch.setattr(inference_mod, "simulate_response", every_third_fails)
+        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", zero_pattern(ds).size)
+        result = bootstrap_bias(final, ds, X, B=30, seed=5)
+        assert result.failure_causes == {"ShapeMismatch": 10}
+        assert result.B == 20 and len(draws) == 30
 
     @pytest.mark.parametrize("zero_free, cause", [(0, "NoZeroFreeRows"), (2, "InsufficientRows")])
     def test_design_failure_counted_per_replicate(self, small_dataset, monkeypatch, zero_free,
@@ -307,6 +467,34 @@ class TestBootstrap:
         expected = load_dataset(g / g.sum(axis=1, keepdims=True)).values
         rep = simulate_response(final, X, U, np.random.default_rng(3))
         assert np.array_equal(rep.values, expected)
+
+
+def assert_bootstrap_equals_the_fits_alone(final, ds, X, B: int, seed: int) -> BootstrapResult:
+    """Assert that `bootstrap_bias` and `bootstrap_pvalue` keep, row for row
+    and byte for byte, what `_replicate_one` gives each replicate alone, and
+    count its failures by the same causes; returns the p-value pass."""
+    U = zero_pattern(ds)
+    alone = [_replicate_one((final, X, U, rng)) for rng in _replicate_rngs(seed, B)]
+    kept = [(T, params) for cause, T, params in alone if cause is None]
+    causes = dict(Counter(cause for cause, _, _ in alone if cause is not None))
+    bias = bootstrap_bias(final, ds, X, B=B, seed=seed)
+    pvalue = bootstrap_pvalue(final, ds, X, B=B, seed=seed, t_observed=1.0)
+    assert bias.failure_causes == pvalue.failure_causes == causes, seed
+    assert bias.replicate_stats.tobytes() == np.array([p for _, p in kept]).tobytes()
+    assert pvalue.replicate_stats.tobytes() == np.array([T for T, _ in kept]).tobytes()
+    return pvalue
+
+
+def bootstrap_outputs(result: BootstrapResult) -> tuple:
+    """Every output of a bootstrap, its floats as bytes."""
+    return (result.replicate_stats.tobytes(), result.bias.tobytes(), result.pvalue, result.B,
+            result.failures, result.failure_causes)
+
+
+def model_outputs(model) -> tuple:
+    """Every number of a fitted stage as bytes, with its convergence."""
+    return (model.parameter_vector().tobytes(), model.covariance.tobytes(),
+            np.float64(model.loglik).tobytes(), model.converged)
 
 
 class TestChi2AndLrt:

@@ -32,12 +32,14 @@ from zadr.model import (
     LinkSpec,
     ModelKind,
     _log_response,
+    _Objective,
     _objective_pair,
     _stage_design,
     analytic_gradient,
     binary_log_prob,
     fit,
     fit_aitchison,
+    fit_batch,
     fitted_values,
     link_alpha,
     link_phi,
@@ -363,6 +365,34 @@ class TestRowWorkReuse:
             assert loglik(*unpack_params(theta, 3, 2, kind), p, ds, X, zp, link, mode) == expected
 
 
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_batch_objective_equals_the_objective_row_by_row(self, small_dataset, kind):
+        # `_Objective` evaluates each of its responses at its own theta: +inf
+        # where theta is not finite or the simple model's phi is not
+        # positive, and elsewhere the bits of the one-response objective,
+        # also for derivatives from the row work it kept.
+        ds, X = small_dataset
+        link = LinkSpec(ref_index=0, model_kind=kind)
+        stage = _stage_design(X.design, zero_pattern(ds), link, ZeroMode.RENORMALIZED)
+        logY = _log_response(ds.values, stage.U)
+        rng = np.random.default_rng(4)
+        thetas = np.array([random_theta(rng, kind) for _ in range(4)])
+        thetas[1, 0] = np.nan
+        thetas[2, -1] = -1.0 if kind is ModelKind.SIMPLE else thetas[2, -1]
+        rows = np.array([0, 2, 3, 4])
+        batch = _Objective(np.stack([logY] * 5), stage)
+        objective, derivatives = _objective_pair(ds, X, zero_pattern(ds), link,
+                                                 ZeroMode.RENORMALIZED)
+        values = batch.value(thetas, rows)
+        assert values.tobytes() == np.array([objective(theta) for theta in thetas]).tobytes()
+        ok = np.isfinite(values)
+        assert ok.sum() == (2 if kind is ModelKind.SIMPLE else 3)
+        for theta, grad, info in zip(thetas[ok], *batch.derivatives(thetas[ok], rows[ok])):
+            expected = derivatives(theta)
+            assert grad.tobytes() == expected[0].tobytes()
+            assert info.tobytes() == expected[1].tobytes()
+
+
 class TestInformationAssembly:
     """The one-product information against the row-wise Kronecker assembly
     kept in tests/oracle.py."""
@@ -609,8 +639,8 @@ def model_bytes(model):
 
 
 class TestFitDesign:
-    """`fit` through a design prepared once gives the plain fit bit for bit,
-    and never uses a design prepared for another call."""
+    """A design prepared once fits every response on it bit for bit as
+    `fit` does, and `fit` prepares the design half of every call itself."""
 
     @pytest.mark.parametrize("ref_index", [0, 2])
     @pytest.mark.parametrize("mode", list(ZeroMode))
@@ -624,33 +654,34 @@ class TestFitDesign:
         design = prepare_design(X, zero_pattern(ds), link, mode)
         expected = [model_bytes(m) for m in fit(ds, X, link, mode)]
         for _ in range(2):  # a design is not changed by the fits it serves
-            assert [model_bytes(m) for m in fit(ds, design, link, mode)] == expected
+            [fitted] = fit_batch([ds], design)
+            assert [model_bytes(m) for m in fitted] == expected
 
-    def test_design_for_another_call_is_prepared_again(self, small_dataset, monkeypatch):
+    def test_fit_prepares_the_design_half_of_every_call(self, small_dataset, monkeypatch):
+        # Given a prepared design as X, `fit` reads only its covariates, also
+        # when it was prepared for this very call.
         import zadr.model as model_mod
 
         ds, X = small_dataset
         u = zero_pattern(ds)
         other_u = zero_pattern(simulate_dataset(n=30, seed=13, n_zero=5)[0])
         assert not np.array_equal(u, other_u)
-        others = [
+        designs = [
             prepare_design(X, other_u, SIMPLE_LINK, ZeroMode.RENORMALIZED),
             prepare_design(X, u, LinkSpec(ref_index=2), ZeroMode.RENORMALIZED),
             prepare_design(X, u, MIXED_LINK, ZeroMode.RENORMALIZED),
             prepare_design(X, u, SIMPLE_LINK, ZeroMode.AS_WRITTEN),
+            prepare_design(X, u, SIMPLE_LINK, ZeroMode.RENORMALIZED),
         ]
         expected = [model_bytes(m) for m in fit(ds, X, SIMPLE_LINK)]
         prepared = []
         real = model_mod.prepare_design
         monkeypatch.setattr(model_mod, "prepare_design",
                             lambda *args: prepared.append(args) or real(*args))
-        for design in others:
+        for design in designs:
             prepared.clear()
             assert [model_bytes(m) for m in fit(ds, design, SIMPLE_LINK)] == expected
             assert len(prepared) == 1 and prepared[0][0].design is X.design
-        prepared.clear()
-        fit(ds, real(X, u, SIMPLE_LINK, ZeroMode.RENORMALIZED), SIMPLE_LINK)
-        assert prepared == []
 
     def test_design_errors_come_before_the_response(self, small_dataset):
         ds, X = small_dataset

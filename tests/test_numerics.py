@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zadr.numerics import (
     OptimizerOptions,
     TerminationReason,
     minimize,
+    minimize_batch,
     numerical_hessian,
     trigamma,
 )
@@ -211,3 +213,93 @@ class TestMinimize:
             OptimizerOptions(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerOptions(gradient_tolerance=-1.0)
+
+
+def sqrt_bowl(center):
+    """sum sqrt(1 + (x - center)^2): convex, and far from its minimum the
+    full Newton step overshoots, so the line search backtracks."""
+    def f(x):
+        return float(np.sum(np.sqrt(1.0 + (x - center) ** 2)))
+
+    def derivatives(x):
+        s = 1.0 + (x - center) ** 2
+        return (x - center) / np.sqrt(s), np.diag(s**-1.5)
+
+    return f, derivatives
+
+
+def double_well(x):
+    return x[0] ** 4 / 4 - x[0] ** 2 / 2 + x[1] ** 2 / 2
+
+
+def double_well_derivatives(x):
+    return np.array([x[0] ** 3 - x[0], x[1]]), np.diag([3 * x[0] ** 2 - 1, 1.0])
+
+
+class TestMinimizeBatch:
+    """Each problem of a batch runs as `minimize` runs it alone, to the last
+    bit, whatever the other problems in the batch do."""
+
+    PROBLEMS = {
+        "bowl-1": (*sqrt_bowl(np.array([1.0, -2.0])), np.array([4.0, 3.0])),
+        "bowl-2": (*sqrt_bowl(np.array([-0.5, 0.25])), np.array([-6.0, 2.0])),
+        "bowl-3": (*sqrt_bowl(np.array([2.0, 2.0])), np.array([2.5, 1.5])),
+        # indefinite at the start: its first step needs the Levenberg shift
+        "shifted": (double_well, double_well_derivatives, np.array([0.1, 1.0])),
+        # flat with a nonzero gradient: the line search finds no decrease
+        "stalled": (lambda x: 0.0, lambda x: (np.ones(2), np.eye(2)), np.zeros(2)),
+        # an information 1e6 times too large: steps of a millionth of the way
+        "crawling": (lambda x: 0.5 * float(x @ x), lambda x: (x, 1e6 * np.eye(2)),
+                     np.ones(2)),
+        "infinite": (lambda x: np.inf, lambda x: (np.ones(2), np.eye(2)), np.zeros(2)),
+        # finite only at the start
+        "lost": (lambda x: 0.0 if not x.any() else np.inf,
+                 lambda x: (np.ones(2), np.eye(2)), np.zeros(2)),
+    }
+    OPTS = OptimizerOptions(max_iterations=30)
+
+    def _batch(self, names):
+        problems = [self.PROBLEMS[name] for name in names]
+
+        def objective(x, rows):
+            return [problems[k][0](point) for point, k in zip(x, rows)]
+
+        def gradient(x, rows):
+            pairs = [problems[k][1](point) for point, k in zip(x, rows)]
+            return np.array([g for g, _ in pairs]), np.array([H for _, H in pairs])
+
+        return minimize_batch(objective, np.array([x0 for _, _, x0 in problems]), gradient,
+                              self.OPTS)
+
+    def test_each_problem_runs_as_alone(self):
+        names = list(self.PROBLEMS)
+        batch = self._batch(names)
+        ends = {}
+        for name, res in zip(names, batch):
+            f, derivatives, x0 = self.PROBLEMS[name]
+            if isinstance(res, NonFiniteObjective):
+                with pytest.raises(NonFiniteObjective, match=re.escape(str(res))):
+                    minimize(f, x0, derivatives, self.OPTS)
+                ends[name] = str(res)
+                continue
+            alone = minimize(f, x0, derivatives, self.OPTS)
+            assert res.argmin.tobytes() == alone.argmin.tobytes(), name
+            assert res.hessian.tobytes() == alone.hessian.tobytes(), name
+            assert (res.value, res.gradient_norm, res.iterations, res.termination_reason) == (
+                alone.value, alone.gradient_norm, alone.iterations, alone.termination_reason)
+            ends[name] = res.termination_reason
+        assert ends == {
+            "bowl-1": TerminationReason.GRADIENT_TOL, "bowl-2": TerminationReason.GRADIENT_TOL,
+            "bowl-3": TerminationReason.GRADIENT_TOL, "shifted": TerminationReason.GRADIENT_TOL,
+            "stalled": TerminationReason.STEP_TOL, "crawling": TerminationReason.MAX_ITER,
+            "infinite": "objective not finite at starting point",
+            "lost": "line search could not recover a finite objective",
+        }
+
+    def test_rows_do_not_depend_on_their_company(self):
+        alone = self._batch(["bowl-1", "bowl-2"])
+        mixed = self._batch(["shifted", "bowl-1", "infinite", "bowl-2", "crawling"])
+        for res, other in zip(alone, [mixed[1], mixed[3]]):
+            assert res.argmin.tobytes() == other.argmin.tobytes()
+            assert res.hessian.tobytes() == other.hessian.tobytes()
+            assert res.iterations == other.iterations

@@ -18,15 +18,16 @@ polygamma arguments, `_dirichlet_value` sums the Dirichlet part and one
 `binary_log_prob` call adds the Bernoulli term. The engine's functions take
 one point on one response, or a stack of R points on R responses behind a
 leading axis; every reduction and product runs per point, so a point's
-numbers do not depend on the others in its stack. `fit` evaluates single
-points and the bootstrap's `fit_batch` stacks. The four `loglik_*`
-functions are thin wrappers whose names fix the kind of their link; the fit
-objective (`_objectives`, or `_Objective` for a stack) and `_derivatives`
-(its gradient and information) share each point's row work on a stage
-prepared once. The public functions take `CompositionDataset` and
-`CovariateMatrix` objects, which validate their rows once; the private
-helpers behind them take the plain arrays (response values, design, zero
-pattern) and slice rows from those. A fit splits into a design half
+numbers do not depend on the others in its stack. The loglik functions
+evaluate single points; the four `loglik_*` functions are thin wrappers
+whose names fix the kind of their link. The one fit objective,
+`_Objective`, evaluates stacks: `fit` runs it on a stack of one response,
+the bootstrap's `fit_batch` on many. It and `_derivatives` (its gradient
+and information) share each point's row work on a stage prepared once.
+The public functions take `CompositionDataset` and `CovariateMatrix`
+objects, which validate their rows once; the private helpers behind them
+take the plain arrays (response values, design, zero pattern) and slice
+rows from those. A fit splits into a design half
 (`prepare_design`: the least-squares normal matrix of the zero-free rows,
 the zero-pattern probabilities and each stage's covariate arrays, whose
 retained cells hold the zero pattern) and a response half. A bootstrap
@@ -566,9 +567,14 @@ def _normal_matrix(Xd: np.ndarray) -> np.ndarray:
 
 
 def _least_squares(XtX: np.ndarray, Xd: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients (d x q) of the alr responses Z on the
-    design Xd, given its normal matrix XtX checked by `_normal_matrix`."""
-    return np.linalg.solve(XtX, Xd.T @ Z).T
+    """Least-squares coefficients (d x q) of the alr responses Z (n x d) on
+    the design Xd, given its normal matrix XtX checked by `_normal_matrix`;
+    a stack of responses (R x n x d) gives a stack of coefficients (R x d x
+    q). Each product and solve runs per response, so a response's
+    coefficients do not depend on the others in its stack: one product of
+    Xd^T with all responses side by side differs in the last bits at n of
+    about 2000 and more."""
+    return np.linalg.solve(XtX, Xd.T @ Z).swapaxes(-1, -2)
 
 
 def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
@@ -580,73 +586,32 @@ def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.n
 # fitting pipeline
 
 def _objective_pair(ds, X, zp, link, zero_mode):
-    """The fit objective and its derivatives (`_objectives`) on a dataset,
-    its design and zero pattern (None: that of the dataset)."""
+    """The fit objective and its derivatives (`_Objective.pair`) on a
+    dataset, its design and zero pattern (None: that of the dataset)."""
     stage = _stage_design(X.design, zero_pattern(ds) if zp is None else zp, link, zero_mode)
-    return _objectives(_log_response(ds.values, stage.U), stage)
-
-
-def _objectives(logY: np.ndarray, stage: _StageDesign):
-    """Negated Dirichlet-part log-likelihood closure, and one returning its
-    gradient and Hessian (the observed information), on a stage's log
-    response and prepared design.
-
-    Both compute a point's row work with `_row_work`. The objective keeps
-    its latest row work with the bytes of its theta, and the derivative
-    closure reuses it when called at a theta with the same bytes (an equal
-    array, not necessarily the same one); otherwise it recomputes it.
-    `minimize` asks for derivatives only at a point its objective has just
-    accepted, so each accepted Newton point builds its row work once.
-
-    The Bernoulli zero-pattern term is parameter-free and omitted from the
-    objective; callers add it back to reported log-likelihoods.
-    """
-    D, _ = stage.U.shape
-    d = D - 1
-    q = stage.Xd.shape[1]
-    kind = stage.link.model_kind
-    last_key, last_work = None, None
-
-    def row_work(theta):
-        return _row_work(stage, *unpack_params(theta, d, q, kind))
-
-    def negloglik(theta):
-        nonlocal last_key, last_work
-        theta = np.asarray(theta, dtype=float)
-        if not np.isfinite(theta).all() or (kind is ModelKind.SIMPLE and theta[d * q] <= 0):
-            return np.inf
-        last_key, last_work = theta.tobytes(), row_work(theta)
-        value = _dirichlet_value(last_work, logY)
-        return -value if np.isfinite(value) else np.inf
-
-    def negderivatives(theta):
-        theta = np.asarray(theta, dtype=float)
-        # On valid but extreme data a mean can underflow to 0 while its
-        # trigamma overflows to inf, and where no MLE exists (as-written
-        # zeros) phi runs away until phi**2 * trigamma overflows. The NaN or
-        # inf is left to minimize's finiteness check, which raises
-        # NonFiniteObjective.
-        work = last_work if theta.tobytes() == last_key else row_work(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad, information = _derivatives(work, logY, stage)
-        return -grad, information
-
-    return negloglik, negderivatives
+    return _Objective(_log_response(ds.values, stage.U)[None], stage).pair(0)
 
 
 class _Objective:
-    """`_objectives` of R responses on one stage (their log responses logY,
-    R x D x n, on a prepared stage design), in the form
-    `numerics.minimize_batch` calls: `value(theta, rows)` and
-    `derivatives(theta, rows)` evaluate response rows[i] at theta[i], for
-    rows distinct and increasing.
+    """The fit objective of R responses on one stage (their log responses
+    logY, R x D x n, on a prepared stage design), in the form
+    `numerics.minimize_batch` calls: `value(theta, rows)` is the negated
+    Dirichlet-part log-likelihood of response rows[i] at theta[i], for rows
+    distinct and increasing, and `derivatives(theta, rows)` its gradient and
+    Hessian (the observed information). The value is +inf where theta is not
+    finite, a simple model's phi is not positive or the likelihood is not
+    finite. `pair` gives one response's objective as the closures `minimize`
+    calls. The Bernoulli zero-pattern term is parameter-free and omitted;
+    callers add it back to reported log-likelihoods.
 
-    `value` keeps each response's latest point (its theta, row work and
-    value). A call whose thetas have, row for row, the bytes of the kept
-    points reuses what is kept; otherwise it computes afresh. So each
-    accepted Newton point builds its row work once, and a response's fit
-    restarted where the batch stopped (`pair`) computes only its
-    derivatives again.
+    Both compute a point's row work with `_row_work`. `value` keeps each
+    response's latest point (its theta, row work and value). A call whose
+    thetas have, row for row, the bytes of the kept points reuses what is
+    kept; otherwise it computes afresh. So each accepted Newton point builds
+    its row work once, and a response's fit restarted where the batch
+    stopped (`pair`) computes only its derivatives again. A call on every
+    response, such as each call of a one-response objective, takes the row
+    work and logY as they are instead of copying its rows out of them.
     """
 
     def __init__(self, logY: np.ndarray, stage: _StageDesign):
@@ -666,8 +631,13 @@ class _Objective:
         B = theta[:, :dq].reshape(len(theta), self.d, self.q)
         return _row_work(self.stage, B, theta[:, dq] if self.simple else theta[:, dq:])
 
-    def _kept(self, theta: np.ndarray, rows) -> bool:
-        return self.keys[rows].tobytes() == theta.tobytes()
+    def _index(self, rows):
+        """rows as an index of the per-response arrays: a slice, which takes
+        views instead of copies, when they are all of them."""
+        return slice(None) if len(rows) == len(self.keys) else rows
+
+    def _kept(self, theta: np.ndarray, index) -> bool:
+        return self.keys[index].tobytes() == theta.tobytes()
 
     def value(self, theta, rows) -> np.ndarray:
         theta = np.ascontiguousarray(theta, dtype=float)
@@ -679,29 +649,41 @@ class _Objective:
             if ok.any():
                 values[ok] = self.value(theta[ok], rows[ok])
             return values
-        if self._kept(theta, rows):
+        index = self._index(rows)
+        if self._kept(theta, index):
             return self.values[rows]
         work = self._row_work(theta)
-        if self.work is None:
-            self.work = tuple(np.empty((len(self.keys),) + a.shape[1:]) for a in work)
-        for kept, a in zip(self.work, work):
-            kept[rows] = a
-        value = _dirichlet_value(work, self.logY[rows])
+        if isinstance(index, slice):
+            self.work = work
+        else:
+            if self.work is None:
+                self.work = tuple(np.empty((len(self.keys),) + a.shape[1:]) for a in work)
+            for kept, a in zip(self.work, work):
+                kept[rows] = a
+        value = _dirichlet_value(work, self.logY[index])
         values = np.where(np.isfinite(value), -value, np.inf)
-        self.keys[rows], self.values[rows] = theta, values
+        self.keys[index], self.values[index] = theta, values
         return values
 
     def derivatives(self, theta, rows):
         theta = np.ascontiguousarray(theta, dtype=float)
-        kept = self.work is not None and self._kept(theta, rows)
-        work = tuple(a[rows] for a in self.work) if kept else self._row_work(theta)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in `_objectives`
-            grad, information = _derivatives(work, self.logY[rows], self.stage)
+        index = self._index(rows)
+        if self.work is not None and self._kept(theta, index):
+            work = tuple(a[index] for a in self.work)
+        else:
+            work = self._row_work(theta)
+        # On valid but extreme data a mean can underflow to 0 while its
+        # trigamma overflows to inf, and where no MLE exists (as-written
+        # zeros) phi runs away until phi**2 * trigamma overflows. The NaN or
+        # inf is left to the optimizer's finiteness check, which ends that
+        # response's fit with NonFiniteObjective.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, information = _derivatives(work, self.logY[index], self.stage)
         return -grad, information
 
     def pair(self, k: int):
-        """Response k's objective and derivative closures, as `_objectives`
-        gives them, sharing what this objective keeps."""
+        """Response k's objective and derivative closures, of one theta each,
+        sharing what this objective keeps."""
         row = np.array([k])
 
         def negloglik(theta):
@@ -735,8 +717,9 @@ def _fit_stage(objectives, stage_design: _StageDesign, theta0, fit_mode: ZeroMod
     whose covariance is the inverse of the information there, once that is
     checked positive definite; loglik_offset adds back the Bernoulli term.
     `objectives` is the stage's (objective, derivatives) pair as
-    `_objectives` builds it. The model records the stage's link, `fit_mode`,
-    the zero mode of the whole fit, and the (component, covariate) `names`."""
+    `_Objective.pair` gives it, which `minimize` runs. The model records the
+    stage's link, `fit_mode`, the zero mode of the whole fit, and the
+    (component, covariate) `names`."""
     negloglik, negderivatives = objectives
     n, q = stage_design.Xd.shape
     link = stage_design.link
@@ -873,26 +856,29 @@ def fit(
     names = (ds.component_names, design.covariate_names)
 
     # Stage one: plain likelihood on zero-free rows.
-    initial = _fit_stage(_objectives(_log_response(values_free, design.initial.U), design.initial),
-                         design.initial, _starts(B0, 1, link.model_kind)[0], zero_mode,
+    logY = _log_response(values_free, design.initial.U)[None]
+    initial = _fit_stage(_Objective(logY, design.initial).pair(0), design.initial,
+                         _starts(B0[None], link.model_kind)[0], zero_mode,
                          FitStage.ZERO_FREE_INITIAL, np.ones(ds.D), names)
 
     # Stage two: zero-adjusted likelihood on the full data.
-    final = _fit_stage(_objectives(_log_response(ds.values, design.final.U), design.final),
-                       design.final, initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
+    logY = _log_response(ds.values, design.final.U)[None]
+    final = _fit_stage(_Objective(logY, design.final).pair(0), design.final,
+                       initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
                        names, design.bernoulli)
     return initial, final
 
 
-def _starts(B0: np.ndarray, R: int, kind: ModelKind) -> np.ndarray:
+def _starts(B0: np.ndarray, kind: ModelKind) -> np.ndarray:
     """Stage one's starting points (R x m) of R responses from their
-    least-squares coefficients, stacked as `_least_squares` returns them ((R
-    d) x q). Both kinds start from the precision _PHI_START; the mixed model
-    anchors its precision intercept there and starts its slopes at 0."""
+    least-squares coefficients B0 (R x d x q). Both kinds start from the
+    precision _PHI_START; the mixed model anchors its precision intercept
+    there and starts its slopes at 0."""
+    R, _, q = B0.shape
     if kind is ModelKind.SIMPLE:
         precision0 = [_PHI_START]
     else:
-        precision0 = np.zeros(B0.shape[1])
+        precision0 = np.zeros(q)
         precision0[0] = np.log(_PHI_START)
     return np.concatenate([B0.reshape(R, -1), np.repeat([precision0], R, axis=0)], axis=1)
 
@@ -914,10 +900,10 @@ def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
     free = design.final.U.all(axis=0)
     values_free = [ds.values[free] for ds in datasets]
     B0 = _least_squares(design.XtX, design.initial.Xd,
-                        np.concatenate([alr(v, link.ref_index) for v in values_free], axis=1))
+                        np.stack([alr(v, link.ref_index) for v in values_free]))
     names = (datasets[0].component_names, design.covariate_names)
     initial = _fit_stages(np.stack([_log_response(v, design.initial.U) for v in values_free]),
-                          design.initial, _starts(B0, len(datasets), link.model_kind), zero_mode,
+                          design.initial, _starts(B0, link.model_kind), zero_mode,
                           FitStage.ZERO_FREE_INITIAL, np.ones(datasets[0].D), names)
     fitted = [k for k, model in enumerate(initial) if isinstance(model, ZadrModel)]
     results = list(initial)

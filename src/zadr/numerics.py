@@ -6,14 +6,15 @@ zeta(2, x) and about 13 times faster than scipy's on the 25,000 arguments
 of a four-part fit at n = 5000. The optimizer is a damped Newton method
 with Armijo backtracking: the likelihoods are smooth and low-dimensional
 with analytic Hessians, and a self-contained implementation gives us a
-stable termination contract. `minimize_batch` runs a batch of problems
-in one loop, each exactly as `minimize` runs it alone, so that a
-bootstrap's many tiny fits share their numpy calls.
+stable termination contract. There is one Newton loop,
+`minimize_batch`, which runs a batch of problems so that a bootstrap's
+many tiny fits share their numpy calls; `minimize` runs it on one problem.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,20 +172,34 @@ def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 
 def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
-    """`minimize` of R problems at once, one per row of x0 (R, m): each run
-    exactly as `minimize` runs it alone, to the last bit, in one damped Newton
-    loop whose numpy calls each serve every problem still running.
+    """Damped Newton with Armijo backtracking on R problems at once, one per
+    row of x0 (R, m), in one loop whose numpy calls each serve every problem
+    still running. Each problem has its own line search and stops on its own
+    test, with the numbers, to the last bit, of its run alone: its tests run
+    on Python floats taken from the arrays, which round as numpy's do.
 
     `objective(x, rows)` returns the objective values (r,) of the problems
-    `rows` (indices into the rows of x0) at the points x (r, m);
-    `gradient(x, rows)` returns their gradients (r, m) and Hessians
-    (r, m, m). Each problem has its own Armijo search and stops on its own
-    test: the gradient test, a stall, MaxIter or a non-finite value; the
-    others carry on. `gradient` is called only at accepted points, each row
-    equal to the point at which `objective` last evaluated that problem.
+    `rows` (indices into the rows of x0) at the points x (r, m), +inf
+    outside the domain; `gradient(x, rows)` returns their gradients (r, m)
+    and Hessians (r, m, m) (for a negative log-likelihood, the observed
+    information). Each step is `_newton_steps`'s, and the line search halves
+    it until the objective is finite and decreases. `gradient` is called
+    only at accepted points, each row with the bytes of the trial point at
+    which `objective` last evaluated that problem, so an objective may keep
+    the work of its latest call for the derivatives. No array `objective`
+    was called with is changed afterwards.
 
-    Returns, per problem, its `OptimResult`, or the NonFiniteObjective that
-    `minimize` would raise for it.
+    There is one success test: max|gradient| < `opts.gradient_tolerance`,
+    which ends a run with GradientTol, the only reason that counts as
+    converged. StepTol means a stall short of the tolerance: the line search
+    found no Armijo decrease (up to round-off) even at its smallest step, or
+    the step it accepted left x unchanged in floating point. MaxIter means
+    `opts.max_iterations` iterations ran without passing the test.
+
+    Returns, per problem, its `OptimResult`, which carries the Hessian at
+    the argmin, or a NonFiniteObjective: the objective is not finite at x0,
+    the derivatives are not finite at an accepted point, or no trial of the
+    line search is finite.
     """
     # The problems still running, and their points, values and derivatives.
     # They all started together, so each has run `iteration` iterations, and
@@ -195,39 +210,33 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
     iteration = 0
 
     def end(k, reason):
-        results[live[k]] = OptimResult(
-            argmin=x[k].copy(),
-            value=float(fx[k]),
-            gradient_norm=float(np.maximum.reduce(np.abs(g[k]))),
-            iterations=iteration,
-            termination_reason=reason,
-            hessian=H[k].copy(),
-        )
+        results[live[k]] = OptimResult(argmin=x[k].copy(), value=fx[k], gradient_norm=norms[k],
+                                       iterations=iteration, termination_reason=reason,
+                                       hessian=H[k].copy())
 
     def fail(k, message):
         results[live[k]] = NonFiniteObjective(message)
 
-    fx = np.asarray(objective(x, live), dtype=float)
+    fx = np.asarray(objective(x, live), dtype=float).tolist()
     going = []
-    for k, finite in enumerate(np.isfinite(fx).tolist()):
-        if finite:
+    for k, value in enumerate(fx):
+        if math.isfinite(value):
             going.append(k)
         else:
             fail(k, "objective not finite at starting point")
     # `going` lists the problems (positions in `live`) that carry on.
     while going:
         if len(going) < len(live):
-            live, x, fx = live[going], x[going], fx[going]
+            live, x, fx = live[going], x[going], [fx[k] for k in going]
         g, H = gradient(x, live)
         # max|g| is NaN or inf exactly where g is not finite.
-        gradient_norm = np.maximum.reduce(np.abs(g), axis=1)
-        finite = (np.isfinite(gradient_norm) & np.isfinite(H).all(axis=(1, 2))).tolist()
-        passed = (gradient_norm < opts.gradient_tolerance).tolist()
+        norms = np.maximum.reduce(np.abs(g), axis=1).tolist()
+        finite = np.isfinite(H).all(axis=(1, 2)).tolist()
         going = []
-        for k, (ok, done) in enumerate(zip(finite, passed)):
-            if not ok:
+        for k, (norm, ok) in enumerate(zip(norms, finite)):
+            if not (ok and math.isfinite(norm)):
                 fail(k, "gradient or Hessian not finite")
-            elif done:
+            elif norm < opts.gradient_tolerance:
                 end(k, TerminationReason.GRADIENT_TOL)
             elif iteration == opts.max_iterations:
                 end(k, TerminationReason.MAX_ITER)
@@ -236,35 +245,48 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
         if not going:
             break
         if len(going) < len(live):
-            live, x, fx, g, H = live[going], x[going], fx[going], g[going], H[going]
+            live, x, g, H = live[going], x[going], g[going], H[going]
+            fx, norms = [fx[k] for k in going], [norms[k] for k in going]
         iteration += 1
 
         d = _newton_steps(g, H)
-        slope = (g[:, None, :] @ d[:, :, None])[:, 0, 0]
-        allowance = _ROUNDOFF_RTOL * np.abs(fx)
-        # Each round tries the problems `s` not yet accepted at the same step
-        # fraction t.
-        x_new, f_new = np.empty_like(x), np.empty_like(fx)
-        s, t = np.arange(len(x)), 1.0
+        slope = (g[:, None, :] @ d[:, :, None])[:, 0, 0].tolist()
+        allowance = [_ROUNDOFF_RTOL * abs(f) for f in fx]
+        # Each round tries the step fraction t on the problems `pending` that
+        # have accepted no step yet: on whole arrays while that is all of
+        # them. x_new holds each problem's latest trial point; `own` tells
+        # that it is a copy no objective call has seen, which may be written.
+        pending, f_new, t = list(range(len(x))), fx[:], 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
-            x_new[s] = x[s] + t * d[s]
-            f_new[s] = objective(x_new[s], live[s])
-            rejected = ~(np.isfinite(f_new[s]) & (
-                f_new[s] <= fx[s] + _ARMIJO_C1 * t * slope[s] + allowance[s]))
-            s = s[rejected]
-            if not s.size:
+            if len(pending) == len(x):
+                x_new, own = x + t * d, False
+                values = objective(x_new, live)
+            else:
+                trial = x[pending] + t * d[pending]
+                values = objective(trial, live[pending])
+                if not own:
+                    x_new, own = x_new.copy(), True
+                x_new[pending] = trial
+            rejected = []
+            for k, f in zip(pending, np.asarray(values, dtype=float).tolist()):
+                f_new[k] = f
+                if not (math.isfinite(f) and f <= fx[k] + _ARMIJO_C1 * t * slope[k] + allowance[k]):
+                    rejected.append(k)
+            pending = rejected
+            if not pending:
                 break
             t *= _BACKTRACK
-        # `s` found no Armijo decrease at the smallest step, and only the
-        # round-off allowance accepts a step lost to rounding: both stall,
-        # unless the last trial point was not even finite.
-        moved = (x_new != x).any(axis=1)
-        moved[s] = False
+        # `pending` found no Armijo decrease at the smallest step, and only
+        # the round-off allowance accepts a step lost to rounding: both
+        # stall, unless the last trial point was not even finite.
+        moved = (x_new != x).any(axis=1).tolist()
+        for k in pending:
+            moved[k] = False
         going = []
-        for k, (step, value) in enumerate(zip(moved.tolist(), f_new.tolist())):
+        for k, (step, value) in enumerate(zip(moved, f_new)):
             if step:
                 going.append(k)
-            elif np.isfinite(value):
+            elif math.isfinite(value):
                 end(k, TerminationReason.STEP_TOL)
             else:
                 fail(k, "line search could not recover a finite objective")
@@ -272,90 +294,20 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
     return results
 
 
-def _derivatives_at(gradient, x: np.ndarray):
-    """`gradient(x)`: the gradient and Hessian at x, checked finite."""
-    g, H = gradient(x)
-    if not (np.isfinite(g).all() and np.isfinite(H).all()):
-        raise NonFiniteObjective("gradient or Hessian not finite")
-    return g, H
-
-
 def minimize(objective, x0, gradient, opts: OptimizerOptions | None = None) -> OptimResult:
-    """Damped Newton with Armijo backtracking.
+    """`minimize_batch` on the one problem of `objective(x)` and
+    `gradient(x)`, which returns the gradient and Hessian at x, from x0;
+    `opts` defaults to `OptimizerOptions()`. Raises the NonFiniteObjective
+    that the batch returns for it."""
+    def values(x, rows):
+        return [objective(x[0])]
 
-    `gradient(x)` returns the objective's gradient and Hessian (for a
-    negative log-likelihood, the observed information). Each step is the
-    Newton step of the Jacobi-scaled Hessian, with a Levenberg shift where
-    that matrix is not positive definite. The objective may return +inf
-    outside its domain; the line search simply shrinks the step until it is
-    finite again. `opts` defaults to `OptimizerOptions()`. Deterministic
-    given inputs. The result carries the Hessian at the argmin.
+    def derivatives(x, rows):
+        g, H = gradient(x[0])
+        return np.asarray(g)[None], np.asarray(H)[None]
 
-    `gradient` is called only at accepted points: at x0 right after
-    `objective(x0)`, then after each accepted step with the very trial
-    array that `objective` was last called with. A rejected trial gets no
-    derivatives, and an objective may keep the work of its latest call for
-    the derivative call that follows at equal parameters.
-
-    There is one success test: max|gradient| < `opts.gradient_tolerance`,
-    which ends the run with GradientTol, the only reason that counts as
-    converged. StepTol means a stall short of the tolerance: the line search
-    found no Armijo decrease (up to round-off) even at its smallest step, or
-    the step it accepted left x unchanged in floating point. MaxIter means
-    `opts.max_iterations` iterations ran without passing the test.
-
-    This loop is `minimize_batch`'s for one problem, written on scalars:
-    the batch's array bookkeeping would cost a one-problem fit about a
-    quarter of its time. Both take their steps from `_newton_steps`.
-    """
-    if opts is None:
-        opts = OptimizerOptions()
-    x = np.asarray(x0, dtype=float).copy()
-
-    fx = objective(x)
-    if not np.isfinite(fx):
-        raise NonFiniteObjective("objective not finite at starting point")
-    g, H = _derivatives_at(gradient, x)
-
-    reason = TerminationReason.MAX_ITER
-    iterations = 0
-    while True:
-        if np.maximum.reduce(np.abs(g)) < opts.gradient_tolerance:
-            reason = TerminationReason.GRADIENT_TOL
-            break
-        if iterations == opts.max_iterations:
-            break
-        iterations += 1
-
-        d = _newton_steps(g[None], H[None])[0]
-        slope = float(g @ d)
-        allowance = _ROUNDOFF_RTOL * abs(fx)
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS + 1):
-            x_new = x + t * d
-            fx_new = objective(x_new)
-            if np.isfinite(fx_new) and fx_new <= fx + _ARMIJO_C1 * t * slope + allowance:
-                break
-            t *= _BACKTRACK
-        else:
-            if not np.isfinite(fx_new):
-                raise NonFiniteObjective("line search could not recover a finite objective")
-            # No Armijo decrease at the smallest step: treat as stalled.
-            reason = TerminationReason.STEP_TOL
-            break
-        if (x_new == x).all():
-            # Only the round-off allowance accepts a step lost to rounding.
-            reason = TerminationReason.STEP_TOL
-            break
-        x = x_new
-        fx = fx_new
-        g, H = _derivatives_at(gradient, x)
-
-    return OptimResult(
-        argmin=x,
-        value=float(fx),
-        gradient_norm=float(np.maximum.reduce(np.abs(g))),
-        iterations=iterations,
-        termination_reason=reason,
-        hessian=H,
-    )
+    res = minimize_batch(values, np.asarray(x0, dtype=float)[None], derivatives,
+                         OptimizerOptions() if opts is None else opts)[0]
+    if isinstance(res, NonFiniteObjective):
+        raise res
+    return res

@@ -8,7 +8,10 @@ engine it is used to check. Central differences check the engine's analytic
 derivatives, and `rowkron_information` assembles the information matrix
 from row-wise Kronecker products, summed in an order of its own.
 `oracle_read_csv` and `oracle_read_covariates` are the reference CSV readers:
-every cell goes through the csv module and Python's float.
+every cell goes through the csv module and Python's float. `oracle_minimize`
+is the reference Newton loop of one problem, written on scalars, against which
+each problem of `minimize_batch` is checked; it shares only the Newton step
+and the line-search constants with the batch loop.
 """
 
 import csv
@@ -21,6 +24,16 @@ from scipy import special
 from zadr.compositions import load_dataset, make_design
 from zadr.dirichlet import DirichletParams, ZeroMode, log_density, subcomposition_log_density
 from zadr.errors import DomainError, EmptyInput, NonFiniteObjective, SchemaMismatch
+from zadr.numerics import (
+    _ARMIJO_C1,
+    _BACKTRACK,
+    _MAX_BACKTRACKS,
+    _ROUNDOFF_RTOL,
+    OptimizerOptions,
+    OptimResult,
+    TerminationReason,
+    _newton_steps,
+)
 
 
 def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
@@ -218,3 +231,52 @@ def oracle_read_csv(path, components=None, covariates=None):
     k = len(comp_cols)
     ds = load_dataset(values[:, :k], names=comp_names)
     return ds, make_design(values[:, k:], names=[header[j] for j in cov_cols])
+
+
+def _oracle_derivatives(gradient, x):
+    g, H = gradient(x)
+    if not (np.isfinite(g).all() and np.isfinite(H).all()):
+        raise NonFiniteObjective("gradient or Hessian not finite")
+    return g, H
+
+
+def oracle_minimize(objective, x0, gradient, opts: OptimizerOptions) -> OptimResult:
+    """Damped Newton with Armijo backtracking on one problem, one scalar test
+    at a time: the result `minimize_batch` must give for that problem, or the
+    NonFiniteObjective it must return for it, raised."""
+    x = np.asarray(x0, dtype=float).copy()
+    fx = objective(x)
+    if not np.isfinite(fx):
+        raise NonFiniteObjective("objective not finite at starting point")
+    g, H = _oracle_derivatives(gradient, x)
+    reason = TerminationReason.MAX_ITER
+    iterations = 0
+    while True:
+        if np.max(np.abs(g)) < opts.gradient_tolerance:
+            reason = TerminationReason.GRADIENT_TOL
+            break
+        if iterations == opts.max_iterations:
+            break
+        iterations += 1
+        d = _newton_steps(g[None], H[None])[0]
+        slope = float(g @ d)
+        allowance = _ROUNDOFF_RTOL * abs(fx)
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS + 1):
+            x_new = x + t * d
+            fx_new = objective(x_new)
+            if np.isfinite(fx_new) and fx_new <= fx + _ARMIJO_C1 * t * slope + allowance:
+                break
+            t *= _BACKTRACK
+        else:
+            if not np.isfinite(fx_new):
+                raise NonFiniteObjective("line search could not recover a finite objective")
+            reason = TerminationReason.STEP_TOL  # no Armijo decrease at the smallest step
+            break
+        if (x_new == x).all():
+            reason = TerminationReason.STEP_TOL  # a step lost to rounding
+            break
+        x, fx = x_new, fx_new
+        g, H = _oracle_derivatives(gradient, x)
+    return OptimResult(argmin=x, value=float(fx), gradient_norm=float(np.max(np.abs(g))),
+                       iterations=iterations, termination_reason=reason, hessian=H)

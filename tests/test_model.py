@@ -683,6 +683,32 @@ class TestFitDesign:
             assert [model_bytes(m) for m in fit(ds, design, SIMPLE_LINK)] == expected
             assert len(prepared) == 1 and prepared[0][0].design is X.design
 
+    def test_batch_starts_are_the_starts_alone_at_large_n(self, monkeypatch):
+        # At n of about 2000 and more, one product of the design with 99
+        # responses side by side differs in the last bits from the product
+        # with one response; each batched start must be its response's own.
+        import zadr.model as model_mod
+        from zadr.compositions import alr
+
+        class Started(Exception):
+            pass
+
+        starts = []
+
+        def capture(objective, x0, gradient, opts):
+            starts.append(x0)
+            raise Started
+
+        datasets = [simulate_dataset(n=2000, seed=seed, n_zero=0)[0] for seed in range(99)]
+        X = simulate_dataset(n=2000, seed=0, n_zero=0)[1]
+        design = prepare_design(X, zero_pattern(datasets[0]), SIMPLE_LINK, ZeroMode.RENORMALIZED)
+        monkeypatch.setattr(model_mod, "minimize_batch", capture)
+        with pytest.raises(Started):
+            fit_batch(datasets, design)
+        for ds, start in zip(datasets, starts[0], strict=True):
+            alone = model_mod._least_squares(design.XtX, design.initial.Xd, alr(ds, 0))
+            assert start[:-1].tobytes() == alone.ravel().tobytes()
+
     def test_design_errors_come_before_the_response(self, small_dataset):
         ds, X = small_dataset
         u = zero_pattern(ds)

@@ -30,12 +30,15 @@ response cells runs in this process, with no pool: it draws the
 replicates' responses in generator order and fits them together on that
 half with `model.fit_batch`, whose Newton loop serves every replicate still
 fitting. The batch is cut into chunks of at most `_BATCH_CELLS` response
-cells, so a large n x B cannot exhaust memory. A replicate's numbers are
-bit for bit those of `_replicate_one`, its fit alone from the covariates,
-whatever the chunks. Larger replicates leave a batch little per-call
-overhead to share, so their bootstrap maps `_replicate_one` over the
-process pool instead. `fit_batch` reports each replicate stage through a
-one-response restart of the fit stage where the batch stopped: the traced
+cells, so a large n x B cannot exhaust memory. A chunk draws its
+responses from the model's means and precisions computed once. A
+replicate's numbers are bit for bit those of `_replicate_one`, its fit
+alone from the covariates, whatever the chunks. Larger replicates leave a
+batch little per-call overhead to share, so their bootstrap maps
+`_replicate_one` over the process pool instead. `fit_batch` reports each
+replicate stage through a one-response restart of the fit stage where the
+batch stopped, which reuses the gradient and information the batch
+computed there instead of differentiating the replicate again: the traced
 benchmark reads its counts and its probe point from that single-fit
 `minimize`, and the restart goes once the fit records those itself
 (ROADMAP item 1).
@@ -156,6 +159,7 @@ def simulate_response(
     X: CovariateMatrix,
     U: np.ndarray,
     rng: np.random.Generator,
+    params: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CompositionDataset:
     """Draw one response matrix from the model, preserving the pattern U.
 
@@ -163,9 +167,12 @@ def simulate_response(
     rows with zeros come from the renormalized sub-Dirichlet on their
     positive set, which is the Dirichlet marginality-consistent mechanism.
     Every retained cell stays positive, at least the smallest normal double,
-    so the draw keeps U at any precision.
+    so the draw keeps U at any precision. `params` are the model's means and
+    precisions at X (`model._row_parameters`), computed here when None, so
+    that many draws from one model and design compute them once.
     """
-    A, phis = _row_parameters(X.design, model.B, model.precision, model.link)
+    A, phis = (_row_parameters(X.design, model.B, model.precision, model.link)
+               if params is None else params)
     keep = U.astype(bool)
     tiny = np.finfo(float).tiny
     # A is component-major; the transposed view keeps the draws in row-major cell order.
@@ -240,11 +247,13 @@ def _replicate_one(args):
 def _replicate_batch(model: ZadrModel, design: FitDesign, U: np.ndarray, rngs) -> list:
     """`_replicate_one` of each generator on a design prepared for U and the
     model's link and zero mode, bit for bit, with all the refits in one
-    `fit_batch`. The responses are drawn first, in generator order."""
+    `fit_batch`. The responses are drawn first, in generator order, from
+    the model's means and precisions computed once."""
     records, drawn = [None] * len(rngs), {}
+    params = _row_parameters(design.design, model.B, model.precision, model.link)
     for k, rng in enumerate(rngs):
         try:
-            drawn[k] = simulate_response(model, design, U, rng)
+            drawn[k] = simulate_response(model, design, U, rng, params)
         except (ZadrError, np.linalg.LinAlgError) as exc:
             records[k] = _failure(exc)
     for k, fitted in zip(drawn, fit_batch(list(drawn.values()), design)):

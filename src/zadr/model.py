@@ -605,11 +605,15 @@ class _Objective:
     callers add it back to reported log-likelihoods.
 
     Both compute a point's row work with `_row_work`. `value` keeps each
-    response's latest point (its theta, row work and value). A call whose
-    thetas have, row for row, the bytes of the kept points reuses what is
-    kept; otherwise it computes afresh. So each accepted Newton point builds
-    its row work once, and a response's fit restarted where the batch
-    stopped (`pair`) computes only its derivatives again. A call on every
+    response's latest point (its theta, row work and value), and
+    `derivatives` each response's latest derivatives (its theta, gradient
+    and information). A call whose thetas have, row for row, the bytes of
+    the points kept for it reuses what is kept, and `derivatives` returns
+    copies of its kept arrays, so a caller may change them; otherwise a call
+    computes afresh. So each accepted Newton point builds its row work once,
+    and a response's fit restarted at the batch's optimum (`pair`) computes
+    nothing again: the batch evaluated and differentiated that point last.
+    Nothing is reused for a theta that is not finite. A call on every
     response, such as each call of a one-response objective, takes the row
     work and logY as they are instead of copying its rows out of them.
     """
@@ -620,11 +624,15 @@ class _Objective:
         self.d, self.q = D - 1, stage.Xd.shape[1]
         self.simple = stage.link.model_kind is ModelKind.SIMPLE
         m = self.d * self.q + (1 if self.simple else self.q)
-        # The kept points, NaN until a response has one: the only thetas a
-        # NaN could match are not finite, and neither call keeps those.
+        # The kept points of both calls, NaN until a response has one: the
+        # only thetas a NaN could match are not finite, which neither call
+        # keeps or reuses.
         self.keys = np.full((R, m), np.nan)
         self.work = None  # the row work there
         self.values = np.empty(R)
+        self.derivative_keys = np.full((R, m), np.nan)
+        # the negated gradients and the informations there
+        self.gradients, self.informations = np.empty((R, m)), np.empty((R, m, m))
 
     def _row_work(self, theta: np.ndarray):
         dq = self.d * self.q
@@ -636,8 +644,9 @@ class _Objective:
         views instead of copies, when they are all of them."""
         return slice(None) if len(rows) == len(self.keys) else rows
 
-    def _kept(self, theta: np.ndarray, index) -> bool:
-        return self.keys[index].tobytes() == theta.tobytes()
+    @staticmethod
+    def _kept(keys: np.ndarray, theta: np.ndarray, index) -> bool:
+        return keys[index].tobytes() == theta.tobytes()
 
     def value(self, theta, rows) -> np.ndarray:
         theta = np.ascontiguousarray(theta, dtype=float)
@@ -650,7 +659,7 @@ class _Objective:
                 values[ok] = self.value(theta[ok], rows[ok])
             return values
         index = self._index(rows)
-        if self._kept(theta, index):
+        if self._kept(self.keys, theta, index):
             return self.values[rows]
         work = self._row_work(theta)
         if isinstance(index, slice):
@@ -668,7 +677,11 @@ class _Objective:
     def derivatives(self, theta, rows):
         theta = np.ascontiguousarray(theta, dtype=float)
         index = self._index(rows)
-        if self.work is not None and self._kept(theta, index):
+        finite = np.isfinite(theta).all()
+        if finite and self._kept(self.derivative_keys, theta, index):
+            # Indexing by an array of rows copies.
+            return self.gradients[rows], self.informations[rows]
+        if finite and self.work is not None and self._kept(self.keys, theta, index):
             work = tuple(a[index] for a in self.work)
         else:
             work = self._row_work(theta)
@@ -679,7 +692,11 @@ class _Objective:
         # response's fit with NonFiniteObjective.
         with np.errstate(over="ignore", invalid="ignore"):
             grad, information = _derivatives(work, self.logY[index], self.stage)
-        return -grad, information
+        grad = -grad
+        if finite:
+            self.derivative_keys[index] = theta
+            self.gradients[index], self.informations[index] = grad, information
+        return grad, information
 
     def pair(self, k: int):
         """Response k's objective and derivative closures, of one theta each,
@@ -754,8 +771,12 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
     where the batch stalled, the restart stalls again at its first
     iteration; a stage the batch ended on MaxIter is refitted alone from its
     start. Either way the model is bit for bit the one the batch found. The
-    restart shares the batch's objective, whose kept value and row work at
-    the batch's optimum leave its first point only the derivatives to compute.
+    restart shares the batch's objective, which kept its derivatives at the
+    batch's optimum, so its first point computes none; a stage that passed
+    the gradient test computes nothing at all, since the batch's last value
+    was at that point too. The information it reports was computed in the
+    batch's stack, which gives each point the bits of its own one-response
+    call (`_derivatives`).
     """
     objective = _Objective(logY, stage_design)
     batch = minimize_batch(objective.value, theta0, objective.derivatives,

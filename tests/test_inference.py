@@ -346,6 +346,39 @@ class TestBootstrap:
         assert set(reasons) == {(TerminationReason.GRADIENT_TOL, 0),
                                 (TerminationReason.STEP_TOL, 1)}
 
+    def test_restarts_differentiate_no_response_again(self, monkeypatch):
+        # The batch differentiated each stage last at its optimum, so the
+        # restarts there reuse its derivatives: every response row that
+        # `_derivatives` evaluates is one of the batch loop's. At phi = 1e7
+        # the stages end on GradientTol and on StepTol.
+        import zadr.model as model_mod
+
+        ds, X = simulate_dataset(n=30, seed=3, n_zero=5, phi=1e7)
+        _, final = fit(ds, X, SIMPLE_LINK)
+        U = zero_pattern(ds)
+        design = prepare_design(X, U, final.link, final.zero_mode)
+        real_derivatives, real_minimize = model_mod._derivatives, model_mod.minimize
+        rows, restarts, phase = Counter(), [], ["batch"]
+
+        def counted(work, logY, stage):
+            rows[phase[0]] += len(logY)
+            return real_derivatives(work, logY, stage)
+
+        def restart(*args, **kwargs):
+            phase[0] = "restart"
+            try:
+                res = real_minimize(*args, **kwargs)
+            finally:
+                phase[0] = "batch"
+            restarts.append(res.termination_reason)
+            return res
+
+        monkeypatch.setattr(model_mod, "_derivatives", counted)
+        monkeypatch.setattr(model_mod, "minimize", restart)
+        _replicate_batch(final, design, U, _replicate_rngs(5, 19))
+        assert set(restarts) == {TerminationReason.GRADIENT_TOL, TerminationReason.STEP_TOL}
+        assert len(restarts) == 38 and rows["batch"] > 0 and rows["restart"] == 0
+
     def test_stage_out_of_iterations_is_refitted_alone(self, small_dataset, monkeypatch):
         # A stage that the batch ends on MaxIter is refitted alone from its
         # start, and the replicate still equals its fit outside the batch.

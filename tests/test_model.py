@@ -31,9 +31,11 @@ from zadr.model import (
     FitStage,
     LinkSpec,
     ModelKind,
+    _derivatives,
     _log_response,
     _Objective,
     _objective_pair,
+    _row_work,
     _stage_design,
     analytic_gradient,
     binary_log_prob,
@@ -323,8 +325,9 @@ class TestInformation:
 
 
 class TestRowWorkReuse:
-    """The objective and the derivatives share one point's row work; the
-    derivatives reuse it only at an equal theta."""
+    """The objective and the derivatives share one point's row work, and the
+    derivatives keep what they computed; both are reused only at a theta of
+    the same bytes."""
 
     @pytest.mark.parametrize("mode", list(ZeroMode))
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
@@ -345,9 +348,74 @@ class TestRowWorkReuse:
         assert len(built) == 1  # an equal theta reuses the objective's row work
         objective(other)
         after_other = derivatives(theta)
-        assert len(built) == 3
-        for grad, info in (after_same, after_other):
-            assert np.array_equal(grad, fresh[0]) and np.array_equal(info, fresh[1])
+        assert len(built) == 2  # the derivatives kept at theta outlast the objective's move
+        objective, derivatives = _objective_pair(ds, X, zero_pattern(ds), link, mode)
+        objective(theta)
+        objective(other)
+        not_kept = derivatives(theta)
+        assert len(built) == 5  # the row work kept at other is not taken for theta
+        for grad, info in (after_same, after_other, not_kept):
+            assert grad.tobytes() == fresh[0].tobytes() and info.tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_derivatives_one_bit_away_are_computed_afresh(self, small_dataset, kind,
+                                                          monkeypatch):
+        import zadr.model as model_mod
+
+        ds, X = small_dataset
+        link = LinkSpec(ref_index=0, model_kind=kind)
+        theta = random_theta(np.random.default_rng(8), kind)
+        nudged = theta.copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        fresh = _objective_pair(ds, X, zero_pattern(ds), link, ZeroMode.RENORMALIZED)[1](nudged)
+        real, built = model_mod._derivatives, []
+        monkeypatch.setattr(model_mod, "_derivatives", lambda *a: built.append(1) or real(*a))
+        derivatives = _objective_pair(ds, X, zero_pattern(ds), link, ZeroMode.RENORMALIZED)[1]
+        derivatives(theta)
+        grad, info = derivatives(nudged)
+        assert len(built) == 2
+        assert grad.tobytes() == fresh[0].tobytes() and info.tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_changing_returned_derivatives_leaves_the_kept_ones(self, small_dataset, kind,
+                                                                monkeypatch):
+        # Each call returns arrays of its own, whether computed or reused, on
+        # one response and on some rows of a stack.
+        import zadr.model as model_mod
+
+        ds, X = small_dataset
+        link = LinkSpec(ref_index=0, model_kind=kind)
+        stage = _stage_design(X.design, zero_pattern(ds), link, ZeroMode.RENORMALIZED)
+        logY = _log_response(ds.values, stage.U)
+        rng = np.random.default_rng(8)
+        real, built = model_mod._derivatives, []
+        monkeypatch.setattr(model_mod, "_derivatives", lambda *a: built.append(1) or real(*a))
+        for R, rows in ((1, [0]), (3, [0, 2])):
+            thetas = np.array([random_theta(rng, kind) for _ in rows])
+            objective = _Objective(np.stack([logY] * R), stage)
+            first = objective.derivatives(thetas, np.array(rows))
+            expected = [a.tobytes() for a in first]
+            for _ in range(2):
+                for a in first:
+                    a[...] = 0.0
+                first = objective.derivatives(thetas.copy(), np.array(rows))
+                assert [a.tobytes() for a in first] == expected
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_nothing_is_reused_at_a_theta_that_is_not_finite(self, small_dataset, kind):
+        # Before a response has a kept point its keys are NaN, which a NaN
+        # theta matches byte for byte; its derivatives there are still NaN,
+        # on a new objective and on a row of a stack that has none kept.
+        ds, X = small_dataset
+        link = LinkSpec(ref_index=0, model_kind=kind)
+        stage = _stage_design(X.design, zero_pattern(ds), link, ZeroMode.RENORMALIZED)
+        objective = _Objective(np.stack([_log_response(ds.values, stage.U)] * 2), stage)
+        theta = random_theta(np.random.default_rng(8), kind)
+        nan = np.full((1, len(theta)), np.nan)
+        assert all(np.isnan(a).all() for a in objective.derivatives(nan, np.array([0])))
+        objective.value(theta[None], np.array([0]))
+        assert all(np.isnan(a).all() for a in objective.derivatives(nan, np.array([1])))
 
     @pytest.mark.parametrize("mode", list(ZeroMode))
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
@@ -393,6 +461,35 @@ class TestRowWorkReuse:
             assert info.tobytes() == expected[1].tobytes()
 
 
+class TestStackedDerivatives:
+    """`_derivatives` of a stack of points on their responses gives each
+    point, to the bit, its own one-response call: a replicate's fit restarted
+    at its batch's optimum reports the information the batch computed there
+    in its stack. n = 128 is the largest replicate a bootstrap batches at
+    D = 4 (`inference._BATCH_REPLICATE_CELLS`)."""
+
+    @pytest.mark.parametrize("n", [30, 128])
+    @pytest.mark.parametrize("mode", list(ZeroMode))
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_stack_equals_each_point_alone(self, kind, mode, n):
+        ds, X = simulate_dataset(n=n, seed=3, n_zero=n // 6)
+        stage = _stage_design(X.design, zero_pattern(ds), LinkSpec(0, kind), mode)
+        rng = np.random.default_rng(11)
+        R = 19
+        # R responses with the zero pattern of ds, and a point for each.
+        Y = ds.values * np.exp(rng.normal(scale=0.3, size=(R,) + ds.values.shape))
+        logY = np.stack([_log_response(y / y.sum(axis=1, keepdims=True), stage.U) for y in Y])
+        thetas = np.array([random_theta(rng, kind) for _ in range(R)])
+        B = thetas[:, :6].reshape(R, 3, 2)
+        precision = thetas[:, 6] if kind is ModelKind.SIMPLE else thetas[:, 6:]
+        grads, infos = _derivatives(_row_work(stage, B, precision), logY, stage)
+        for k in range(R):
+            one = slice(k, k + 1)
+            grad, info = _derivatives(_row_work(stage, B[one], precision[one]), logY[one], stage)
+            assert grads[k].tobytes() == grad[0].tobytes()
+            assert infos[k].tobytes() == info[0].tobytes()
+
+
 class TestInformationAssembly:
     """The one-product information against the row-wise Kronecker assembly
     kept in tests/oracle.py."""
@@ -428,8 +525,13 @@ class TestTrigammaKernel:
         precision = 12.0 if kind is ModelKind.SIMPLE else np.array([2.5, 0.1])
         theta = pack_params(TRUE_B + 0.1, precision, kind)
         g, info = derivatives(theta)
-        monkeypatch.setattr(model_mod, "trigamma", lambda x: special.zeta(2.0, x))
+        zeta_calls = []
+        monkeypatch.setattr(model_mod, "trigamma",
+                            lambda x: zeta_calls.append(1) or special.zeta(2.0, x))
+        # A new objective, since the first one keeps its derivatives at theta.
+        derivatives = _objective_pair(ds, X, zero_pattern(ds), link, ZeroMode.AS_WRITTEN)[1]
         g_zeta, info_zeta = derivatives(theta)
+        assert zeta_calls
         assert np.array_equal(g, g_zeta)
         assert np.max(np.abs(info - info_zeta) / np.abs(info_zeta)) <= 1e-12
 

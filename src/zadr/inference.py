@@ -33,15 +33,15 @@ fitting. The batch is cut into chunks of at most `_BATCH_CELLS` response
 cells, so a large n x B cannot exhaust memory. A chunk draws its
 responses from the model's means and precisions computed once. A
 replicate's numbers are bit for bit those of `_replicate_one`, its fit
-alone from the covariates, whatever the chunks. Larger replicates leave a
-batch little per-call overhead to share, so their bootstrap maps
-`_replicate_one` over the process pool instead. `fit_batch` reports each
-replicate stage through a one-response restart of the fit stage where the
-batch stopped, which reuses the gradient and information the batch
-computed there instead of differentiating the replicate again: the traced
-benchmark reads its counts and its probe point from that single-fit
-`minimize`, and the restart goes once the fit records those itself
-(ROADMAP item 1).
+alone from the covariates (`fit`, which is `fit_batch` of one response),
+whatever the chunks. Larger replicates leave a batch little per-call
+overhead to share, so their bootstrap maps `_replicate_one` over the
+process pool instead. A batch of two or more reports each replicate stage
+through a one-response restart of the fit stage where the batch stopped,
+which reuses the gradient and information the batch computed there
+instead of differentiating the replicate again: the traced benchmark
+reads its counts and its probe point from that single-fit `minimize`, and
+the restart goes once the fit records those itself (ROADMAP item 1).
 
 The simulation study draws each replicate's design rows and zero pattern in
 the parent, from that replicate's generator, and hands the same generator
@@ -360,13 +360,15 @@ def lrt(simple: ZadrModel, mixed: ZadrModel) -> tuple[float, int, float]:
 
 
 def fit_metrics(observed: CompositionDataset, fitted: CompositionDataset) -> FitMetrics:
-    """Aggregate KL divergence and squared L2 distance, with 0*log(0) = 0."""
+    """Aggregate KL divergence and squared L2 distance, with 0*log(0) = 0.
+    KL is +inf where a fitted mean is 0 at a positive observed value."""
     Y = observed.values
     F = fitted.values
     if Y.shape != F.shape:
         raise ShapeMismatch(f"observed {Y.shape} vs fitted {F.shape}")
     mask = Y > 0
-    ratio = np.divide(Y, F, out=np.ones_like(Y), where=mask)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.divide(Y, F, out=np.ones_like(Y), where=mask)
     kl = float(np.sum(np.where(mask, Y * np.log(ratio), 0.0)))
     l2 = float(np.sum((Y - F) ** 2))
     return FitMetrics(kl=kl, l2=l2)

@@ -21,20 +21,20 @@ leading axis; every reduction and product runs per point, so a point's
 numbers do not depend on the others in its stack. The loglik functions
 evaluate single points; the four `loglik_*` functions are thin wrappers
 whose names fix the kind of their link. The one fit objective,
-`_Objective`, evaluates stacks: `fit` runs it on a stack of one response,
-the bootstrap's `fit_batch` on many. It and `_derivatives` (its gradient
-and information) share each point's row work on a stage prepared once.
-The public functions take `CompositionDataset` and `CovariateMatrix`
+`_Objective`, evaluates stacks of responses. It and `_derivatives` (its
+gradient and information) share each point's row work on a stage prepared
+once. The public functions take `CompositionDataset` and `CovariateMatrix`
 objects, which validate their rows once; the private helpers behind them
 take the plain arrays (response values, design, zero pattern) and slice
 rows from those. A fit splits into a design half
 (`prepare_design`: the least-squares normal matrix of the zero-free rows,
 the zero-pattern probabilities and each stage's covariate arrays, whose
-retained cells hold the zero pattern) and a response half. A bootstrap
-of small replicates prepares the design half once for all of them and
-fits them on it together (`fit_batch`: one Newton loop per stage over all
-the responses); the `FitDesign` it gets is a `CovariateMatrix`, at which it
-draws them.
+retained cells hold the zero pattern) and a response half. There is one
+staged pipeline, `fit_batch`, which fits many responses on one design
+half, each stage through one driver (`_fit_stages`); `fit` is `fit_batch`
+of one dataset. A bootstrap of small replicates prepares the design half
+once and fits them all on it; the `FitDesign` it gets is a
+`CovariateMatrix`, at which it draws them.
 The engine's hot path calls numpy's ufuncs and their reductions directly
 (`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point is
 mostly per-call overhead, and each method wrapper adds to it without
@@ -569,11 +569,11 @@ def _normal_matrix(Xd: np.ndarray) -> np.ndarray:
 def _least_squares(XtX: np.ndarray, Xd: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Least-squares coefficients (d x q) of the alr responses Z (n x d) on
     the design Xd, given its normal matrix XtX checked by `_normal_matrix`;
-    a stack of responses (R x n x d) gives a stack of coefficients (R x d x
-    q). Each product and solve runs per response, so a response's
-    coefficients do not depend on the others in its stack: one product of
-    Xd^T with all responses side by side differs in the last bits at n of
-    about 2000 and more."""
+    a stack of responses (R x n x d), as `fit_batch` passes even for one,
+    gives a stack of coefficients (R x d x q). Each product and solve runs
+    per response, so a response's coefficients do not depend on the others
+    in its stack: one product of Xd^T with all responses side by side
+    differs in the last bits at n of about 2000 and more."""
     return np.linalg.solve(XtX, Xd.T @ Z).swapaxes(-1, -2)
 
 
@@ -726,71 +726,47 @@ def _stage_options(n: int) -> OptimizerOptions:
     return OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * n)
 
 
-def _fit_stage(objectives, stage_design: _StageDesign, theta0, fit_mode: ZeroMode,
-               stage: FitStage, p_hat: np.ndarray, names: tuple[list[str], list[str]],
-               loglik_offset: float = 0.0) -> ZadrModel:
-    """Maximize one stage's Dirichlet-part likelihood, under the link and
-    zero mode the stage carries, from theta0 and wrap the optimum as a model
-    whose covariance is the inverse of the information there, once that is
-    checked positive definite; loglik_offset adds back the Bernoulli term.
-    `objectives` is the stage's (objective, derivatives) pair as
-    `_Objective.pair` gives it, which `minimize` runs. The model records the
-    stage's link, `fit_mode`, the zero mode of the whole fit, and the
-    (component, covariate) `names`."""
-    negloglik, negderivatives = objectives
-    n, q = stage_design.Xd.shape
-    link = stage_design.link
-    res = minimize(negloglik, theta0, gradient=negderivatives, opts=_stage_options(n))
-    B, precision = unpack_params(res.argmin, stage_design.U.shape[0] - 1, q, link.model_kind)
-    check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
-    return ZadrModel(
-        B=B,
-        precision=precision,
-        p_hat=p_hat,
-        covariance=np.linalg.inv(res.hessian),
-        loglik=-res.value + loglik_offset,
-        converged=res.converged,
-        stage=stage,
-        link=link,
-        zero_mode=fit_mode,
-        component_names=names[0],
-        covariate_names=names[1],
-    )
-
-
 def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray,
                 fit_mode: ZeroMode, stage: FitStage, p_hat: np.ndarray,
                 names: tuple[list[str], list[str]], loglik_offset: float = 0.0) -> list:
-    """`_fit_stage` of R log responses (R x D x n) from R starts (R x m) as
-    one `minimize_batch` run; per response its model, or the error that
-    `_fit_stage` raises for it.
+    """Maximize one stage's Dirichlet-part likelihood, under the link and
+    zero mode the stage carries, for R log responses (R x D x n) from R
+    starts (R x m); per response its model, or the error its fit raised.
+    Each model's covariance is the inverse of its information at the
+    optimum, once that is checked positive definite; loglik_offset adds
+    back the Bernoulli term, and `fit_mode` is the zero mode of the whole
+    fit, which the model records with the (component, covariate) `names`.
 
-    Each response's model comes from `_fit_stage` restarted where the batch
-    stopped, so every stage is still reported through `minimize`. Where the
-    batch passed the gradient test, the restart passes it at iteration 0;
-    where the batch stalled, the restart stalls again at its first
-    iteration; a stage the batch ended on MaxIter is refitted alone from its
-    start. Either way the model is bit for bit the one the batch found. The
-    restart shares the batch's objective, which kept its derivatives at the
-    batch's optimum, so its first point computes none; a stage that passed
-    the gradient test computes nothing at all, since the batch's last value
-    was at that point too. The information it reports was computed in the
-    batch's stack, which gives each point the bits of its own one-response
-    call (`_derivatives`).
+    Every stage is reported through `minimize` on its `_Objective.pair`. A
+    lone response, as `fit` has, runs it from its start: a batch would only
+    find the point that the restart confirms. R >= 2 responses first run
+    one `minimize_batch`, and each restarts where the batch stopped, or
+    from its start where the batch ran out of iterations; the restart
+    reuses the derivatives the objective kept there and stops at the
+    batch's point, bit for bit.
     """
+    link = stage_design.link
+    opts = _stage_options(stage_design.Xd.shape[0])
     objective = _Objective(logY, stage_design)
-    batch = minimize_batch(objective.value, theta0, objective.derivatives,
-                           _stage_options(stage_design.Xd.shape[0]))
+    batch = (minimize_batch(objective.value, theta0, objective.derivatives, opts)
+             if len(theta0) > 1 else [None])
     models = []
-    for k, (start, res) in enumerate(zip(theta0, batch)):
-        if isinstance(res, NonFiniteObjective):
-            models.append(res)
+    for k, (start, stopped) in enumerate(zip(theta0, batch)):
+        if isinstance(stopped, NonFiniteObjective):
+            models.append(stopped)
             continue
-        if res.termination_reason is not TerminationReason.MAX_ITER:
-            start = res.argmin
+        if stopped is not None and stopped.termination_reason is not TerminationReason.MAX_ITER:
+            start = stopped.argmin
+        negloglik, negderivatives = objective.pair(k)
         try:
-            models.append(_fit_stage(objective.pair(k), stage_design, start, fit_mode, stage,
-                                     p_hat, names, loglik_offset))
+            res = minimize(negloglik, start, gradient=negderivatives, opts=opts)
+            B, precision = unpack_params(res.argmin, objective.d, objective.q, link.model_kind)
+            check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
+            models.append(ZadrModel(
+                B=B, precision=precision, p_hat=p_hat, covariance=np.linalg.inv(res.hessian),
+                loglik=-res.value + loglik_offset, converged=res.converged, stage=stage,
+                link=link, zero_mode=fit_mode, component_names=names[0], covariate_names=names[1],
+            ))
         except (ZadrError, np.linalg.LinAlgError) as exc:
             models.append(exc)
     return models
@@ -801,11 +777,9 @@ class FitDesign(CovariateMatrix):
     """Covariates together with the half of `fit` that depends only on them,
     the zero pattern, the link and the zero mode, prepared by
     `prepare_design`. Its stages carry the link, the zero mode and the zero
-    pattern (the final stage's retained cells).
-
-    A parametric bootstrap refits many responses that share all four, so it
-    prepares this half once, draws the responses at these covariates and
-    fits them on it with `fit_batch`.
+    pattern (the final stage's retained cells). `fit_batch` fits responses
+    on it: `fit` one, on the design it prepares for that call; a parametric
+    bootstrap many that share all four, drawn at these covariates.
     """
 
     XtX: np.ndarray  # X^T X of the zero-free rows, checked for the least-squares start
@@ -857,8 +831,9 @@ def fit(
     on the covariates, the zero pattern of `ds`, the link and the zero mode;
     the response half fits the values of `ds` on it. The design half builds
     both stages, each carrying the link and the zero mode it is fitted under:
-    as written for stage one, `zero_mode` for stage two. `fit_batch` fits
-    many responses on one prepared design half.
+    as written for stage one, `zero_mode` for stage two. `fit` is `fit_batch`
+    of the one dataset on the design half it prepares, and raises the error
+    that batch gives for it.
 
     Every stage ends the same way: its optimizer stops, and counts as
     converged, only once max|gradient| < 1e-6 per row fitted in that stage,
@@ -871,30 +846,17 @@ def fit(
     precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
     large phi, S < 1 the retained mean mass), so no MLE exists.
     """
-    design = prepare_design(X, zero_pattern(ds), link, zero_mode)
-    values_free = ds.values[design.final.U.all(axis=0)]
-    B0 = _least_squares(design.XtX, design.initial.Xd, alr(values_free, link.ref_index))
-    names = (ds.component_names, design.covariate_names)
-
-    # Stage one: plain likelihood on zero-free rows.
-    logY = _log_response(values_free, design.initial.U)[None]
-    initial = _fit_stage(_Objective(logY, design.initial).pair(0), design.initial,
-                         _starts(B0[None], link.model_kind)[0], zero_mode,
-                         FitStage.ZERO_FREE_INITIAL, np.ones(ds.D), names)
-
-    # Stage two: zero-adjusted likelihood on the full data.
-    logY = _log_response(ds.values, design.final.U)[None]
-    final = _fit_stage(_Objective(logY, design.final).pair(0), design.final,
-                       initial.parameter_vector(), zero_mode, FitStage.FINAL, design.p_hat,
-                       names, design.bernoulli)
-    return initial, final
+    [fitted] = fit_batch([ds], prepare_design(X, zero_pattern(ds), link, zero_mode))
+    if isinstance(fitted, Exception):
+        raise fitted
+    return fitted
 
 
 def _starts(B0: np.ndarray, kind: ModelKind) -> np.ndarray:
-    """Stage one's starting points (R x m) of R responses from their
-    least-squares coefficients B0 (R x d x q). Both kinds start from the
-    precision _PHI_START; the mixed model anchors its precision intercept
-    there and starts its slopes at 0."""
+    """Stage one's starting points (R x m) of R responses, one for `fit`,
+    from their least-squares coefficients B0 (R x d x q). Both kinds start
+    from the precision _PHI_START; the mixed model anchors its precision
+    intercept there and starts its slopes at 0."""
     R, _, q = B0.shape
     if kind is ModelKind.SIMPLE:
         precision0 = [_PHI_START]
@@ -904,16 +866,23 @@ def _starts(B0: np.ndarray, kind: ModelKind) -> np.ndarray:
     return np.concatenate([B0.reshape(R, -1), np.repeat([precision0], R, axis=0)], axis=1)
 
 
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays behind a new leading axis; a lone array as a view of it,
+    which `np.stack` would copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
     """`fit` of many datasets on one prepared design, under the link and zero
     mode it was prepared for: entry k is, bit for bit, what `fit(datasets[k],
-    design, link, zero_mode)` returns, or the error it raises. Every dataset
-    must have the zero pattern the design was prepared for and the same
-    components, as bootstrap replicates drawn at one model and design have.
+    design, link, zero_mode)` returns, or the error it raises; `fit` is this
+    of one dataset. Every dataset must have the zero pattern the design was
+    prepared for and the same components, as bootstrap replicates drawn at
+    one model and design have.
 
-    One least-squares solve gives every dataset's start, and each stage is
-    one batched Newton run over the datasets still fitting (`_fit_stages`).
-    Memory grows with the datasets' cells, so callers pass them in chunks.
+    The least-squares starts come from one stacked solve, and each stage
+    fits the datasets still fitting together (`_fit_stages`). Memory grows
+    with the datasets' cells, so callers pass them in chunks.
     """
     if not datasets:
         return []
@@ -921,17 +890,17 @@ def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
     free = design.final.U.all(axis=0)
     values_free = [ds.values[free] for ds in datasets]
     B0 = _least_squares(design.XtX, design.initial.Xd,
-                        np.stack([alr(v, link.ref_index) for v in values_free]))
+                        _stack([alr(v, link.ref_index) for v in values_free]))
     names = (datasets[0].component_names, design.covariate_names)
-    initial = _fit_stages(np.stack([_log_response(v, design.initial.U) for v in values_free]),
+    initial = _fit_stages(_stack([_log_response(v, design.initial.U) for v in values_free]),
                           design.initial, _starts(B0, link.model_kind), zero_mode,
                           FitStage.ZERO_FREE_INITIAL, np.ones(datasets[0].D), names)
     fitted = [k for k, model in enumerate(initial) if isinstance(model, ZadrModel)]
     results = list(initial)
     if fitted:
         final = _fit_stages(
-            np.stack([_log_response(datasets[k].values, design.final.U) for k in fitted]),
-            design.final, np.stack([initial[k].parameter_vector() for k in fitted]), zero_mode,
+            _stack([_log_response(datasets[k].values, design.final.U) for k in fitted]),
+            design.final, _stack([initial[k].parameter_vector() for k in fitted]), zero_mode,
             FitStage.FINAL, design.p_hat, names, design.bernoulli)
         for k, model in zip(fitted, final):
             results[k] = (initial[k], model) if isinstance(model, ZadrModel) else model
@@ -960,7 +929,8 @@ def fit_aitchison(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec,
 
 
 def fitted_values(model: ZadrModel, X: CovariateMatrix) -> CompositionDataset:
-    """Row-wise Dirichlet means; a valid zero-free composition matrix."""
+    """Row-wise Dirichlet means, rows summing to 1; a mean whose linear
+    predictor is far below its row's largest underflows to 0."""
     A = alpha_matrix(X.design, model.B, model.link.ref_index)
     return CompositionDataset(values=A, component_names=model.component_names)
 
@@ -1066,6 +1036,8 @@ def model_from_dict(doc: dict) -> ZadrModel:
                   else _field(doc, "covariance", (m, m), f"{m} parameters"))
     loglik = _checked("loglik", doc["loglik"], lambda v: v is None or _is_number(v),
                       "a number or null")
+    if loglik is None and kind is not ModelKind.AITCHISON:
+        raise SchemaMismatch(f"model field 'loglik' is null; a {kind.value} model needs a number")
     return ZadrModel(
         B=B,
         precision=precision,

@@ -546,6 +546,11 @@ MALFORMED_MODELS = {
                       "SchemaMismatch", "'p_hat' must be a list of numbers"),
     "string_loglik": ("simple", lambda doc: {"loglik": "x"}, "SchemaMismatch",
                       "'loglik' must be a number or null"),
+    # Only an aitchison-ols model has no log-likelihood.
+    "null_loglik_simple": ("simple", lambda doc: {"loglik": None}, "SchemaMismatch",
+                           "model field 'loglik' is null"),
+    "null_loglik_mixed": ("mixed", lambda doc: {"loglik": None}, "SchemaMismatch",
+                          "model field 'loglik' is null"),
     "number_stage": ("simple", lambda doc: {"stage": 5}, "SchemaMismatch",
                      "'stage' must be one of \"zero-free-initial\", \"final\", not 5"),
     "unknown_model_kind": ("mixed", lambda doc: {"model_kind": "quadratic"}, "SchemaMismatch",

@@ -678,6 +678,18 @@ class TestFitMetrics:
         expected_kl = 0.5 * np.log(0.5 / 0.4) + 0.5 * np.log(0.5 / 0.3)
         assert abs(m.kl - expected_kl) < 1e-12
 
+    def test_kl_is_infinite_where_a_fitted_mean_underflows(self, small_dataset):
+        # Linear predictors of 800 and -800, clamped to 700 and -700, put
+        # the third component's mean at exactly 0 below positive observed
+        # parts; KL is then +inf, without a RuntimeWarning (an error in
+        # this suite).
+        ds, X = small_dataset
+        model = replace(truth_model(), B=np.array([[800.0, 0.0], [-800.0, 0.0], [0.0, 0.0]]))
+        fitted = fitted_values(model, X)
+        assert (fitted.values[:, 2] == 0.0).all() and (ds.values[:, 2] > 0).any()
+        m = fit_metrics(ds, fitted)
+        assert m.kl == np.inf and m.l2 == np.sum((ds.values - fitted.values) ** 2)
+
     def test_shape_mismatch(self):
         a = load_dataset([[0.5, 0.5]])
         b = load_dataset([[0.4, 0.3, 0.3]])

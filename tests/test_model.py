@@ -733,6 +733,12 @@ class TestFit:
         assert calls == [ds.n]
 
 
+def with_zeros_of(ds, seed: int):
+    """Another draw from the truth model, with the zero pattern of ds."""
+    Y = np.where(zero_pattern(ds), simulate_dataset(n=ds.n, seed=seed, n_zero=0)[0].values, 0.0)
+    return load_dataset(Y / Y.sum(axis=1, keepdims=True), names=ds.component_names)
+
+
 def model_bytes(model):
     """Every number of a fitted model as bytes, with its flags and names."""
     return (model.parameter_vector().tobytes(), model.covariance.tobytes(), model.p_hat.tobytes(),
@@ -748,16 +754,40 @@ class TestFitDesign:
     @pytest.mark.parametrize("mode", list(ZeroMode))
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
     def test_prepared_design_fits_bit_for_bit(self, kind, mode, ref_index):
-        # As written, zero-adjusted data have no MLE (see `fit`), so that
-        # mode fits zero-free data.
+        # Each row of a batch of three responses with one zero pattern is
+        # its response's fit alone. As written, zero-adjusted data have no
+        # MLE (see `fit`), so that mode fits zero-free data.
         n_zero = 5 if mode is ZeroMode.RENORMALIZED else 0
         ds, X = simulate_dataset(n=30, seed=12, n_zero=n_zero)
+        datasets = [ds] + [with_zeros_of(ds, seed) for seed in (13, 14)]
         link = LinkSpec(ref_index=ref_index, model_kind=kind)
         design = prepare_design(X, zero_pattern(ds), link, mode)
-        expected = [model_bytes(m) for m in fit(ds, X, link, mode)]
+        expected = [[model_bytes(m) for m in fit(d, X, link, mode)] for d in datasets]
         for _ in range(2):  # a design is not changed by the fits it serves
-            [fitted] = fit_batch([ds], design)
-            assert [model_bytes(m) for m in fitted] == expected
+            batch = fit_batch(datasets, design)
+            assert [[model_bytes(m) for m in fitted] for fitted in batch] == expected
+
+    def test_only_a_batch_of_several_runs_the_batched_loop(self, small_dataset, monkeypatch):
+        # A lone dataset, as `fit` has, runs `minimize` from its start; a
+        # batch of two runs one `minimize_batch` per stage.
+        import zadr.model as model_mod
+
+        ds, X = small_dataset
+        design = prepare_design(X, zero_pattern(ds), SIMPLE_LINK, ZeroMode.RENORMALIZED)
+        expected = [model_bytes(m) for m in fit(ds, X, SIMPLE_LINK)]
+        real, calls = model_mod.minimize_batch, []
+
+        def refused(*args):
+            raise AssertionError("minimize_batch ran for one dataset")
+
+        monkeypatch.setattr(model_mod, "minimize_batch", refused)
+        assert [model_bytes(m) for m in fit(ds, X, SIMPLE_LINK)] == expected
+        [fitted] = fit_batch([ds], design)
+        assert [model_bytes(m) for m in fitted] == expected
+        monkeypatch.setattr(model_mod, "minimize_batch",
+                            lambda *args: calls.append(len(args[1])) or real(*args))
+        fit_batch([ds, with_zeros_of(ds, 13)], design)
+        assert calls == [2, 2]
 
     def test_fit_prepares_the_design_half_of_every_call(self, small_dataset, monkeypatch):
         # Given a prepared design as X, `fit` reads only its covariates, also

@@ -29,19 +29,18 @@ fitting any. A bootstrap of replicates of at most `_BATCH_REPLICATE_CELLS`
 response cells runs in this process, with no pool: it draws the
 replicates' responses in generator order and fits them together on that
 half with `model.fit_batch`, whose Newton loop serves every replicate still
-fitting. The batch is cut into chunks of at most `_BATCH_CELLS` response
-cells, so a large n x B cannot exhaust memory. A chunk draws its
+fitting. The batch is cut into near-equal chunks of at most `_BATCH_CELLS`
+response cells, so a large n x B cannot exhaust memory. A chunk draws its
 responses from the model's means and precisions computed once. A
 replicate's numbers are bit for bit those of `_replicate_one`, its fit
 alone from the covariates (`fit`, which is `fit_batch` of one response),
 whatever the chunks. Larger replicates leave a batch little per-call
 overhead to share, so their bootstrap maps `_replicate_one` over the
 process pool instead. A batch of two or more reports each replicate stage
-through a one-response restart of the fit stage where the batch stopped,
-which reuses the gradient and information the batch computed there
-instead of differentiating the replicate again: the traced benchmark
-reads its counts and its probe point from that single-fit `minimize`, and
-the restart goes once the fit records those itself (ROADMAP item 1).
+through a one-response `minimize` restarted where the batch stopped and
+answered there from the batch's own result: the traced benchmark reads
+its counts and probe point from that `minimize`, and the restart goes
+once the fit records those itself (ROADMAP item 1).
 
 The simulation study draws each replicate's design rows and zero pattern in
 the parent, from that replicate's generator, and hands the same generator
@@ -277,9 +276,9 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
         if U.size > _BATCH_REPLICATE_CELLS:
             records = _map_indexed(_replicate_one, [(final, X, U, rng) for rng in rngs])
         else:
-            size = _BATCH_CELLS // U.size
-            records = [record for start in range(0, B, size)
-                       for record in _replicate_batch(final, design, U, rngs[start:start + size])]
+            chunks = -(-B // (_BATCH_CELLS // U.size))
+            records = [record for c in range(chunks) for record in _replicate_batch(
+                final, design, U, rngs[c * B // chunks:(c + 1) * B // chunks])]
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
     if len(kept) < MIN_REPLICATES:

@@ -84,6 +84,7 @@ from .errors import (
 )
 from .numerics import (
     OptimizerOptions,
+    OptimResult,
     TerminationReason,
     minimize,
     minimize_batch,
@@ -579,6 +580,7 @@ def _least_squares(XtX: np.ndarray, Xd: np.ndarray, Z: np.ndarray) -> np.ndarray
 
 def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
     """Least-squares coefficients of the alr-transformed responses, d x (p+1)."""
+    _check_reference(link.ref_index, ds.D)
     return _least_squares(_normal_matrix(X.design), X.design, alr(ds, link.ref_index))
 
 
@@ -605,17 +607,11 @@ class _Objective:
     callers add it back to reported log-likelihoods.
 
     Both compute a point's row work with `_row_work`. `value` keeps each
-    response's latest point (its theta, row work and value), and
-    `derivatives` each response's latest derivatives (its theta, gradient
-    and information). A call whose thetas have, row for row, the bytes of
-    the points kept for it reuses what is kept, and `derivatives` returns
-    copies of its kept arrays, so a caller may change them; otherwise a call
-    computes afresh. So each accepted Newton point builds its row work once,
-    and a response's fit restarted at the batch's optimum (`pair`) computes
-    nothing again: the batch evaluated and differentiated that point last.
-    Nothing is reused for a theta that is not finite. A call on every
-    response, such as each call of a one-response objective, takes the row
-    work and logY as they are instead of copying its rows out of them.
+    response's latest point and its row work, which `derivatives` reuses at
+    finite thetas with, row for row, the bytes of the kept points: each
+    accepted Newton point builds its row work once. A call on every
+    response, as each of a one-response objective is, takes the row work
+    and logY as views instead of copying their rows.
     """
 
     def __init__(self, logY: np.ndarray, stage: _StageDesign):
@@ -624,15 +620,10 @@ class _Objective:
         self.d, self.q = D - 1, stage.Xd.shape[1]
         self.simple = stage.link.model_kind is ModelKind.SIMPLE
         m = self.d * self.q + (1 if self.simple else self.q)
-        # The kept points of both calls, NaN until a response has one: the
-        # only thetas a NaN could match are not finite, which neither call
-        # keeps or reuses.
+        # Each response's kept point, NaN until it has one: a NaN matches
+        # only a theta that is not finite, whose row work is never reused.
         self.keys = np.full((R, m), np.nan)
         self.work = None  # the row work there
-        self.values = np.empty(R)
-        self.derivative_keys = np.full((R, m), np.nan)
-        # the negated gradients and the informations there
-        self.gradients, self.informations = np.empty((R, m)), np.empty((R, m, m))
 
     def _row_work(self, theta: np.ndarray):
         dq = self.d * self.q
@@ -643,10 +634,6 @@ class _Objective:
         """rows as an index of the per-response arrays: a slice, which takes
         views instead of copies, when they are all of them."""
         return slice(None) if len(rows) == len(self.keys) else rows
-
-    @staticmethod
-    def _kept(keys: np.ndarray, theta: np.ndarray, index) -> bool:
-        return keys[index].tobytes() == theta.tobytes()
 
     def value(self, theta, rows) -> np.ndarray:
         theta = np.ascontiguousarray(theta, dtype=float)
@@ -659,8 +646,6 @@ class _Objective:
                 values[ok] = self.value(theta[ok], rows[ok])
             return values
         index = self._index(rows)
-        if self._kept(self.keys, theta, index):
-            return self.values[rows]
         work = self._row_work(theta)
         if isinstance(index, slice):
             self.work = work
@@ -669,19 +654,14 @@ class _Objective:
                 self.work = tuple(np.empty((len(self.keys),) + a.shape[1:]) for a in work)
             for kept, a in zip(self.work, work):
                 kept[rows] = a
+        self.keys[index] = theta
         value = _dirichlet_value(work, self.logY[index])
-        values = np.where(np.isfinite(value), -value, np.inf)
-        self.keys[index], self.values[index] = theta, values
-        return values
+        return np.where(np.isfinite(value), -value, np.inf)
 
     def derivatives(self, theta, rows):
         theta = np.ascontiguousarray(theta, dtype=float)
         index = self._index(rows)
-        finite = np.isfinite(theta).all()
-        if finite and self._kept(self.derivative_keys, theta, index):
-            # Indexing by an array of rows copies.
-            return self.gradients[rows], self.informations[rows]
-        if finite and self.work is not None and self._kept(self.keys, theta, index):
+        if np.isfinite(theta).all() and self.keys[index].tobytes() == theta.tobytes():
             work = tuple(a[index] for a in self.work)
         else:
             work = self._row_work(theta)
@@ -692,11 +672,7 @@ class _Objective:
         # response's fit with NonFiniteObjective.
         with np.errstate(over="ignore", invalid="ignore"):
             grad, information = _derivatives(work, self.logY[index], self.stage)
-        grad = -grad
-        if finite:
-            self.derivative_keys[index] = theta
-            self.gradients[index], self.informations[index] = grad, information
-        return grad, information
+        return -grad, information
 
     def pair(self, k: int):
         """Response k's objective and derivative closures, of one theta each,
@@ -726,6 +702,23 @@ def _stage_options(n: int) -> OptimizerOptions:
     return OptimizerOptions(gradient_tolerance=_GRADIENT_TOL_PER_ROW * n)
 
 
+def _answered_at(stopped: OptimResult, negloglik, negderivatives):
+    """The closures `negloglik` and `negderivatives` of one theta array,
+    except that at a theta with the bytes of `stopped.argmin` they return
+    (copies of) the value, gradient and Hessian that `stopped` carries."""
+    key = stopped.argmin.tobytes()
+
+    def value(theta):
+        return stopped.value if theta.tobytes() == key else negloglik(theta)
+
+    def derivatives(theta):
+        if theta.tobytes() == key:
+            return stopped.gradient.copy(), stopped.hessian.copy()
+        return negderivatives(theta)
+
+    return value, derivatives
+
+
 def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray,
                 fit_mode: ZeroMode, stage: FitStage, p_hat: np.ndarray,
                 names: tuple[list[str], list[str]], loglik_offset: float = 0.0) -> list:
@@ -740,10 +733,10 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
     Every stage is reported through `minimize` on its `_Objective.pair`. A
     lone response, as `fit` has, runs it from its start: a batch would only
     find the point that the restart confirms. R >= 2 responses first run
-    one `minimize_batch`, and each restarts where the batch stopped, or
-    from its start where the batch ran out of iterations; the restart
-    reuses the derivatives the objective kept there and stops at the
-    batch's point, bit for bit.
+    one `minimize_batch`; each then restarts from its start if the batch
+    ran out of iterations, and otherwise where the batch stopped, answered
+    there from the batch's `OptimResult` (`_answered_at`), so that it
+    computes nothing at that point again and stops there, bit for bit.
     """
     link = stage_design.link
     opts = _stage_options(stage_design.Xd.shape[0])
@@ -755,9 +748,10 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
         if isinstance(stopped, NonFiniteObjective):
             models.append(stopped)
             continue
+        negloglik, negderivatives = objective.pair(k)
         if stopped is not None and stopped.termination_reason is not TerminationReason.MAX_ITER:
             start = stopped.argmin
-        negloglik, negderivatives = objective.pair(k)
+            negloglik, negderivatives = _answered_at(stopped, negloglik, negderivatives)
         try:
             res = minimize(negloglik, start, gradient=negderivatives, opts=opts)
             B, precision = unpack_params(res.argmin, objective.d, objective.q, link.model_kind)

@@ -76,12 +76,19 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class OptimResult:
+    """Where a minimization stopped, and the objective's value, gradient and Hessian there."""
+
     argmin: np.ndarray
     value: float
-    gradient_norm: float
+    gradient: np.ndarray
     iterations: int
     termination_reason: TerminationReason
     hessian: np.ndarray
+
+    @property
+    def gradient_norm(self) -> float:
+        """max|gradient| at the argmin, the number the gradient test compares."""
+        return float(np.max(np.abs(self.gradient)))
 
     @property
     def converged(self) -> bool:
@@ -196,10 +203,10 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
     the step it accepted left x unchanged in floating point. MaxIter means
     `opts.max_iterations` iterations ran without passing the test.
 
-    Returns, per problem, its `OptimResult`, which carries the Hessian at
-    the argmin, or a NonFiniteObjective: the objective is not finite at x0,
-    the derivatives are not finite at an accepted point, or no trial of the
-    line search is finite.
+    Returns, per problem, its `OptimResult` (the argmin, and the value,
+    gradient and Hessian there), or a NonFiniteObjective: the objective is
+    not finite at x0, the derivatives are not finite at an accepted point,
+    or no trial of the line search is finite.
     """
     # The problems still running, and their points, values and derivatives.
     # They all started together, so each has run `iteration` iterations, and
@@ -210,7 +217,7 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
     iteration = 0
 
     def end(k, reason):
-        results[live[k]] = OptimResult(argmin=x[k].copy(), value=fx[k], gradient_norm=norms[k],
+        results[live[k]] = OptimResult(argmin=x[k].copy(), value=fx[k], gradient=g[k].copy(),
                                        iterations=iteration, termination_reason=reason,
                                        hessian=H[k].copy())
 
@@ -246,7 +253,7 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
             break
         if len(going) < len(live):
             live, x, g, H = live[going], x[going], g[going], H[going]
-            fx, norms = [fx[k] for k in going], [norms[k] for k in going]
+            fx = [fx[k] for k in going]
         iteration += 1
 
         d = _newton_steps(g, H)

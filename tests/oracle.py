@@ -278,5 +278,5 @@ def oracle_minimize(objective, x0, gradient, opts: OptimizerOptions) -> OptimRes
             break
         x, fx = x_new, fx_new
         g, H = _oracle_derivatives(gradient, x)
-    return OptimResult(argmin=x, value=float(fx), gradient_norm=float(np.max(np.abs(g))),
-                       iterations=iterations, termination_reason=reason, hessian=H)
+    return OptimResult(argmin=x, value=float(fx), gradient=g, iterations=iterations,
+                       termination_reason=reason, hessian=H)

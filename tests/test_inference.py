@@ -347,37 +347,56 @@ class TestBootstrap:
                                 (TerminationReason.STEP_TOL, 1)}
 
     def test_restarts_differentiate_no_response_again(self, monkeypatch):
-        # The batch differentiated each stage last at its optimum, so the
-        # restarts there reuse its derivatives: every response row that
-        # `_derivatives` evaluates is one of the batch loop's. At phi = 1e7
-        # the stages end on GradientTol and on StepTol.
+        # Each restart at the batch's optimum is answered there from the
+        # batch's result: no restart differentiates a response row again, and
+        # one after GradientTol evaluates none either. One after StepTol
+        # repeats its failed line search. At phi = 1e7 both occur.
         import zadr.model as model_mod
 
         ds, X = simulate_dataset(n=30, seed=3, n_zero=5, phi=1e7)
         _, final = fit(ds, X, SIMPLE_LINK)
         U = zero_pattern(ds)
         design = prepare_design(X, U, final.link, final.zero_mode)
-        real_derivatives, real_minimize = model_mod._derivatives, model_mod.minimize
-        rows, restarts, phase = Counter(), [], ["batch"]
+        real_derivatives, real_value = model_mod._derivatives, model_mod._dirichlet_value
+        real_minimize, rows, restarts = model_mod.minimize, Counter(), []
 
-        def counted(work, logY, stage):
-            rows[phase[0]] += len(logY)
-            return real_derivatives(work, logY, stage)
+        def counted(name, real):
+            def call(work, logY, *stage):
+                rows[name] += len(logY)
+                return real(work, logY, *stage)
+            return call
 
         def restart(*args, **kwargs):
-            phase[0] = "restart"
-            try:
-                res = real_minimize(*args, **kwargs)
-            finally:
-                phase[0] = "batch"
-            restarts.append(res.termination_reason)
+            before = rows.copy()
+            res = real_minimize(*args, **kwargs)
+            restarts.append((res.termination_reason, rows - before))
             return res
 
-        monkeypatch.setattr(model_mod, "_derivatives", counted)
+        monkeypatch.setattr(model_mod, "_derivatives", counted("derivatives", real_derivatives))
+        monkeypatch.setattr(model_mod, "_dirichlet_value", counted("value", real_value))
         monkeypatch.setattr(model_mod, "minimize", restart)
         _replicate_batch(final, design, U, _replicate_rngs(5, 19))
-        assert set(restarts) == {TerminationReason.GRADIENT_TOL, TerminationReason.STEP_TOL}
-        assert len(restarts) == 38 and rows["batch"] > 0 and rows["restart"] == 0
+        assert len(restarts) == 38 and rows["derivatives"] > 0
+        assert {reason for reason, _ in restarts} == {TerminationReason.GRADIENT_TOL,
+                                                      TerminationReason.STEP_TOL}
+        for reason, done in restarts:
+            assert done["derivatives"] == 0
+            assert (done["value"] == 0) == (reason is TerminationReason.GRADIENT_TOL)
+
+    @pytest.mark.parametrize("B", [68, 69])
+    def test_no_chunk_is_fitted_alone(self, monkeypatch, B):
+        # B is cut into near-equal chunks, 69 into 34 and 35, not 68 and 1: a
+        # chunk of one replicate would be fitted alone from its start, and the
+        # restarts of the batched ones run no iteration at this seed.
+        import zadr.model as model_mod
+
+        ds, X = simulate_dataset(n=30, seed=12, n_zero=5)
+        _, final = fit(ds, X, SIMPLE_LINK)
+        real, runs = model_mod.minimize, []
+        monkeypatch.setattr(model_mod, "minimize",
+                            lambda *a, **k: runs.append(real(*a, **k)) or runs[-1])
+        bootstrap_pvalue(final, ds, X, B=B, seed=5, t_observed=1.0)
+        assert len(runs) == 2 * B and sum(res.iterations for res in runs) == 0
 
     def test_stage_out_of_iterations_is_refitted_alone(self, small_dataset, monkeypatch):
         # A stage that the batch ends on MaxIter is refitted alone from its

@@ -31,6 +31,7 @@ from zadr.model import (
     FitStage,
     LinkSpec,
     ModelKind,
+    _answered_at,
     _derivatives,
     _log_response,
     _Objective,
@@ -58,7 +59,13 @@ from zadr.model import (
     save_model,
     unpack_params,
 )
-from zadr.numerics import OptimizerOptions, TerminationReason, minimize, numerical_hessian
+from zadr.numerics import (
+    OptimizerOptions,
+    OptimResult,
+    TerminationReason,
+    minimize,
+    numerical_hessian,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SIMPLE_LINK = LinkSpec(ref_index=0, model_kind=ModelKind.SIMPLE)
@@ -264,6 +271,7 @@ class TestShapeErrors:
             X, zero_pattern(ds), link, ZeroMode.RENORMALIZED),
         "fit": lambda ds, X, link: fit(ds, X, link),
         "fit_aitchison": lambda ds, X, link: fit_aitchison(ds, X, link, ZeroMode.RENORMALIZED),
+        "ols_init": lambda ds, X, link: ols_init(ds, X, link),
     }
 
     @pytest.mark.parametrize("ref_index", [7, 4, -1])
@@ -325,9 +333,8 @@ class TestInformation:
 
 
 class TestRowWorkReuse:
-    """The objective and the derivatives share one point's row work, and the
-    derivatives keep what they computed; both are reused only at a theta of
-    the same bytes."""
+    """The objective and the derivatives share one point's row work; the
+    derivatives reuse it only at a theta of the same bytes."""
 
     @pytest.mark.parametrize("mode", list(ZeroMode))
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
@@ -348,59 +355,9 @@ class TestRowWorkReuse:
         assert len(built) == 1  # an equal theta reuses the objective's row work
         objective(other)
         after_other = derivatives(theta)
-        assert len(built) == 2  # the derivatives kept at theta outlast the objective's move
-        objective, derivatives = _objective_pair(ds, X, zero_pattern(ds), link, mode)
-        objective(theta)
-        objective(other)
-        not_kept = derivatives(theta)
-        assert len(built) == 5  # the row work kept at other is not taken for theta
-        for grad, info in (after_same, after_other, not_kept):
+        assert len(built) == 3  # the row work kept at other is not taken for theta
+        for grad, info in (after_same, after_other):
             assert grad.tobytes() == fresh[0].tobytes() and info.tobytes() == fresh[1].tobytes()
-
-    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
-    def test_derivatives_one_bit_away_are_computed_afresh(self, small_dataset, kind,
-                                                          monkeypatch):
-        import zadr.model as model_mod
-
-        ds, X = small_dataset
-        link = LinkSpec(ref_index=0, model_kind=kind)
-        theta = random_theta(np.random.default_rng(8), kind)
-        nudged = theta.copy()
-        nudged[-1] = np.nextafter(nudged[-1], np.inf)
-        fresh = _objective_pair(ds, X, zero_pattern(ds), link, ZeroMode.RENORMALIZED)[1](nudged)
-        real, built = model_mod._derivatives, []
-        monkeypatch.setattr(model_mod, "_derivatives", lambda *a: built.append(1) or real(*a))
-        derivatives = _objective_pair(ds, X, zero_pattern(ds), link, ZeroMode.RENORMALIZED)[1]
-        derivatives(theta)
-        grad, info = derivatives(nudged)
-        assert len(built) == 2
-        assert grad.tobytes() == fresh[0].tobytes() and info.tobytes() == fresh[1].tobytes()
-
-    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
-    def test_changing_returned_derivatives_leaves_the_kept_ones(self, small_dataset, kind,
-                                                                monkeypatch):
-        # Each call returns arrays of its own, whether computed or reused, on
-        # one response and on some rows of a stack.
-        import zadr.model as model_mod
-
-        ds, X = small_dataset
-        link = LinkSpec(ref_index=0, model_kind=kind)
-        stage = _stage_design(X.design, zero_pattern(ds), link, ZeroMode.RENORMALIZED)
-        logY = _log_response(ds.values, stage.U)
-        rng = np.random.default_rng(8)
-        real, built = model_mod._derivatives, []
-        monkeypatch.setattr(model_mod, "_derivatives", lambda *a: built.append(1) or real(*a))
-        for R, rows in ((1, [0]), (3, [0, 2])):
-            thetas = np.array([random_theta(rng, kind) for _ in rows])
-            objective = _Objective(np.stack([logY] * R), stage)
-            first = objective.derivatives(thetas, np.array(rows))
-            expected = [a.tobytes() for a in first]
-            for _ in range(2):
-                for a in first:
-                    a[...] = 0.0
-                first = objective.derivatives(thetas.copy(), np.array(rows))
-                assert [a.tobytes() for a in first] == expected
-        assert len(built) == 2
 
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
     def test_nothing_is_reused_at_a_theta_that_is_not_finite(self, small_dataset, kind):
@@ -459,6 +416,46 @@ class TestRowWorkReuse:
             expected = derivatives(theta)
             assert grad.tobytes() == expected[0].tobytes()
             assert info.tobytes() == expected[1].tobytes()
+
+
+class TestAnsweredRestart:
+    """A replicate stage restarted where its batch stopped (`_answered_at`)
+    is answered at the batch's argmin with the batch's value, gradient and
+    information, and computes afresh anywhere else."""
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
+    def test_answers_the_argmin_and_computes_one_bit_away(self, small_dataset, kind,
+                                                          monkeypatch):
+        import zadr.model as model_mod
+
+        ds, X = small_dataset
+        link = LinkSpec(ref_index=0, model_kind=kind)
+        theta = random_theta(np.random.default_rng(8), kind)
+        nudged = theta.copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        negloglik, negderivatives = _objective_pair(ds, X, zero_pattern(ds), link,
+                                                    ZeroMode.RENORMALIZED)
+        fresh = negloglik(nudged), negderivatives(nudged)
+        # Answers that no objective gives, so that only the batch's come back.
+        m = len(theta)
+        stopped = OptimResult(argmin=theta.copy(), value=-1.5, gradient=np.arange(m, dtype=float),
+                              iterations=3, termination_reason=TerminationReason.STEP_TOL,
+                              hessian=np.eye(m))
+        real, built = model_mod._row_work, []
+        monkeypatch.setattr(model_mod, "_row_work", lambda *a: built.append(1) or real(*a))
+        value, derivatives = _answered_at(stopped, *_objective_pair(ds, X, zero_pattern(ds), link,
+                                                                    ZeroMode.RENORMALIZED))
+        for _ in range(2):
+            assert value(theta.copy()) == -1.5
+            grad, info = derivatives(theta.copy())
+            assert grad.tobytes() == np.arange(m, dtype=float).tobytes()
+            assert info.tobytes() == np.eye(m).tobytes()
+            grad[...] = info[...] = 7.0  # the caller's copies, not the batch's arrays
+        assert not built
+        assert value(nudged) == fresh[0]
+        grad, info = derivatives(nudged)
+        assert grad.tobytes() == fresh[1][0].tobytes() and info.tobytes() == fresh[1][1].tobytes()
+        assert len(built) == 1  # the derivatives reuse the row work of the value call
 
 
 class TestStackedDerivatives:
@@ -528,8 +525,6 @@ class TestTrigammaKernel:
         zeta_calls = []
         monkeypatch.setattr(model_mod, "trigamma",
                             lambda x: zeta_calls.append(1) or special.zeta(2.0, x))
-        # A new objective, since the first one keeps its derivatives at theta.
-        derivatives = _objective_pair(ds, X, zero_pattern(ds), link, ZeroMode.AS_WRITTEN)[1]
         g_zeta, info_zeta = derivatives(theta)
         assert zeta_calls
         assert np.array_equal(g, g_zeta)

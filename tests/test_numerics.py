@@ -285,6 +285,7 @@ class TestMinimizeBatch:
             return str(res)
         alone = oracle_minimize(f, x0, derivatives, self.OPTS)
         assert res.argmin.tobytes() == alone.argmin.tobytes(), name
+        assert res.gradient.tobytes() == alone.gradient.tobytes(), name
         assert res.hessian.tobytes() == alone.hessian.tobytes(), name
         assert (res.value, res.gradient_norm, res.iterations, res.termination_reason) == (
             alone.value, alone.gradient_norm, alone.iterations, alone.termination_reason)

@@ -958,11 +958,11 @@ def model_to_dict(model: ZadrModel) -> dict:
 
 
 def _is_number(value) -> bool:
-    """Whether a JSON value is a number that a float holds: not a bool, and
-    not an integer past the largest float."""
+    """Whether a JSON value is a finite number that a float holds: not a
+    bool, NaN or an infinity, and not an integer past the largest float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
+    return abs(value) <= sys.float_info.max
 
 
 def _checked(key: str, value, ok, need: str):
@@ -1002,9 +1002,10 @@ def _field(doc: dict, key: str, shape: tuple[int, ...], need: str) -> np.ndarray
 
 def model_from_dict(doc: dict) -> ZadrModel:
     """The model a `model_to_dict` document describes, checked before it is
-    built: SchemaMismatch naming a field of the wrong JSON type or an unknown
-    value, then DomainError for a reference outside the components and
-    ShapeMismatch naming a field of the wrong size. Keys it does not read,
+    built: SchemaMismatch naming a field of the wrong JSON type, a number
+    that is not finite or an unknown value, then DomainError for a reference
+    outside the components or a simple model's phi <= 0, and ShapeMismatch
+    naming a field of the wrong size. Keys it does not read,
     such as the "seed" that older model files carry, are ignored."""
     kind = _member("model_kind", doc["model_kind"], ModelKind)
     component_names = _checked("component_names", doc["component_names"], *_NAMES)
@@ -1023,6 +1024,8 @@ def model_from_dict(doc: dict) -> ZadrModel:
         precision = _checked(name, precision_doc[name],
                              *(_NUMBER if kind is ModelKind.SIMPLE else _NUMBERS))
         _check_parameter_shapes(B, precision, D, q, kind)
+        if kind is ModelKind.SIMPLE and precision <= 0:
+            raise DomainError("phi must be > 0")
         precision = (float(precision) if kind is ModelKind.SIMPLE
                      else np.array(precision, dtype=float))
     m = pack_params(B, precision, kind).size

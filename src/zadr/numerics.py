@@ -153,29 +153,23 @@ def _cholesky_fails(A: np.ndarray) -> bool:
 
 def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Newton steps of r problems, g (r, m) and H (r, m, m): for each, solve
-    (Hs + shift I) z = -Ds g with Hs = Ds H Ds, Ds = |diag H|^(-1/2). The
-    shift starts at 0 and grows tenfold until Cholesky succeeds, so the step
-    is a descent direction even where H is indefinite. Cholesky and the solve
-    run on the whole stack; a problem whose Cholesky fails there is shifted
-    and solved alone, in (1, m, m) form, so each step has the bits it has
-    when its problem is solved alone."""
+    (Hs + shift I) z = -Ds g with Hs = Ds H Ds, Ds = |diag H|^(-1/2), and the
+    shift the first of 0, 1e-8, 1e-7, ... at which Cholesky succeeds, so the
+    step descends even where H is indefinite. A shift is added in place to its
+    problem's Hs; one solve on the whole stack, which LAPACK runs matrix by
+    matrix, gives each step the bits it has when its problem is solved alone."""
     diag = np.abs(np.diagonal(H, axis1=1, axis2=2))
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     Hs = H * scale[:, None, :] * scale[:, :, None]
-    b = (scale * g)[:, :, None]
-    if not _cholesky_fails(Hs):
-        return -scale * np.linalg.solve(Hs, b)[:, :, 0]
-    failed = np.array([_cholesky_fails(Hs[k:k + 1]) for k in range(len(g))])
-    steps = np.empty_like(g)
-    if not failed.all():
-        steps[~failed] = np.linalg.solve(Hs[~failed], b[~failed])[:, :, 0]
-    eye = np.eye(g.shape[1])
-    for k in np.flatnonzero(failed):
-        shift = _FIRST_SHIFT
-        while _cholesky_fails(shifted := Hs[k:k + 1] + shift * eye):
-            shift *= 10.0
-        steps[k] = np.linalg.solve(shifted, b[k:k + 1])[0, :, 0]
-    return -scale * steps
+    if _cholesky_fails(Hs):
+        eye = np.eye(g.shape[1])
+        for k in range(len(g)):
+            shift = 0.0
+            while _cholesky_fails(Hs[k] + shift * eye):
+                shift = 10.0 * shift if shift else _FIRST_SHIFT
+            if shift:
+                Hs[k] += shift * eye
+    return -scale * np.linalg.solve(Hs, (scale * g)[:, :, None])[:, :, 0]
 
 
 def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -557,6 +558,26 @@ MALFORMED_MODELS = {
                            "'model_kind' must be one of \"simple\", \"mixed\""),
     "unknown_zero_mode": ("simple", lambda doc: {"zero_mode": "imputed"}, "SchemaMismatch",
                           "'zero_mode' must be one of"),
+    # json reads NaN and Infinity, which no fitted model holds.
+    "nan_in_B": ("simple", lambda doc: {"B": [math.nan] + doc["B"][1:]}, "SchemaMismatch",
+                 "'B' must be a list of numbers, not [NaN"),
+    "nan_in_covariance": ("simple",
+                          lambda doc: {"covariance": doc["covariance"][:-1] + [math.nan]},
+                          "SchemaMismatch", "'covariance' must be a list of numbers"),
+    "nan_in_p_hat": ("mixed", lambda doc: {"p_hat": [math.nan] + doc["p_hat"][1:]},
+                     "SchemaMismatch", "'p_hat' must be a list of numbers, not [NaN"),
+    "nan_loglik": ("simple", lambda doc: {"loglik": math.nan}, "SchemaMismatch",
+                   "'loglik' must be a number or null, not NaN"),
+    "infinite_phi": ("simple", lambda doc: {"precision": {"phi": math.inf}}, "SchemaMismatch",
+                     "'phi' must be a number, not Infinity"),
+    "minus_infinity_in_gamma": ("mixed",
+                                lambda doc: {"precision": {
+                                    "gamma": [-math.inf] + doc["precision"]["gamma"][1:]}},
+                                "SchemaMismatch", "'gamma' must be a list of numbers, not [-Inf"),
+    "zero_phi": ("simple", lambda doc: {"precision": {"phi": 0}}, "DomainError",
+                 "phi must be > 0"),
+    "negative_phi": ("simple", lambda doc: {"precision": {"phi": -2.0}}, "DomainError",
+                     "phi must be > 0"),
 }
 
 

@@ -14,6 +14,7 @@ from zadr.numerics import (
     _BERNOULLI_EVEN,
     OptimizerOptions,
     TerminationReason,
+    _newton_steps,
     minimize,
     minimize_batch,
     numerical_hessian,
@@ -308,3 +309,66 @@ class TestMinimizeBatch:
                       ["shifted", "bowl-1", "infinite", "bowl-2", "crawling"]):
             for name, res in zip(names, self._batch(names), strict=True):
                 self._end_as_the_oracle(name, res)
+
+
+def step_alone(g, H):
+    """One problem's Newton step and shift, computed on its own: scale H by
+    |diag H|^(-1/2) (1 where the diagonal is 0), take the first shift of 0,
+    1e-8, 1e-7, ... at which Cholesky succeeds, and solve that one matrix."""
+    diag = np.abs(np.diag(H))
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    Hs = H * scale[None, :] * scale[:, None]
+    shift = 0.0
+    while True:
+        A = Hs + shift * np.eye(len(g)) if shift else Hs
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            shift = 10.0 * shift if shift else 1e-8
+        else:
+            return -scale * np.linalg.solve(A, (scale * g)[:, None])[:, 0], shift
+
+
+class TestNewtonSteps:
+    """`_newton_steps` gives each problem of a stack the step, to the last
+    bit, that it has computed alone, whichever problems need a shift."""
+
+    @staticmethod
+    def _definite(rng, m):
+        A = rng.normal(size=(m, m))
+        return A @ A.T + np.diag(rng.uniform(0.5, 50.0, size=m))
+
+    @staticmethod
+    def _indefinite(rng, m):
+        A = rng.normal(size=(m, m))
+        return A + A.T - np.diag(rng.uniform(1.0, 5.0, size=m))
+
+    def _stack(self, kinds, seed, m=3):
+        rng = np.random.default_rng(seed)
+        H = []
+        for kind in kinds:
+            if kind == "definite":
+                H.append(self._definite(rng, m))
+            elif kind == "indefinite":
+                H.append(self._indefinite(rng, m))
+            else:  # a zero on the diagonal, with the rest of its row and column
+                Hk = self._definite(rng, m)
+                Hk[0, :] = Hk[:, 0] = 0.0
+                H.append(Hk)
+        return rng.normal(size=(len(kinds), m)), np.array(H)
+
+    @pytest.mark.parametrize("kinds", [
+        ["definite"] * 4,
+        ["definite", "indefinite", "definite", "definite"],
+        ["indefinite", "zero-diagonal", "indefinite", "zero-diagonal"],
+    ], ids=["no-shift", "one-shift", "every-shift"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_step_is_its_step_alone(self, kinds, seed):
+        g, H = self._stack(kinds, seed)
+        before = H.tobytes()
+        steps = _newton_steps(g, H)
+        assert H.tobytes() == before
+        alone = [step_alone(gk, Hk) for gk, Hk in zip(g, H)]
+        assert [shift > 0.0 for _, shift in alone] == [k != "definite" for k in kinds]
+        for k, (step, _) in enumerate(alone):
+            assert steps[k].tobytes() == step.tobytes(), k

@@ -168,7 +168,11 @@ def cmd_simulate(args) -> int:
     report = run_simulation_study(model, X, sizes=sizes, reps=args.reps,
                                   zero_fraction=args.zero_fraction, seed=args.seed)
     report.to_csv(args.out)
-    return EXIT_NOT_CONVERGED if 0 in report.successes.values() else EXIT_OK
+    if 0 not in report.successes.values():
+        return EXIT_OK
+    for n, causes in report.failure_causes.items():
+        print(f"n = {n}: failures by cause: {causes}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
 
 
 _TRI_V = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])

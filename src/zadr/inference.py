@@ -23,33 +23,27 @@ pattern at any precision.
 
 Every bootstrap replicate keeps the observed covariates and zero pattern,
 so the bootstrap prepares the design half of `fit` once
-(`model.prepare_design`). Every replicate's fit would meet a failure of
-that half, so it is counted once for each replicate without drawing or
-fitting any. A bootstrap of replicates of at most `_BATCH_REPLICATE_CELLS`
-response cells runs in this process, with no pool: it draws the
-replicates' responses in generator order and fits them together on that
-half with `model.fit_batch`, whose Newton loop serves every replicate still
-fitting. The batch is cut into near-equal chunks of at most `_BATCH_CELLS`
-response cells, so a large n x B cannot exhaust memory. A chunk draws its
-responses from the model's means and precisions computed once. A
-replicate's numbers are bit for bit those of `_replicate_one`, its fit
-alone from the covariates (`fit`, which is `fit_batch` of one response),
-whatever the chunks. Larger replicates leave a batch little per-call
-overhead to share, so their bootstrap maps `_replicate_one` over the
-process pool instead. A batch of two or more reports each replicate stage
-through a one-response `minimize` restarted where the batch stopped and
-answered there from the batch's own result: the traced benchmark reads
-its counts and probe point from that `minimize`, and the restart goes
-once the fit records those itself (ROADMAP item 1).
+(`model.prepare_design`); a failure of that half is counted once for each
+replicate, with nothing drawn or fitted. The B replicates are cut into
+near-equal batches of at most `_BATCH_CELLS` response cells, a larger
+replicate alone, so a large n x B cannot exhaust memory. A batch draws its
+responses in generator order, from the model's means and precisions
+computed once, and fits them together on that half with `model.fit_batch`,
+whose Newton loop serves every replicate still fitting. A replicate's
+numbers are bit for bit those of `_replicate_one`, its fit alone from the
+covariates, whatever the batches and wherever they run. A batch of two or
+more reports each replicate stage through a one-response `minimize`
+restarted where the batch stopped and answered there from the batch's own
+result: the traced benchmark reads its counts and probe point from that
+`minimize`, and the restart goes once the fit records those itself
+(ROADMAP item 1).
 
 The simulation study draws each replicate's design rows and zero pattern in
 the parent, from that replicate's generator, and hands the same generator
-to `_replicate_one` for the response, whose fit then prepares its own
-design. Its replicates, and those of a bootstrap too large to batch, are
-the only work of a process pool: `ZADR_THREADS` caps the pool's workers,
-at most the CPUs this process may use and the tasks, and the pool receives
-the replicates in chunks of several, the simulation study's largest
-samples first.
+to `_replicate_one` for the response. The bootstrap's batches and the
+simulation study's replicates are the tasks of `_map_indexed`, which runs
+them in this process or in a pool of at most `ZADR_THREADS` processes, the
+simulation study's largest samples first.
 """
 
 from __future__ import annotations
@@ -78,7 +72,6 @@ from .errors import (
     ZadrError,
 )
 from .model import (
-    FitDesign,
     ModelKind,
     ZadrModel,
     _row_parameters,
@@ -93,12 +86,7 @@ MIN_REPLICATES = 19
 # refits. The batch's arrays take about 250 bytes per cell, so a batch holds
 # about 2 MB whatever n and B are.
 _BATCH_CELLS = 1 << 13
-# Response cells (rows x components) of the largest replicate refitted in a
-# batch. A larger one leaves a batch little per-call overhead to share, so
-# its bootstrap refits each replicate alone, through the process pool: with
-# four components the batch and the 2-worker pool broke even at 180-240 rows.
-_BATCH_REPLICATE_CELLS = 1 << 9
-# Chunks of replicates handed to each pool worker (`_map_indexed`).
+# Chunks of tasks handed to each pool worker (`_map_indexed`).
 _CHUNKS_PER_WORKER = 8
 
 
@@ -132,6 +120,7 @@ class SimulationReport:
     parameter_names: list[str]
     mse: dict[int, np.ndarray]
     successes: dict[int, int]
+    failure_causes: dict[int, dict[str, int]]
 
     def to_csv(self, path) -> None:
         """One row per sample size and parameter: n, parameter, MSE, successes."""
@@ -243,11 +232,12 @@ def _replicate_one(args):
     return _outcome(*fitted)
 
 
-def _replicate_batch(model: ZadrModel, design: FitDesign, U: np.ndarray, rngs) -> list:
+def _replicate_batch(args) -> list:
     """`_replicate_one` of each generator on a design prepared for U and the
     model's link and zero mode, bit for bit, with all the refits in one
     `fit_batch`. The responses are drawn first, in generator order, from
     the model's means and precisions computed once."""
+    model, design, U, rngs = args
     records, drawn = [None] * len(rngs), {}
     params = _row_parameters(design.design, model.B, model.precision, model.link)
     for k, rng in enumerate(rngs):
@@ -273,12 +263,10 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
         records = [_failure(exc)] * B
     else:
         rngs = _replicate_rngs(seed, B)
-        if U.size > _BATCH_REPLICATE_CELLS:
-            records = _map_indexed(_replicate_one, [(final, X, U, rng) for rng in rngs])
-        else:
-            chunks = -(-B // (_BATCH_CELLS // U.size))
-            records = [record for c in range(chunks) for record in _replicate_batch(
-                final, design, U, rngs[c * B // chunks:(c + 1) * B // chunks])]
+        chunks = -(-B // max(1, _BATCH_CELLS // U.size))
+        records = [record for batch in _map_indexed(_replicate_batch, [
+            (final, design, U, rngs[c * B // chunks:(c + 1) * B // chunks])
+            for c in range(chunks)]) for record in batch]
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
     if len(kept) < MIN_REPLICATES:
@@ -388,7 +376,8 @@ def run_simulation_study(
     placed zero component, drawn by zeroing a full-Dirichlet draw and
     renormalizing (the marginality-consistent mechanism). The MSE averages
     over the replicates that a bootstrap would keep: both fit stages
-    converged with positive definite information.
+    converged with positive definite information. The others are counted by
+    cause for each size, as in `BootstrapResult`.
     """
     if reps < 1 or not sizes:
         raise ValueError("reps must be >= 1 and sizes nonempty")
@@ -418,18 +407,20 @@ def run_simulation_study(
     truth = true_model.parameter_vector()
     mse: dict[int, np.ndarray] = {}
     successes: dict[int, int] = {}
+    failure_causes: dict[int, dict[str, int]] = {}
     for k, n in enumerate(sizes):
-        kept = [p for cause, _, p in records[k * reps:(k + 1) * reps] if cause is None]
+        size_records = records[k * reps:(k + 1) * reps]
+        kept = [p for cause, _, p in size_records if cause is None]
         successes[n] = len(kept)
-        if kept:
-            mse[n] = np.mean((np.asarray(kept) - truth) ** 2, axis=0)
-        else:
-            mse[n] = np.full(truth.size, np.nan)
+        failure_causes[n] = dict(Counter(c for c, _, _ in size_records if c is not None))
+        mse[n] = (np.mean((np.asarray(kept) - truth) ** 2, axis=0) if kept
+                  else np.full(truth.size, np.nan))
     return SimulationReport(
         sizes=list(sizes),
         parameter_names=true_model.parameter_names(),
         mse=mse,
         successes=successes,
+        failure_causes=failure_causes,
     )
 
 

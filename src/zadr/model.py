@@ -1004,9 +1004,10 @@ def model_from_dict(doc: dict) -> ZadrModel:
     """The model a `model_to_dict` document describes, checked before it is
     built: SchemaMismatch naming a field of the wrong JSON type, a number
     that is not finite or an unknown value, then DomainError for a reference
-    outside the components or a simple model's phi <= 0, and ShapeMismatch
-    naming a field of the wrong size. Keys it does not read,
-    such as the "seed" that older model files carry, are ignored."""
+    outside the components, a simple model's phi <= 0 or a p_hat entry
+    outside [0, 1], and ShapeMismatch naming a field of the wrong size. Keys
+    it does not read, such as the "seed" that older model files carry, are
+    ignored."""
     kind = _member("model_kind", doc["model_kind"], ModelKind)
     component_names = _checked("component_names", doc["component_names"], *_NAMES)
     covariate_names = _checked("covariate_names", doc["covariate_names"], *_NAMES)
@@ -1035,10 +1036,13 @@ def model_from_dict(doc: dict) -> ZadrModel:
                       "a number or null")
     if loglik is None and kind is not ModelKind.AITCHISON:
         raise SchemaMismatch(f"model field 'loglik' is null; a {kind.value} model needs a number")
+    p_hat = _field(doc, "p_hat", (D,), f"{D} components")
+    if np.any((p_hat < 0) | (p_hat > 1)):
+        raise DomainError(f"p_hat entries must lie in [0, 1], got {p_hat.tolist()}")
     return ZadrModel(
         B=B,
         precision=precision,
-        p_hat=_field(doc, "p_hat", (D,), f"{D} components"),
+        p_hat=p_hat,
         covariance=covariance,
         loglik=None if loglik is None else float(loglik),
         converged=_checked("converged", doc["converged"], lambda v: isinstance(v, bool),

@@ -578,6 +578,10 @@ MALFORMED_MODELS = {
                  "phi must be > 0"),
     "negative_phi": ("simple", lambda doc: {"precision": {"phi": -2.0}}, "DomainError",
                      "phi must be > 0"),
+    "p_hat_above_one": ("mixed", lambda doc: {"p_hat": [1.5] + doc["p_hat"][1:]}, "DomainError",
+                        "p_hat entries must lie in [0, 1], got [1.5, "),
+    "negative_p_hat": ("simple", lambda doc: {"p_hat": doc["p_hat"][:-1] + [-0.25]},
+                       "DomainError", "p_hat entries must lie in [0, 1], got ["),
 }
 
 
@@ -674,18 +678,40 @@ class TestSimulate:
         assert "simulate requires a simple or mixed ZADR model" in capsys.readouterr().err
         assert log.drawn == log.fitted == [] and not out.exists()
 
-    def test_size_without_successes_exits_3_with_csv(self, data_csv, tmp_path, monkeypatch):
+    def test_size_without_successes_exits_3_with_csv(self, data_csv, tmp_path, monkeypatch,
+                                                     capsys):
         model_path = tmp_path / "m.json"
         run("fit", "--input", str(data_csv), "--components", COMP_ARG,
             "--covariates", "logdepth", "--out", str(model_path))
         log = count_replicate_fits(monkeypatch, fail_every=1)
         out = tmp_path / "mse.csv"
+        capsys.readouterr()
         assert run("simulate", "--model", str(model_path), "--sizes", "30,40",
                    "--reps", "2", "--seed", "1", "--out", str(out)) == 3
         assert len(log.fitted) == 4 and refitted_once_each(log)
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 14 and all(row["successes"] == "0" for row in rows)
+        assert capsys.readouterr().err == (
+            "n = 30: failures by cause: {'NonFiniteObjective': 2}\n"
+            "n = 40: failures by cause: {'NonFiniteObjective': 2}\n")
+
+    def test_failures_by_cause_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # At phi = 1e300 every replicate's information is not positive
+        # definite; the CSV is the one the report writes.
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        truth = replace(truth_model(), precision=1e300)
+        model_path, out = tmp_path / "m.json", tmp_path / "mse.csv"
+        save_model(truth, model_path)
+        assert run("simulate", "--model", str(model_path), "--sizes", "30",
+                   "--reps", "3", "--seed", "1", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "n = 30: failures by cause: {'NotPositiveDefinite': 3}\n"
+        report = run_simulation_study(load_model(model_path), depth_design(30), sizes=[30],
+                                      reps=3, zero_fraction=1.0 / 6.0, seed=1)
+        assert report.failure_causes == {30: {"NotPositiveDefinite": 3}}
+        report.to_csv(tmp_path / "report.csv")
+        assert out.read_bytes() == (tmp_path / "report.csv").read_bytes()
 
 
 FOUR_ROWS = "a,b,c,x\n0.2,0.3,0.5,1.0\n0.1,0.1,0.8,2.0\n0.4,0.4,0.2,3.0\n0.25,0.25,0.5,4.0\n"

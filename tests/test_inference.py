@@ -264,63 +264,66 @@ class TestBootstrap:
         # Replicate k draws from the k-th generator spawned from the master
         # seed; refitted alone, from the covariates rather than the design the
         # bootstrap prepares once and outside any batch, it must give the
-        # bootstrap's row k exactly. A bootstrap cut into chunks of 1 or of 7
-        # replicates must give the same outputs as one batch.
+        # bootstrap's row k exactly. A bootstrap cut into chunks of 7
+        # replicates, or of one when a replicate exceeds the chunks' budget,
+        # must give the same outputs as one batch.
         import zadr.inference as inference_mod
 
         for seed in range(1, 21):
             ds, X = simulate_dataset(n=30, seed=seed, n_zero=5)
             _, final = fit(ds, X, link)
             pvalue = assert_bootstrap_equals_the_fits_alone(final, ds, X, 19, seed)
-            for per_chunk in (1, 7):
-                monkeypatch.setattr(inference_mod, "_BATCH_CELLS",
-                                    per_chunk * zero_pattern(ds).size)
+            for cells in (zero_pattern(ds).size - 1, 7 * zero_pattern(ds).size):
+                monkeypatch.setattr(inference_mod, "_BATCH_CELLS", cells)
                 chunked = bootstrap_pvalue(final, ds, X, B=19, seed=seed, t_observed=1.0)
-                assert bootstrap_outputs(chunked) == bootstrap_outputs(pvalue), (seed, per_chunk)
+                assert bootstrap_outputs(chunked) == bootstrap_outputs(pvalue), (seed, cells)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
-    def test_one_chunk_of_199_replicates_equals_the_fits_alone(self, monkeypatch, link):
-        # Every stacked product, Cholesky and solve spans up to 199 problems
-        # here; the default budget cuts this bootstrap into chunks of 68.
+    @pytest.mark.parametrize("n, B", [(30, 199), (2000, 19)])
+    def test_one_chunk_equals_the_fits_alone(self, monkeypatch, n, B, link):
+        # Every stacked product, Cholesky and solve spans up to B problems
+        # here: 199 of 30 rows, which the default budget cuts into chunks of
+        # 68, or 19 of 2000 rows, which it cuts into one replicate a chunk.
         import zadr.inference as inference_mod
 
-        ds, X = simulate_dataset(n=30, seed=1, n_zero=5)
+        ds, X = simulate_dataset(n=n, seed=1, n_zero=n // 6)
         _, final = fit(ds, X, link)
-        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", 199 * zero_pattern(ds).size)
+        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", B * zero_pattern(ds).size)
         chunks = []
         real = inference_mod._replicate_batch
         monkeypatch.setattr(inference_mod, "_replicate_batch",
-                            lambda *args: chunks.append(len(args[3])) or real(*args))
-        assert_bootstrap_equals_the_fits_alone(final, ds, X, 199, 1)
-        assert chunks == [199, 199]  # one chunk for the bias and one for the p-value
+                            lambda args: chunks.append(len(args[3])) or real(args))
+        assert_bootstrap_equals_the_fits_alone(final, ds, X, B, 1)
+        assert chunks == [B, B]  # one chunk for the bias and one for the p-value
 
     @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
-    def test_large_replicates_refitted_alone_through_the_pool(self, small_dataset, monkeypatch,
-                                                              link):
-        # Replicates above the batch's size limit are refitted one by one by
-        # `fit`, with the model's link and zero mode, through the pool, and
-        # the outputs do not change, whatever the workers.
+    def test_batches_go_through_the_pool(self, small_dataset, monkeypatch, link):
+        # A bootstrap cut into three batches runs them in this process at one
+        # worker and maps them over the pool at two, and the outputs do not
+        # change: they equal those of one batch.
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
         _, final = fit(ds, X, link)
         batched = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-        monkeypatch.setattr(inference_mod, "_BATCH_REPLICATE_CELLS", zero_pattern(ds).size - 1)
-        monkeypatch.setattr(inference_mod, "_replicate_batch", None)
-        real, seen = inference_mod.fit, []
+        mapped = []
 
-        def recording_fit(ds_rep, X_rep, *options):
-            seen.append(options)
-            return real(ds_rep, X_rep, *options)
+        class RecordingPool(inference_mod.ProcessPoolExecutor):
+            def map(self, func, tasks, **kwargs):
+                mapped.append((func, len(tasks)))
+                return super().map(func, tasks, **kwargs)
 
-        monkeypatch.setattr(inference_mod, "fit", recording_fit)
-        for threads in ("1", "2"):
+        monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(inference_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", 7 * zero_pattern(ds).size)
+        for threads, pools in (("1", []), ("2", [(inference_mod._replicate_batch, 3)])):
             monkeypatch.setenv("ZADR_THREADS", threads)
-            pooled = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-            assert bootstrap_outputs(pooled) == bootstrap_outputs(batched), threads
-        # The workers of the 2-worker pool record into their own copies.
-        assert seen == [(final.link, final.zero_mode)] * 19
+            mapped.clear()
+            chunked = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
+            assert bootstrap_outputs(chunked) == bootstrap_outputs(batched), threads
+            assert mapped == pools, threads
 
     def test_every_restart_ends_where_its_batch_stage_ended(self, monkeypatch):
         # Each replicate stage is reported through `minimize`, restarted at
@@ -340,7 +343,7 @@ class TestBootstrap:
         U = zero_pattern(ds)
         design = prepare_design(X, U, final.link, final.zero_mode)
         restarts.clear()
-        _replicate_batch(final, design, U, _replicate_rngs(5, 19))
+        _replicate_batch((final, design, U, _replicate_rngs(5, 19)))
         reasons = Counter((res.termination_reason, res.iterations) for res in restarts)
         assert sum(reasons.values()) == 38
         assert set(reasons) == {(TerminationReason.GRADIENT_TOL, 0),
@@ -375,7 +378,7 @@ class TestBootstrap:
         monkeypatch.setattr(model_mod, "_derivatives", counted("derivatives", real_derivatives))
         monkeypatch.setattr(model_mod, "_dirichlet_value", counted("value", real_value))
         monkeypatch.setattr(model_mod, "minimize", restart)
-        _replicate_batch(final, design, U, _replicate_rngs(5, 19))
+        _replicate_batch((final, design, U, _replicate_rngs(5, 19)))
         assert len(restarts) == 38 and rows["derivatives"] > 0
         assert {reason for reason, _ in restarts} == {TerminationReason.GRADIENT_TOL,
                                                       TerminationReason.STEP_TOL}
@@ -387,9 +390,11 @@ class TestBootstrap:
     def test_no_chunk_is_fitted_alone(self, monkeypatch, B):
         # B is cut into near-equal chunks, 69 into 34 and 35, not 68 and 1: a
         # chunk of one replicate would be fitted alone from its start, and the
-        # restarts of the batched ones run no iteration at this seed.
+        # restarts of the batched ones run no iteration at this seed. The
+        # chunks run in this process, where the recorder sees every restart.
         import zadr.model as model_mod
 
+        monkeypatch.setenv("ZADR_THREADS", "1")
         ds, X = simulate_dataset(n=30, seed=12, n_zero=5)
         _, final = fit(ds, X, SIMPLE_LINK)
         real, runs = model_mod.minimize, []
@@ -434,7 +439,7 @@ class TestBootstrap:
         U = zero_pattern(ds)
         design = prepare_design(X, U, final.link, final.zero_mode)
         alone = [_replicate_one((final, X, U, rng)) for rng in _replicate_rngs(5, 6)]
-        batch = _replicate_batch(final, design, U, _replicate_rngs(5, 6))
+        batch = _replicate_batch((final, design, U, _replicate_rngs(5, 6)))
         assert [cause for cause, _, _ in batch] == [cause for cause, _, _ in alone]
         assert "NonFiniteObjective" in [cause for cause, _, _ in alone]
 
@@ -443,6 +448,7 @@ class TestBootstrap:
         # fitted, also when it leaves its chunk with nothing to fit.
         import zadr.inference as inference_mod
 
+        monkeypatch.setenv("ZADR_THREADS", "1")
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK)
         real, draws = inference_mod.simulate_response, []
@@ -723,6 +729,7 @@ class TestSimulationStudy:
                                       zero_fraction=1.0 / 6.0, seed=2)
         assert report.sizes == [30]
         assert report.successes[30] <= 3
+        assert sum(report.failure_causes[30].values()) == 3 - report.successes[30]
         assert report.mse[30].shape == model.parameter_vector().shape
         assert np.all(report.mse[30] >= 0.0)
         path = tmp_path / "mse.csv"
@@ -778,6 +785,7 @@ class TestSimulationStudy:
                                                 reps=2, zero_fraction=1.0 / 6.0, seed=3))
         one, two = reports
         assert one.successes == two.successes
+        assert one.failure_causes == two.failure_causes
         for n in (20, 30):
             assert np.array_equal(one.mse[n], two.mse[n])
 
@@ -787,6 +795,7 @@ class TestSimulationStudy:
         report = run_simulation_study(truth_model(), depth_design(), sizes=[30], reps=2,
                                       zero_fraction=1.0 / 6.0, seed=3)
         assert report.successes == {30: 0}
+        assert report.failure_causes == {30: {"NotPositiveDefinite": 2}}
         assert np.all(np.isnan(report.mse[30]))
 
     def test_replicate_needs_both_stages_converged(self, monkeypatch):
@@ -801,4 +810,5 @@ class TestSimulationStudy:
         report = run_simulation_study(truth_model(), depth_design(), sizes=[30], reps=2,
                                       zero_fraction=1.0 / 6.0, seed=3)
         assert report.successes == {30: 0}
+        assert report.failure_causes == {30: {"NotConverged": 2}}
         assert np.all(np.isnan(report.mse[30]))

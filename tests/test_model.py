@@ -462,10 +462,10 @@ class TestStackedDerivatives:
     """`_derivatives` of a stack of points on their responses gives each
     point, to the bit, its own one-response call: a replicate's fit restarted
     at its batch's optimum reports the information the batch computed there
-    in its stack. n = 128 is the largest replicate a bootstrap batches at
-    D = 4 (`inference._BATCH_REPLICATE_CELLS`)."""
+    in its stack. n = 1024 is the largest replicate that a bootstrap batches
+    with another at D = 4 (`inference._BATCH_CELLS`)."""
 
-    @pytest.mark.parametrize("n", [30, 128])
+    @pytest.mark.parametrize("n", [30, 128, 1024])
     @pytest.mark.parametrize("mode", list(ZeroMode))
     @pytest.mark.parametrize("kind", [ModelKind.SIMPLE, ModelKind.MIXED])
     def test_stack_equals_each_point_alone(self, kind, mode, n):

@@ -24,26 +24,32 @@ pattern at any precision.
 Every bootstrap replicate keeps the observed covariates and zero pattern,
 so the bootstrap prepares the design half of `fit` once
 (`model.prepare_design`); a failure of that half is counted once for each
-replicate, with nothing drawn or fitted. The B replicates are cut into
-near-equal batches of at most `_BATCH_CELLS` response cells, a larger
-replicate alone, so a large n x B cannot exhaust memory. A batch draws its
-responses in generator order, from the model's means and precisions
-computed once, and fits them together on that half with `model.fit_batch`,
-whose Newton loop serves every replicate still fitting. A replicate's
-numbers are bit for bit those of `_replicate_one`, its fit alone from the
-covariates, whatever the batches and wherever they run. A batch of two or
-more reports each replicate stage through a one-response `minimize`
-restarted where the batch stopped and answered there from the batch's own
-result: the traced benchmark reads its counts and probe point from that
+replicate, with nothing drawn or fitted. A simulation-study replicate draws
+its own covariate rows and zero pattern in the parent, from its generator.
+Its batch (`_study_batch`) prepares its design half on its own, counts it
+under its error, with nothing drawn, when that fails, and stacks the
+prepared designs behind a leading replicate axis (`model.stack_designs`):
+each zero row of the study holds one zero, so those of one sample size
+stack.
+
+The replicates of a bootstrap, and those of each sample size of a study,
+are cut into near-equal batches of at most `_BATCH_CELLS` response cells, a
+larger replicate alone, so a large n x B cannot exhaust memory. A batch
+(`_replicate_batch`) draws its responses in generator order, from the
+model's means and precisions computed once, and fits them together with
+`model.fit_batch` on the bootstrap's one design or the stack of the
+batch's own, whose Newton loop serves every replicate still fitting. A
+replicate's numbers are bit for bit those of its draw and `fit` alone,
+whatever the batches and wherever they run. A batch of two or more
+reports each replicate stage through a one-response `minimize` restarted
+where the batch stopped and answered there from the batch's own result:
+the traced benchmark reads its counts and probe point from that
 `minimize`, and the restart goes once the fit records those itself
 (ROADMAP item 1).
 
-The simulation study draws each replicate's design rows and zero pattern in
-the parent, from that replicate's generator, and hands the same generator
-to `_replicate_one` for the response. The bootstrap's batches and the
-simulation study's replicates are the tasks of `_map_indexed`, which runs
-them in this process or in a pool of at most `ZADR_THREADS` processes, the
-simulation study's largest samples first.
+The batches are the tasks of `_map_indexed`, which runs them in this
+process or in a pool of at most `ZADR_THREADS` processes, the simulation
+study's largest samples first; the records go back to replicate order.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ from .model import (
     fit,
     fit_batch,
     prepare_design,
+    stack_designs,
 )
 
 MIN_REPLICATES = 19
@@ -157,7 +164,8 @@ def simulate_response(
     Every retained cell stays positive, at least the smallest normal double,
     so the draw keeps U at any precision. `params` are the model's means and
     precisions at X (`model._row_parameters`), computed here when None, so
-    that many draws from one model and design compute them once.
+    that many draws from one model and design compute them once; X is read
+    only then.
     """
     A, phis = (_row_parameters(X.design, model.B, model.precision, model.link)
                if params is None else params)
@@ -217,37 +225,65 @@ def _outcome(initial: ZadrModel, final: ZadrModel):
         return _failure(exc)
 
 
-def _replicate_one(args):
-    """Draw a response from `model` with pattern U at the covariates X and
-    refit it on them.
-
-    Returns (failure cause or None, T or None, final parameters or None).
-    """
-    model, X, U, rng = args
-    try:
-        ds_rep = simulate_response(model, X, U, rng)
-        fitted = fit(ds_rep, X, model.link, model.zero_mode)
-    except (ZadrError, np.linalg.LinAlgError) as exc:
-        return _failure(exc)
-    return _outcome(*fitted)
-
-
 def _replicate_batch(args) -> list:
-    """`_replicate_one` of each generator on a design prepared for U and the
-    model's link and zero mode, bit for bit, with all the refits in one
-    `fit_batch`. The responses are drawn first, in generator order, from
-    the model's means and precisions computed once."""
+    """Replicate k of a batch: a response drawn from `model` with its
+    generator rngs[k], at the covariates and with the zero pattern of its
+    design, and refitted on that design prepared for the model's link and
+    zero mode. One design and zero pattern U (n x D) serve every replicate
+    of a bootstrap; a stack of designs and of patterns (R x n x D) gives
+    replicate k its own.
+
+    Returns each replicate's record, (failure cause or None, T or None,
+    final parameters or None), bit for bit that of `simulate_response` and
+    `fit` alone, with all the refits in one `fit_batch`. The responses are
+    drawn first, in generator order, from the model's means and precisions
+    computed once for the batch.
+    """
     model, design, U, rngs = args
     records, drawn = [None] * len(rngs), {}
-    params = _row_parameters(design.design, model.B, model.precision, model.link)
+    A, phis = _row_parameters(design.design, model.B, model.precision, model.link)
+    # Per replicate: views of the shared arrays, or the stack's own rows.
+    A, U = (np.broadcast_to(a, (len(rngs),) + a.shape[-2:]) for a in (A, U))
+    phis = np.broadcast_to(phis, (len(rngs), phis.shape[-1]))
     for k, rng in enumerate(rngs):
         try:
-            drawn[k] = simulate_response(model, design, U, rng, params)
+            drawn[k] = simulate_response(model, design, U[k], rng, (A[k], phis[k]))
         except (ZadrError, np.linalg.LinAlgError) as exc:
             records[k] = _failure(exc)
-    for k, fitted in zip(drawn, fit_batch(list(drawn.values()), design)):
+    fits = fit_batch(list(drawn.values()), design.take(list(drawn)))
+    for k, fitted in zip(drawn, fits):
         records[k] = _failure(fitted) if isinstance(fitted, Exception) else _outcome(*fitted)
     return records
+
+
+def _study_batch(args) -> list:
+    """A batch of simulation-study replicates: replicate k's design half
+    prepared for its covariates Xs[k] and zero pattern Us[k] (R x n x D),
+    then `_replicate_batch` of those prepared, on their designs stacked. A
+    replicate whose design half cannot be prepared is counted under that
+    error, with nothing drawn. Returns each replicate's record."""
+    model, Xs, Us, rngs = args
+    records, prepared = [None] * len(rngs), {}
+    for k, (X, U) in enumerate(zip(Xs, Us)):
+        try:
+            prepared[k] = prepare_design(X, U, model.link, model.zero_mode)
+        except (ZadrError, np.linalg.LinAlgError) as exc:
+            records[k] = _failure(exc)
+    if prepared:
+        ks = list(prepared)
+        batch = _replicate_batch((model, stack_designs(list(prepared.values())), Us[ks],
+                                  [rngs[k] for k in ks]))
+        for k, record in zip(ks, batch):
+            records[k] = record
+    return records
+
+
+def _batches(count: int, cells: int) -> list[slice]:
+    """Near-equal slices of `count` replicates of `cells` response cells
+    each, at most `_BATCH_CELLS` cells a slice, or one replicate where it
+    alone holds more."""
+    chunks = -(-count // max(1, _BATCH_CELLS // cells))
+    return [slice(c * count // chunks, (c + 1) * count // chunks) for c in range(chunks)]
 
 
 def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
@@ -263,10 +299,8 @@ def _run_bootstrap(final, ds, X, B, seed, t_observed=None) -> BootstrapResult:
         records = [_failure(exc)] * B
     else:
         rngs = _replicate_rngs(seed, B)
-        chunks = -(-B // max(1, _BATCH_CELLS // U.size))
         records = [record for batch in _map_indexed(_replicate_batch, [
-            (final, design, U, rngs[c * B // chunks:(c + 1) * B // chunks])
-            for c in range(chunks)]) for record in batch]
+            (final, design, U, rngs[part]) for part in _batches(B, U.size)]) for record in batch]
     causes = dict(Counter(cause for cause, _, _ in records if cause is not None))
     kept = [(T, params) for cause, T, params in records if cause is None]
     if len(kept) < MIN_REPLICATES:
@@ -377,7 +411,14 @@ def run_simulation_study(
     renormalizing (the marginality-consistent mechanism). The MSE averages
     over the replicates that a bootstrap would keep: both fit stages
     converged with positive definite information. The others are counted by
-    cause for each size, as in `BootstrapResult`.
+    cause for each size, as in `BootstrapResult`; a replicate whose design
+    half cannot be prepared is counted under that error without a draw.
+
+    Each size's replicates go in near-equal batches of at most
+    `_BATCH_CELLS` cells, largest sizes first. A batch prepares each
+    replicate's design half on its own and fits the replicates on their
+    designs stacked, in one `fit_batch` (`_study_batch`); a replicate's
+    record is bit for bit that of its draw and `fit` alone.
     """
     if reps < 1 or not sizes:
         raise ValueError("reps must be >= 1 and sizes nonempty")
@@ -387,23 +428,29 @@ def run_simulation_study(
     if not 0.0 <= zero_fraction < 1.0:
         raise ValueError("zero_fraction must be in [0, 1)")
     D = true_model.D
-    ns = np.repeat(sizes, reps)
-    args = []
-    for n, rng in zip(ns, _replicate_rngs(seed, len(sizes) * reps)):
-        rows = design.design[rng.integers(0, design.design.shape[0], size=n)]
-        U = np.ones((n, D), dtype=np.int8)
-        n_zero = int(round(zero_fraction * n))
-        if n_zero > 0 and D >= 3:
-            zero_rows = rng.choice(n, size=n_zero, replace=False)
-            U[zero_rows, rng.integers(0, D, size=n_zero)] = 0
-        X = CovariateMatrix(design=rows, covariate_names=design.covariate_names)
-        args.append((true_model, X, U, rng))
-    # The pool takes the largest samples first, so that its last chunks are
+    rngs = _replicate_rngs(seed, len(sizes) * reps)
+    records: list = [None] * len(rngs)
+    tasks, homes = [], []
+    # The pool takes the largest samples first, so that its last batches are
     # the cheapest; the records go back to replicate order.
-    order = np.argsort(-ns, kind="stable")
-    records = [None] * len(args)
-    for k, record in zip(order, _map_indexed(_replicate_one, [args[k] for k in order])):
-        records[k] = record
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        n, ks = sizes[i], range(i * reps, (i + 1) * reps)
+        n_zero = int(round(zero_fraction * n))
+        Xs, Us = [], np.ones((reps, n, D), dtype=np.int8)
+        for k, U in zip(ks, Us):
+            rng = rngs[k]
+            rows = design.design[rng.integers(0, design.design.shape[0], size=n)]
+            if n_zero > 0 and D >= 3:
+                zero_rows = rng.choice(n, size=n_zero, replace=False)
+                U[zero_rows, rng.integers(0, D, size=n_zero)] = 0
+            Xs.append(CovariateMatrix(design=rows, covariate_names=design.covariate_names))
+        # Every zero row holds one zero, so the designs of a size stack.
+        for part in _batches(reps, n * D):
+            tasks.append((true_model, Xs[part], Us[part], [rngs[k] for k in ks[part]]))
+            homes.append(ks[part])
+    for ks, batch in zip(homes, _map_indexed(_study_batch, tasks)):
+        for k, record in zip(ks, batch):
+            records[k] = record
     truth = true_model.parameter_vector()
     mse: dict[int, np.ndarray] = {}
     successes: dict[int, int] = {}

@@ -32,9 +32,12 @@ the zero-pattern probabilities and each stage's covariate arrays, whose
 retained cells hold the zero pattern) and a response half. There is one
 staged pipeline, `fit_batch`, which fits many responses on one design
 half, each stage through one driver (`_fit_stages`); `fit` is `fit_batch`
-of one dataset. A bootstrap of small replicates prepares the design half
-once and fits them all on it; the `FitDesign` it gets is a
-`CovariateMatrix`, at which it draws them.
+of one dataset. A bootstrap prepares the design half once, draws its
+replicates at the covariates it holds and fits them all on it. Design
+halves prepared one by one for datasets of one n and one number of
+zero-free rows stack behind a leading axis (`stack_designs`), on which
+`fit_batch` fits each dataset on its own design, as the simulation study
+fits its replicates: the engine takes a stack of stages as it takes one.
 The engine's hot path calls numpy's ufuncs and their reductions directly
 (`np.add.reduce` for `ndarray.sum`, say): at n = 30 a Newton point is
 mostly per-call overhead, and each method wrapper adds to it without
@@ -55,7 +58,7 @@ import enum
 import json
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -165,12 +168,12 @@ class ZadrModel:
 def _means(Xd: np.ndarray, B: np.ndarray, ref_index: int) -> np.ndarray:
     """Mean parameters a* of every row, component-major (D x n): the softmax
     over the component axis of the linear predictors B Xd^T with a zeroed
-    reference slot. A stack of coefficients (R x d x q) gives a stack of
-    means (R x D x n)."""
-    linear = B @ Xd.T
+    reference slot. A stack of coefficients (R x d x q), or of designs
+    (R x n x q), gives a stack of means (R x D x n)."""
+    linear = B @ Xd.swapaxes(-1, -2)
     np.maximum(linear, -_LINPRED_CLAMP, out=linear)
     np.minimum(linear, _LINPRED_CLAMP, out=linear)
-    e = np.zeros(B.shape[:-2] + (B.shape[-2] + 1, Xd.shape[0]))
+    e = np.zeros(linear.shape[:-2] + (linear.shape[-2] + 1, linear.shape[-1]))
     e[..., :ref_index, :] = linear[..., :ref_index, :]
     e[..., ref_index + 1:, :] = linear[..., ref_index:, :]
     e -= np.maximum.reduce(e, axis=-2)[..., None, :]
@@ -226,8 +229,10 @@ class _StageDesign(NamedTuple):
     them, and through a `FitDesign` once for every response fitted on the
     same design. It carries the link and zero mode whose likelihood the stage
     evaluates. Its cell arrays are component-major, D x n, so that every
-    per-cell operation runs over contiguous rows of n; they broadcast over
-    the engine's leading replicate axis."""
+    per-cell operation runs over contiguous rows of n. One stage shared by
+    every response broadcasts over the engine's leading replicate axis; a
+    stack of R stages (`_stack_stages`), one per response, carries that axis
+    in front of its design and cell arrays."""
 
     Xd: np.ndarray  # design (n, q)
     U: np.ndarray  # retained cells (D, n), bool
@@ -237,6 +242,16 @@ class _StageDesign(NamedTuple):
     nonref: slice | np.ndarray  # the non-reference components' rows of a cell array
     link: LinkSpec
     zero_mode: ZeroMode
+
+    def take(self, index) -> _StageDesign:
+        """The stages of the responses `index` (a slice or an index array) of a
+        stack; a shared stage serves them all as it is."""
+        if self.Xd.ndim == 2:
+            return self
+        keep = self.keep[index]
+        return self._replace(Xd=self.Xd[index], U=self.U[index], keep=keep,
+                             u=keep if self.u is self.keep else self.u[index],
+                             XX=self.XX[index])
 
 
 def _check_reference(ref: int, D: int) -> None:
@@ -285,14 +300,27 @@ def _stage_design(Xd: np.ndarray, zp: np.ndarray, link: LinkSpec,
     )
 
 
+def _stack_stages(stages: list[_StageDesign]) -> _StageDesign:
+    """Stages of one n, link and zero mode behind a leading axis, one per
+    response; their values are those of the stages, so each response's
+    numbers are those on its own stage."""
+    first = stages[0]
+    keep = np.stack([stage.keep for stage in stages])
+    return first._replace(
+        Xd=np.stack([stage.Xd for stage in stages]), U=np.stack([stage.U for stage in stages]),
+        keep=keep, u=keep if first.u is first.keep else np.zeros(keep.shape),
+        XX=np.stack([stage.XX for stage in stages]))
+
+
 def _row_parameters(Xd: np.ndarray, B, precision, link: LinkSpec):
     """Means A (D x n) and precisions phis (n,) of a simple or mixed model;
     a stack of points (B as R x d x q, phi as R or gamma as R x q) gives
-    stacks (R x D x n and R x n)."""
+    stacks (R x D x n and R x n), and so does a stack of designs (R x n x q),
+    except for a simple model's one phi."""
     A = _means(Xd, np.asarray(B, dtype=float), link.ref_index)
     precision = np.asarray(precision, dtype=float)
     if link.model_kind is ModelKind.SIMPLE:
-        return A, np.repeat(precision[..., None], Xd.shape[0], axis=-1)
+        return A, np.repeat(precision[..., None], Xd.shape[-2], axis=-1)
     return A, phi_rows(Xd, precision[..., None])[..., 0]
 
 
@@ -330,13 +358,14 @@ def _dirichlet_value(work, logY: np.ndarray):
 
 def _log_response(values: np.ndarray, U: np.ndarray) -> np.ndarray:
     """log(y) of n x D `values` on the retained cells U (a stage's), 0
-    elsewhere; D x n like U."""
-    if values.shape[0] != U.shape[1]:
+    elsewhere; D x n like U. A stack of values (R x n x D) gives a stack,
+    on one U or on a stack of them."""
+    if values.shape[-2] != U.shape[-1]:
         raise DomainError("design and dataset row counts differ")
-    if values.shape[1] != U.shape[0]:
-        raise ShapeMismatch(f"the zero pattern has {U.shape[0]} components, "
-                            f"the dataset {values.shape[1]}")
-    Y = np.ascontiguousarray(values.T)
+    if values.shape[-1] != U.shape[-2]:
+        raise ShapeMismatch(f"the zero pattern has {U.shape[-2]} components, "
+                            f"the dataset {values.shape[-1]}")
+    Y = np.ascontiguousarray(values.swapaxes(-1, -2))
     return np.where(U, np.log(np.where(U, Y, 1.0)), 0.0)
 
 
@@ -447,10 +476,10 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     """Gradient and observed information (minus the Hessian) of the Dirichlet
     part from a point's `_row_work` on a stage's log response and prepared
     design; every cell quantity is component-major (D x n), like the stage's
-    cell arrays. A stack of points and responses (R x D x n) gives a
-    gradient (R x m) and an information (R x m x m) each; every reduction and
-    product runs per point, so a point's derivatives do not depend on the
-    others in its stack.
+    cell arrays. A stack of points and responses (R x D x n), on one stage
+    or on a stack of stages, gives a gradient (R x m) and an information
+    (R x m x m) each; every reduction and product runs per point, so a
+    point's derivatives do not depend on the others in its stack.
 
     Per row, with a the means, phi the precision, alpha = phi * a and S the
     mean mass in the normalizer (1 as written), the derivatives are first
@@ -474,7 +503,7 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     Xd, _, keep, u, XX, nonref, link, _ = stage
     lead, (D, n) = A.shape[:-2], A.shape[-2:]
     d = D - 1
-    q = Xd.shape[1]
+    q = Xd.shape[-1]
     simple = link.model_kind is ModelKind.SIMPLE
     add = np.add.reduce
     psi = special.digamma(args)
@@ -487,7 +516,8 @@ def _derivatives(work, logY: np.ndarray, stage: _StageDesign):
     # dphi in unit-stride order, which a dot with that strided column does not.
     grad = np.concatenate([(e[..., nonref, :] @ Xd).reshape(lead + (d * q,)),
                            np.ones(n) @ dphi[..., None] if simple
-                           else (Xd.T @ (dphi * phis)[..., None])[..., 0]], axis=-1)
+                           else (Xd.swapaxes(-1, -2) @ (dphi * phis)[..., None])[..., 0]],
+                          axis=-1)
 
     # phi^2 trigamma(alpha) on retained cells, and phi^2 trigamma(phi * S)
     psi1 = trigamma(args)
@@ -571,11 +601,12 @@ def _least_squares(XtX: np.ndarray, Xd: np.ndarray, Z: np.ndarray) -> np.ndarray
     """Least-squares coefficients (d x q) of the alr responses Z (n x d) on
     the design Xd, given its normal matrix XtX checked by `_normal_matrix`;
     a stack of responses (R x n x d), as `fit_batch` passes even for one,
-    gives a stack of coefficients (R x d x q). Each product and solve runs
+    gives a stack of coefficients (R x d x q), on one design or on a stack
+    of them (XtX as R x q x q, Xd as R x n x q). Each product and solve runs
     per response, so a response's coefficients do not depend on the others
     in its stack: one product of Xd^T with all responses side by side
     differs in the last bits at n of about 2000 and more."""
-    return np.linalg.solve(XtX, Xd.T @ Z).swapaxes(-1, -2)
+    return np.linalg.solve(XtX, Xd.swapaxes(-1, -2) @ Z).swapaxes(-1, -2)
 
 
 def ols_init(ds: CompositionDataset, X: CovariateMatrix, link: LinkSpec) -> np.ndarray:
@@ -595,8 +626,9 @@ def _objective_pair(ds, X, zp, link, zero_mode):
 
 
 class _Objective:
-    """The fit objective of R responses on one stage (their log responses
-    logY, R x D x n, on a prepared stage design), in the form
+    """The fit objective of R responses on one stage, or on a stack of R
+    stages, one each (their log responses logY, R x D x n, on a prepared
+    stage design), in the form
     `numerics.minimize_batch` calls: `value(theta, rows)` is the negated
     Dirichlet-part log-likelihood of response rows[i] at theta[i], for rows
     distinct and increasing, and `derivatives(theta, rows)` its gradient and
@@ -610,14 +642,14 @@ class _Objective:
     response's latest point and its row work, which `derivatives` reuses at
     finite thetas with, row for row, the bytes of the kept points: each
     accepted Newton point builds its row work once. A call on every
-    response, as each of a one-response objective is, takes the row work
-    and logY as views instead of copying their rows.
+    response, as each of a one-response objective is, takes the row work,
+    logY and a stack of stages as views instead of copying their rows.
     """
 
     def __init__(self, logY: np.ndarray, stage: _StageDesign):
         self.logY, self.stage = logY, stage
         R, D, _ = logY.shape
-        self.d, self.q = D - 1, stage.Xd.shape[1]
+        self.d, self.q = D - 1, stage.Xd.shape[-1]
         self.simple = stage.link.model_kind is ModelKind.SIMPLE
         m = self.d * self.q + (1 if self.simple else self.q)
         # Each response's kept point, NaN until it has one: a NaN matches
@@ -625,10 +657,10 @@ class _Objective:
         self.keys = np.full((R, m), np.nan)
         self.work = None  # the row work there
 
-    def _row_work(self, theta: np.ndarray):
+    def _row_work(self, theta: np.ndarray, stage: _StageDesign):
         dq = self.d * self.q
         B = theta[:, :dq].reshape(len(theta), self.d, self.q)
-        return _row_work(self.stage, B, theta[:, dq] if self.simple else theta[:, dq:])
+        return _row_work(stage, B, theta[:, dq] if self.simple else theta[:, dq:])
 
     def _index(self, rows):
         """rows as an index of the per-response arrays: a slice, which takes
@@ -646,7 +678,7 @@ class _Objective:
                 values[ok] = self.value(theta[ok], rows[ok])
             return values
         index = self._index(rows)
-        work = self._row_work(theta)
+        work = self._row_work(theta, self.stage.take(index))
         if isinstance(index, slice):
             self.work = work
         else:
@@ -661,17 +693,18 @@ class _Objective:
     def derivatives(self, theta, rows):
         theta = np.ascontiguousarray(theta, dtype=float)
         index = self._index(rows)
+        stage = self.stage.take(index)
         if np.isfinite(theta).all() and self.keys[index].tobytes() == theta.tobytes():
             work = tuple(a[index] for a in self.work)
         else:
-            work = self._row_work(theta)
+            work = self._row_work(theta, stage)
         # On valid but extreme data a mean can underflow to 0 while its
         # trigamma overflows to inf, and where no MLE exists (as-written
         # zeros) phi runs away until phi**2 * trigamma overflows. The NaN or
         # inf is left to the optimizer's finiteness check, which ends that
         # response's fit with NonFiniteObjective.
         with np.errstate(over="ignore", invalid="ignore"):
-            grad, information = _derivatives(work, self.logY[index], self.stage)
+            grad, information = _derivatives(work, self.logY[index], stage)
         return -grad, information
 
     def pair(self, k: int):
@@ -721,14 +754,15 @@ def _answered_at(stopped: OptimResult, negloglik, negderivatives):
 
 def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray,
                 fit_mode: ZeroMode, stage: FitStage, p_hat: np.ndarray,
-                names: tuple[list[str], list[str]], loglik_offset: float = 0.0) -> list:
+                names: tuple[list[str], list[str]], loglik_offset: np.ndarray) -> list:
     """Maximize one stage's Dirichlet-part likelihood, under the link and
     zero mode the stage carries, for R log responses (R x D x n) from R
-    starts (R x m); per response its model, or the error its fit raised.
-    Each model's covariance is the inverse of its information at the
-    optimum, once that is checked positive definite; loglik_offset adds
-    back the Bernoulli term, and `fit_mode` is the zero mode of the whole
-    fit, which the model records with the (component, covariate) `names`.
+    starts (R x m), on one stage design or a stack of R; per response its
+    model, or the error its fit raised. Each model's covariance is the
+    inverse of its information at the optimum, once that is checked positive
+    definite; response k's model records p_hat[k] (R x D) and adds back the
+    Bernoulli term loglik_offset[k], and `fit_mode` is the zero mode of the
+    whole fit, which the model records with the (component, covariate) `names`.
 
     Every stage is reported through `minimize` on its `_Objective.pair`. A
     lone response, as `fit` has, runs it from its start: a batch would only
@@ -739,7 +773,7 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
     computes nothing at that point again and stops there, bit for bit.
     """
     link = stage_design.link
-    opts = _stage_options(stage_design.Xd.shape[0])
+    opts = _stage_options(stage_design.Xd.shape[-2])
     objective = _Objective(logY, stage_design)
     batch = (minimize_batch(objective.value, theta0, objective.derivatives, opts)
              if len(theta0) > 1 else [None])
@@ -757,8 +791,8 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
             B, precision = unpack_params(res.argmin, objective.d, objective.q, link.model_kind)
             check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
             models.append(ZadrModel(
-                B=B, precision=precision, p_hat=p_hat, covariance=np.linalg.inv(res.hessian),
-                loglik=-res.value + loglik_offset, converged=res.converged, stage=stage,
+                B=B, precision=precision, p_hat=p_hat[k], covariance=np.linalg.inv(res.hessian),
+                loglik=-res.value + float(loglik_offset[k]), converged=res.converged, stage=stage,
                 link=link, zero_mode=fit_mode, component_names=names[0], covariate_names=names[1],
             ))
         except (ZadrError, np.linalg.LinAlgError) as exc:
@@ -767,20 +801,39 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class FitDesign(CovariateMatrix):
-    """Covariates together with the half of `fit` that depends only on them,
-    the zero pattern, the link and the zero mode, prepared by
-    `prepare_design`. Its stages carry the link, the zero mode and the zero
-    pattern (the final stage's retained cells). `fit_batch` fits responses
-    on it: `fit` one, on the design it prepares for that call; a parametric
-    bootstrap many that share all four, drawn at these covariates.
+class FitDesign:
+    """The half of `fit` that depends only on the covariates, the zero
+    pattern, the link and the zero mode, prepared by `prepare_design`, with
+    the covariates it was prepared for, held as a `CovariateMatrix` holds
+    them. Its stages carry the link, the zero mode and the zero pattern (the
+    final stage's retained cells). `fit_batch` fits responses on it: `fit`
+    one, on the design it prepares for that call; a parametric bootstrap
+    many that share all four, drawn at these covariates.
+
+    A stack of designs (`stack_designs`) holds R of them, each with its own
+    covariates and zero pattern, behind a leading axis of every array:
+    `fit_batch` fits dataset k on design k, as the simulation study fits
+    the replicates of one sample size.
     """
 
+    design: np.ndarray  # the covariates (n x q)
+    covariate_names: list[str]
     XtX: np.ndarray  # X^T X of the zero-free rows, checked for the least-squares start
     p_hat: np.ndarray  # closed-form zero-pattern probabilities
-    bernoulli: float  # log-probability of the zero pattern under p_hat
+    bernoulli: float | np.ndarray  # log-probability of the zero pattern under p_hat
     initial: _StageDesign  # stage one: plain likelihood on the zero-free rows
     final: _StageDesign  # stage two: zero-adjusted likelihood on every row
+
+    def take(self, index: list[int]) -> FitDesign:
+        """The designs of the datasets `index` (increasing positions) of a
+        stack; a shared design serves them all as it is, and so does a stack
+        all of whose designs are taken."""
+        if self.design.ndim == 2 or len(index) == len(self.design):
+            return self
+        final = self.final.take(index)
+        return replace(self, design=final.Xd, XtX=self.XtX[index], p_hat=self.p_hat[index],
+                       bernoulli=self.bernoulli[index], initial=self.initial.take(index),
+                       final=final)
 
 
 def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
@@ -789,7 +842,8 @@ def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
 
     Raises what `fit` raises before it reads a response value: DomainError
     when X and zp differ in rows, NoZeroFreeRows, InsufficientRows and
-    SingularDesign.
+    SingularDesign. Designs prepared one by one for datasets of one n and
+    one number of zero-free rows stack into one (`stack_designs`).
     """
     final = _stage_design(X.design, zp, link, zero_mode)
     mask = zp.all(axis=1)
@@ -802,6 +856,21 @@ def prepare_design(X: CovariateMatrix, zp: np.ndarray, link: LinkSpec,
         p_hat=p_hat, bernoulli=binary_log_prob(zp, p_hat),
         initial=_stage_design(Xd_free, zp[mask], link, ZeroMode.AS_WRITTEN),
         final=final,
+    )
+
+
+def stack_designs(designs: list[FitDesign]) -> FitDesign:
+    """Prepared designs of one n, one number of zero-free rows, one link and
+    one zero mode behind a leading axis, design k the k-th; each array holds
+    the values of its design, so `fit_batch` on the stack gives dataset k,
+    bit for bit, its fit on design k."""
+    final = _stack_stages([design.final for design in designs])
+    return FitDesign(
+        design=final.Xd, covariate_names=designs[0].covariate_names,
+        XtX=np.stack([design.XtX for design in designs]),
+        p_hat=np.stack([design.p_hat for design in designs]),
+        bernoulli=np.array([design.bernoulli for design in designs]),
+        initial=_stack_stages([design.initial for design in designs]), final=final,
     )
 
 
@@ -867,12 +936,14 @@ def _stack(arrays: list) -> np.ndarray:
 
 
 def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
-    """`fit` of many datasets on one prepared design, under the link and zero
+    """`fit` of many datasets on a prepared design, under the link and zero
     mode it was prepared for: entry k is, bit for bit, what `fit(datasets[k],
-    design, link, zero_mode)` returns, or the error it raises; `fit` is this
-    of one dataset. Every dataset must have the zero pattern the design was
-    prepared for and the same components, as bootstrap replicates drawn at
-    one model and design have.
+    X, link, zero_mode)` returns for the covariates X of its design, or the
+    error it raises; `fit` is this of one dataset. Every dataset has the
+    same components and the zero pattern of its design: on one design, the
+    one it was prepared for, as bootstrap replicates drawn at one model and
+    design have; on a stack of designs (`stack_designs`), one per dataset,
+    that of design k.
 
     The least-squares starts come from one stacked solve, and each stage
     fits the datasets still fitting together (`_fit_stages`). Memory grows
@@ -881,21 +952,26 @@ def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
     if not datasets:
         return []
     link, zero_mode = design.final.link, design.final.zero_mode
-    free = design.final.U.all(axis=0)
-    values_free = [ds.values[free] for ds in datasets]
+    values = _stack([ds.values for ds in datasets])
+    R, D = len(values), values.shape[-1]
+    # Each dataset's zero-free rows, the same number for every design of a stack.
+    free = np.broadcast_to(design.final.U.all(axis=-2), values.shape[:-1])
+    values_free = values[free].reshape(R, -1, D)
     B0 = _least_squares(design.XtX, design.initial.Xd,
                         _stack([alr(v, link.ref_index) for v in values_free]))
     names = (datasets[0].component_names, design.covariate_names)
-    initial = _fit_stages(_stack([_log_response(v, design.initial.U) for v in values_free]),
-                          design.initial, _starts(B0, link.model_kind), zero_mode,
-                          FitStage.ZERO_FREE_INITIAL, np.ones(datasets[0].D), names)
+    initial = _fit_stages(_log_response(values_free, design.initial.U), design.initial,
+                          _starts(B0, link.model_kind), zero_mode, FitStage.ZERO_FREE_INITIAL,
+                          np.ones((R, D)), names, np.zeros(R))
     fitted = [k for k, model in enumerate(initial) if isinstance(model, ZadrModel)]
     results = list(initial)
     if fitted:
+        kept = design.take(fitted)
         final = _fit_stages(
-            _stack([_log_response(datasets[k].values, design.final.U) for k in fitted]),
-            design.final, _stack([initial[k].parameter_vector() for k in fitted]), zero_mode,
-            FitStage.FINAL, design.p_hat, names, design.bernoulli)
+            _log_response(values[fitted], kept.final.U), kept.final,
+            _stack([initial[k].parameter_vector() for k in fitted]), zero_mode, FitStage.FINAL,
+            np.broadcast_to(kept.p_hat, (len(fitted), D)), names,
+            np.broadcast_to(kept.bernoulli, (len(fitted),)))
         for k, model in zip(fitted, final):
             results[k] = (initial[k], model) if isinstance(model, ZadrModel) else model
     return results

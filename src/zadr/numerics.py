@@ -184,7 +184,9 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
     outside the domain; `gradient(x, rows)` returns their gradients (r, m)
     and Hessians (r, m, m) (for a negative log-likelihood, the observed
     information). Each step is `_newton_steps`'s, and the line search halves
-    it until the objective is finite and decreases. `gradient` is called
+    it until the objective is finite and decreases; a trial point with the
+    bytes of its current point takes the value there, without an objective
+    call. `gradient` is called
     only at accepted points, each row with the bytes of the trial point at
     which `objective` last evaluated that problem, so an objective may keep
     the work of its latest call for the derivatives. No array `objective`
@@ -261,15 +263,22 @@ def minimize_batch(objective, x0, gradient, opts: OptimizerOptions) -> list:
         for _ in range(_MAX_BACKTRACKS + 1):
             if len(pending) == len(x):
                 x_new, own = x + t * d, False
-                values = objective(x_new, live)
+                trial, rows, at = x_new, live, x
             else:
                 trial = x[pending] + t * d[pending]
-                values = objective(trial, live[pending])
                 if not own:
                     x_new, own = x_new.copy(), True
                 x_new[pending] = trial
+                rows, at = live[pending], x[pending]
+            changed = np.flatnonzero((trial.view(np.int64) != at.view(np.int64)).any(axis=1))
+            values = [fx[k] for k in pending]
+            if len(changed):
+                part = slice(None) if len(changed) == len(pending) else changed
+                for i, f in zip(changed, np.asarray(objective(trial[part], rows[part]),
+                                                    dtype=float).tolist()):
+                    values[i] = f
             rejected = []
-            for k, f in zip(pending, np.asarray(values, dtype=float).tolist()):
+            for k, f in zip(pending, values):
                 f_new[k] = f
                 if not (math.isfinite(f) and f <= fx[k] + _ARMIJO_C1 * t * slope[k] + allowance[k]):
                     rejected.append(k)

@@ -37,6 +37,12 @@ def truth_model(zero_mode: ZeroMode = ZeroMode.RENORMALIZED) -> ZadrModel:
     )
 
 
+def mixed_truth_model() -> ZadrModel:
+    """`truth_model` with the mixed precision exp(x^T gamma), gamma = [log phi, 0.1]."""
+    return replace(truth_model(), link=LinkSpec(ref_index=0, model_kind=ModelKind.MIXED),
+                   precision=np.array([np.log(TRUE_PHI), 0.1]))
+
+
 def depth_design(n: int = 30) -> CovariateMatrix:
     depth = np.log(np.arange(1, n + 1, dtype=float))
     return make_design(depth[:, None], names=["logdepth"])

@@ -54,14 +54,13 @@ def data_csv(tmp_path):
 
 def count_replicate_fits(monkeypatch, fail_every=0):
     """Log the replicates' draws (zadr.inference.simulate_response) and refits
-    (`fit` in the simulation study, `fit_batch` in the bootstrap) in this
+    (`fit_batch`, in the bootstrap and the simulation study) in this
     process, failing every `fail_every`-th refit with NonFiniteObjective.
     Returns the log: `drawn` and `fitted` list the drawn responses and the
     refitted ones, in order."""
     monkeypatch.setenv("ZADR_THREADS", "1")
     inference = zadr.inference
-    real_draw, real_fit, real_fit_batch = (inference.simulate_response, inference.fit,
-                                           inference.fit_batch)
+    real_draw, real_fit_batch = inference.simulate_response, inference.fit_batch
     log = SimpleNamespace(drawn=[], fitted=[])
 
     def fails(ds):
@@ -72,17 +71,11 @@ def count_replicate_fits(monkeypatch, fail_every=0):
         log.drawn.append(real_draw(*args))
         return log.drawn[-1]
 
-    def counted_fit(ds, *args):
-        if fails(ds):
-            raise NonFiniteObjective("injected")
-        return real_fit(ds, *args)
-
     def counted_fit_batch(datasets, design):
         return [NonFiniteObjective("injected") if fails(ds) else fitted
                 for ds, fitted in zip(datasets, real_fit_batch(datasets, design))]
 
     monkeypatch.setattr(inference, "simulate_response", counted_draw)
-    monkeypatch.setattr(inference, "fit", counted_fit)
     monkeypatch.setattr(inference, "fit_batch", counted_fit_batch)
     return log
 

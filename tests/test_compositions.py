@@ -161,7 +161,7 @@ class TestDesign:
     def test_intercept_only(self):
         X = make_design(np.empty((4, 0)))
         assert X.design.shape == (4, 1)
-        assert X.p == 0
+        assert X.n == 4 and X.p == 0
 
     @pytest.mark.parametrize("design, names, error, match", [
         (np.ones(3), ["intercept"], EmptyInput, "2-D"),

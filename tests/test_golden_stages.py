@@ -9,7 +9,10 @@ the fits in `golden_fit.json` and `golden_bootstrap.json`, all at phi = 15.889,
 stay byte-identical. The runs are taken by wrapping `zadr.model.minimize`.
 The values were written by `python tests/test_golden_stages.py` at the commit
 before the bootstrap fitted its replicates as one batch; a change that means
-to keep the engine's arithmetic must leave them as they are.
+to keep the engine's arithmetic must leave them as they are. Only the
+objective calls were written again, when the Newton loop stopped evaluating
+a trial point with the bytes of its current point: 11 StepTol stages make one
+call fewer, with their iterations, terminations and values unchanged.
 """
 
 import json

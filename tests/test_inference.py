@@ -1,6 +1,8 @@
+import functools
 import re
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from scipy import stats
 from conftest import (
     TRUE_B,
     depth_design,
+    mixed_truth_model,
     negate_stage_information,
     simulate_dataset,
     truth_model,
 )
 
-from zadr.compositions import load_dataset, make_design, zero_pattern
+from zadr.compositions import CovariateMatrix, load_dataset, make_design, zero_pattern
 from zadr.dirichlet import ZeroMode
 from zadr.errors import (
     KindMismatch,
@@ -23,12 +26,13 @@ from zadr.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
     TooFewSuccessfulReplicates,
+    ZadrError,
 )
 from zadr.inference import (
     BootstrapResult,
     DiagnosticResult,
+    _outcome,
     _replicate_batch,
-    _replicate_one,
     _replicate_rngs,
     bootstrap_bias,
     bootstrap_pvalue,
@@ -266,10 +270,12 @@ class TestBootstrap:
         # bootstrap prepares once and outside any batch, it must give the
         # bootstrap's row k exactly. A bootstrap cut into chunks of 7
         # replicates, or of one when a replicate exceeds the chunks' budget,
-        # must give the same outputs as one batch.
+        # must give the same outputs as one batch. The chunks run in this
+        # process: the pool's bits are pinned by the worker-count tests.
         import zadr.inference as inference_mod
 
         for seed in range(1, 21):
+            monkeypatch.setenv("ZADR_THREADS", "1")
             ds, X = simulate_dataset(n=30, seed=seed, n_zero=5)
             _, final = fit(ds, X, link)
             pvalue = assert_bootstrap_equals_the_fits_alone(final, ds, X, 19, seed)
@@ -438,7 +444,7 @@ class TestBootstrap:
         final = replace(fit(ds, X, SIMPLE_LINK)[1], zero_mode=ZeroMode.AS_WRITTEN)
         U = zero_pattern(ds)
         design = prepare_design(X, U, final.link, final.zero_mode)
-        alone = [_replicate_one((final, X, U, rng)) for rng in _replicate_rngs(5, 6)]
+        alone = [replicate_alone(final, X, U, rng) for rng in _replicate_rngs(5, 6)]
         batch = _replicate_batch((final, design, U, _replicate_rngs(5, 6)))
         assert [cause for cause, _, _ in batch] == [cause for cause, _, _ in alone]
         assert "NonFiniteObjective" in [cause for cause, _, _ in alone]
@@ -527,12 +533,23 @@ class TestBootstrap:
         assert np.array_equal(rep.values, expected)
 
 
+def replicate_alone(model, X, U, rng) -> tuple:
+    """A replicate's record from its draw and its fit alone: the response
+    that `simulate_response` draws with rng at the covariates X with the
+    zero pattern U, refitted by `fit` on X; or the failure's cause."""
+    try:
+        fitted = fit(simulate_response(model, X, U, rng), X, model.link, model.zero_mode)
+    except (ZadrError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, None, None
+    return _outcome(*fitted)
+
+
 def assert_bootstrap_equals_the_fits_alone(final, ds, X, B: int, seed: int) -> BootstrapResult:
     """Assert that `bootstrap_bias` and `bootstrap_pvalue` keep, row for row
-    and byte for byte, what `_replicate_one` gives each replicate alone, and
+    and byte for byte, what `replicate_alone` gives each replicate, and
     count its failures by the same causes; returns the p-value pass."""
     U = zero_pattern(ds)
-    alone = [_replicate_one((final, X, U, rng)) for rng in _replicate_rngs(seed, B)]
+    alone = [replicate_alone(final, X, U, rng) for rng in _replicate_rngs(seed, B)]
     kept = [(T, params) for cause, T, params in alone if cause is None]
     causes = dict(Counter(cause for cause, _, _ in alone if cause is not None))
     bias = bootstrap_bias(final, ds, X, B=B, seed=seed)
@@ -541,6 +558,76 @@ def assert_bootstrap_equals_the_fits_alone(final, ds, X, B: int, seed: int) -> B
     assert bias.replicate_stats.tobytes() == np.array([p for _, p in kept]).tobytes()
     assert pvalue.replicate_stats.tobytes() == np.array([T for T, _ in kept]).tobytes()
     return pvalue
+
+
+def record_batches(monkeypatch):
+    """Record the replicate batches that the simulation study maps: returns
+    a function that gives each batched replicate's record (as
+    `record_bytes`) by its index k in the study's generators."""
+    import zadr.inference as inference_mod
+
+    rngs, batches = [], []
+    real_rngs, real_map = inference_mod._replicate_rngs, inference_mod._map_indexed
+
+    def spawned(*args):
+        rngs.extend(real_rngs(*args))
+        return rngs
+
+    def mapped(func, tasks):
+        results = real_map(func, tasks)
+        batches.extend(zip(tasks, results))
+        return results
+
+    monkeypatch.setattr(inference_mod, "_replicate_rngs", spawned)
+    monkeypatch.setattr(inference_mod, "_map_indexed", mapped)
+
+    def records() -> dict:
+        index = {id(rng): k for k, rng in enumerate(rngs)}
+        return {index[id(rng)]: record_bytes(record)
+                for (_, _, _, batch_rngs), batch in batches
+                for rng, record in zip(batch_rngs, batch, strict=True)}
+
+    return records
+
+
+def record_bytes(record) -> tuple:
+    """A replicate's record with its floats as bytes."""
+    cause, T, params = record
+    return cause, None if T is None else float.hex(T), None if params is None else params.tobytes()
+
+
+@functools.cache
+def study_alone(kind: str) -> SimpleNamespace:
+    """`TestSimulationStudy.STUDY` of the `kind` truth, replicate by replicate
+    alone: replicate k's covariates and zero pattern drawn with the k-th
+    generator spawned from the seed, then its response drawn and fitted
+    (`replicate_alone`). Returns the `records` (as `record_bytes`) and the
+    `report` built from them."""
+    model, study = TestSimulationStudy.TRUTHS[kind](), TestSimulationStudy.STUDY
+    sizes, reps, design = study["sizes"], study["reps"], depth_design()
+    records, kept = [], {n: [] for n in sizes}
+    causes = {n: Counter() for n in sizes}
+    for k, rng in enumerate(_replicate_rngs(study["seed"], len(sizes) * reps)):
+        n = sizes[k // reps]
+        n_zero = int(round(study["zero_fraction"] * n))
+        rows = design.design[rng.integers(0, design.design.shape[0], size=n)]
+        U = np.ones((n, model.D), dtype=np.int8)
+        if n_zero > 0:
+            U[rng.choice(n, size=n_zero, replace=False), rng.integers(0, model.D, size=n_zero)] = 0
+        cause, T, params = replicate_alone(
+            model, CovariateMatrix(design=rows, covariate_names=design.covariate_names), U, rng)
+        records.append(record_bytes((cause, T, params)))
+        if cause is None:
+            kept[n].append(params)
+        else:
+            causes[n][cause] += 1
+    truth = model.parameter_vector()
+    report = SimpleNamespace(
+        successes={n: len(kept[n]) for n in sizes},
+        failure_causes={n: dict(causes[n]) for n in sizes},
+        mse={n: (np.mean((np.asarray(kept[n]) - truth) ** 2, axis=0) if kept[n]
+                 else np.full(truth.size, np.nan)) for n in sizes})
+    return SimpleNamespace(records=records, report=report)
 
 
 def bootstrap_outputs(result: BootstrapResult) -> tuple:
@@ -759,23 +846,31 @@ class TestSimulationStudy:
         assert sorted(report.mse) == [20, 30, 40]
 
     def test_pool_takes_largest_samples_first_and_records_return_home(self, monkeypatch):
+        # Each size's replicates go in near-equal batches of at most
+        # _BATCH_CELLS cells, two replicates of n = 40 here, largest n first.
         import zadr.inference as inference_mod
 
         monkeypatch.setenv("ZADR_THREADS", "1")
+        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", 2 * 40 * 4)
         handed = []
         truth = truth_model().parameter_vector()
 
-        def sized_replicate(args):
-            # A stand-in fit whose estimates are the replicate's sample size.
-            handed.append(args[1].n)
-            return None, None, np.full(truth.size, float(args[1].n))
+        def sized_batch(args):
+            # A stand-in batch whose estimates are each replicate's sample size.
+            _, design, U, rngs = args
+            n = design.design.shape[-2]
+            assert design.design.shape[0] == U.shape[0] == len(rngs)
+            handed.append((n, len(rngs)))
+            return [(None, None, np.full(truth.size, float(n)))] * len(rngs)
 
-        monkeypatch.setattr(inference_mod, "_replicate_one", sized_replicate)
+        monkeypatch.setattr(inference_mod, "_replicate_batch", sized_batch)
         report = run_simulation_study(truth_model(), depth_design(), sizes=[20, 40, 30],
-                                      reps=2, zero_fraction=1.0 / 6.0, seed=3)
-        assert handed == [40, 40, 30, 30, 20, 20]
+                                      reps=3, zero_fraction=1.0 / 6.0, seed=3)
+        assert handed == [(40, 1), (40, 2), (30, 1), (30, 2), (20, 3)]
         for n in (20, 30, 40):
-            assert np.array_equal(report.mse[n], (float(n) - truth) ** 2)
+            assert report.successes[n] == 3
+            expected = np.mean((np.full((3, truth.size), float(n)) - truth) ** 2, axis=0)
+            assert np.array_equal(report.mse[n], expected)
 
     def test_report_does_not_depend_on_worker_count(self, monkeypatch):
         reports = []
@@ -798,15 +893,67 @@ class TestSimulationStudy:
         assert report.failure_causes == {30: {"NotPositiveDefinite": 2}}
         assert np.all(np.isnan(report.mse[30]))
 
+    STUDY = {"sizes": [2, 4, 8, 30, 60], "reps": 5, "zero_fraction": 1.0 / 6.0, "seed": 6}
+    TRUTHS = {"simple": truth_model, "mixed": mixed_truth_model}
+
+    @pytest.mark.parametrize("kind", list(TRUTHS))
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("batch", ["one", "three", "default"])
+    def test_every_replicate_equals_its_fit_alone(self, monkeypatch, kind, threads, batch):
+        # Replicate k's record is, byte for byte, `fit` of its own drawn
+        # response on its own covariates, in batches of one replicate, of
+        # three replicates of the largest size, or of the default budget,
+        # in this process or in the pool. So is the report built from them.
+        import zadr.inference as inference_mod
+
+        model = self.TRUTHS[kind]()
+        monkeypatch.setenv("ZADR_THREADS", threads)
+        cells = {"one": 1, "three": 3 * max(self.STUDY["sizes"]) * model.D}
+        if batch in cells:
+            monkeypatch.setattr(inference_mod, "_BATCH_CELLS", cells[batch])
+        batched = record_batches(monkeypatch)
+        report = run_simulation_study(model, depth_design(), **self.STUDY)
+        alone = study_alone(kind)
+        assert batched() == dict(enumerate(alone.records))
+        for n in self.STUDY["sizes"]:
+            assert report.mse[n].tobytes() == alone.report.mse[n].tobytes(), n
+            assert report.successes[n] == alone.report.successes[n]
+            assert report.failure_causes[n] == alone.report.failure_causes[n]
+
+    def test_draw_failures_leave_the_batch_to_the_others(self, monkeypatch):
+        # A replicate whose draw fails is counted under its cause and never
+        # fitted; the others of its batch are fitted each on its own design,
+        # as alone. Every third draw fails, one or two in each size's batch.
+        import zadr.inference as inference_mod
+
+        monkeypatch.setenv("ZADR_THREADS", "1")
+        real, draws = inference_mod.simulate_response, []
+
+        def every_third_fails(*args):
+            draws.append(1)
+            if len(draws) % 3 == 0:
+                raise ShapeMismatch("injected")
+            return real(*args)
+
+        monkeypatch.setattr(inference_mod, "simulate_response", every_third_fails)
+        batched = record_batches(monkeypatch)
+        report = run_simulation_study(truth_model(), depth_design(), **self.STUDY)
+        records, alone = batched(), study_alone("simple").records
+        failed = {k for k, record in records.items() if record[0] == "ShapeMismatch"}
+        assert len(draws) == 20 and len(records) == 25 and len(failed) == 6
+        assert {k: alone[k] for k in records if k not in failed} == {
+            k: record for k, record in records.items() if k not in failed}
+        assert sum(report.failure_causes[n].get("ShapeMismatch", 0) for n in report.sizes) == 6
+
     def test_replicate_needs_both_stages_converged(self, monkeypatch):
         import zadr.inference as inference_mod
 
-        def zero_free_stage_unconverged(*args):
-            initial, final = fit(*args)
-            return replace(initial, converged=False), final
+        def zero_free_stage_unconverged(datasets, design):
+            return [(replace(initial, converged=False), final)
+                    for initial, final in fit_batch(datasets, design)]
 
         monkeypatch.setenv("ZADR_THREADS", "1")
-        monkeypatch.setattr(inference_mod, "fit", zero_free_stage_unconverged)
+        monkeypatch.setattr(inference_mod, "fit_batch", zero_free_stage_unconverged)
         report = run_simulation_study(truth_model(), depth_design(), sizes=[30], reps=2,
                                       zero_fraction=1.0 / 6.0, seed=3)
         assert report.successes == {30: 0}

@@ -256,15 +256,23 @@ class TestMinimizeBatch:
         # finite only at the start
         "lost": (lambda x: 0.0 if not x.any() else np.inf,
                  lambda x: (np.ones(2), np.eye(2)), np.zeros(2)),
+        # a Newton step of 0.75 at 1e16, whose unit in the last place is 2:
+        # every trial point has the bytes of the start
+        "rounded": (lambda x: float(0.5 * (x - 1e16) @ (x - 1e16) - 0.75 * np.sum(x - 1e16)),
+                    lambda x: (x - 1e16 - 0.75, np.eye(2)), np.full(2, 1e16)),
     }
     OPTS = OptimizerOptions(max_iterations=30)
 
-    def _batch(self, names):
+    def _batch(self, names, calls=None):
+        """Run the problems `names` as one batch; `calls`, if given, gets
+        the rows of every objective call."""
         problems = [self.PROBLEMS[name] for name in names]
         seen = []  # every array the objective was called with, and its bytes then
 
         def objective(x, rows):
             seen.append((x, x.tobytes()))
+            if calls is not None:
+                calls.append(list(rows))
             return [problems[k][0](point) for point, k in zip(x, rows)]
 
         def gradient(x, rows):
@@ -302,7 +310,18 @@ class TestMinimizeBatch:
             "stalled": TerminationReason.STEP_TOL, "crawling": TerminationReason.MAX_ITER,
             "infinite": "objective not finite at starting point",
             "lost": "line search could not recover a finite objective",
+            "rounded": TerminationReason.STEP_TOL,
         }
+
+    def test_a_trial_with_the_bytes_of_its_point_takes_its_value(self):
+        # Each trial of "rounded" rounds back to its start: it takes the
+        # start's value without an objective call, and its line search ends
+        # as the oracle's, which evaluates every trial, on StepTol.
+        calls = []
+        results = self._batch(["bowl-1", "rounded"], calls)
+        assert self._end_as_the_oracle("rounded", results[1]) is TerminationReason.STEP_TOL
+        self._end_as_the_oracle("bowl-1", results[0])
+        assert calls[0] == [0, 1] and all(rows == [0] for rows in calls[1:])
 
     def test_rows_do_not_depend_on_their_company(self):
         for names in (["bowl-2"], ["bowl-1", "bowl-2"],

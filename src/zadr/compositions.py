@@ -26,6 +26,7 @@ from .errors import (
     NegativeEntry,
     RowSumViolation,
     SchemaMismatch,
+    ZadrError,
     ZeroInTransform,
 )
 
@@ -107,7 +108,8 @@ def load_dataset(rows, names: list[str] | None = None) -> CompositionDataset:
     Non-finite and negative entries are rejected. Rows whose sum deviates
     from 1 by at most `ROW_SUM_TOLERANCE` are renormalized; the
     renormalization divides only the positive entries so exact zeros are
-    preserved bit-exactly.
+    preserved bit-exactly. The value checks and the renormalization are
+    `_check_rows` on this one matrix.
     """
     values = np.array(rows, dtype=float)
     if values.size == 0:
@@ -119,28 +121,53 @@ def load_dataset(rows, names: list[str] | None = None) -> CompositionDataset:
     D = values.shape[1]
     if D < 2:
         raise DegenerateRow("compositions need at least 2 components")
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise DomainError(f"non-finite entry {values[i, j]} at row {i}, column {j}")
-    if np.any(values < 0):
-        i, j = np.argwhere(values < 0)[0]
-        raise NegativeEntry(f"negative entry {values[i, j]} at row {i}, column {j}")
-    sums = values.sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise RowSumViolation(f"row {i} sums to {sums[i]}, off by more than {ROW_SUM_TOLERANCE}")
-    positive_counts = (values > 0).sum(axis=1)
-    if np.any(positive_counts < 2):
-        i = int(np.argmax(positive_counts < 2))
-        raise DegenerateRow(f"row {i} has fewer than 2 positive components")
-    # Renormalize positive entries only; zeros stay exactly zero.
-    values = values / sums[:, None]
+    normalized, [error] = _check_rows(values[None])
+    if error is not None:
+        raise error
     if names is None:
         names = [f"c{j + 1}" for j in range(D)]
     if len(names) != D:
         raise ValueError("component name count must equal D")
-    return CompositionDataset(values=values, component_names=list(names))
+    return CompositionDataset(values=normalized[0], component_names=list(names))
+
+
+def _check_rows(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """`load_dataset`'s value checks and renormalization on a stack of R
+    matrices of n rows and D >= 2 components (R x n x D): the stack with
+    each row divided by its sum, and per matrix None or the error that
+    `load_dataset` raises for it alone (`_first_error`). Every check and the
+    division run elementwise or per row on the whole stack, so a matrix's
+    numbers do not depend on the others; the rows of a matrix that fails
+    are divided all the same."""
+    # The sums and quotients of a matrix that fails may overflow or be NaN.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = values.sum(axis=-1)
+        failed = (~np.isfinite(values).all(axis=(-2, -1)) | (values < 0).any(axis=(-2, -1))
+                  | (np.abs(sums - 1.0) > ROW_SUM_TOLERANCE).any(axis=-1)
+                  | ((values > 0).sum(axis=-1) < 2).any(axis=-1))
+        normalized = values / sums[..., None]
+    errors = [None] * len(values)
+    for k in np.flatnonzero(failed):
+        errors[k] = _first_error(values[k], sums[k])
+    return normalized, errors
+
+
+def _first_error(values: np.ndarray, sums: np.ndarray) -> ZadrError:
+    """The first check that one n x D matrix, with row sums `sums`, fails:
+    a non-finite entry, a negative entry, a row sum off 1 by more than
+    `ROW_SUM_TOLERANCE`, or a row with fewer than 2 positive components."""
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        return DomainError(f"non-finite entry {values[i, j]} at row {i}, column {j}")
+    if np.any(values < 0):
+        i, j = np.argwhere(values < 0)[0]
+        return NegativeEntry(f"negative entry {values[i, j]} at row {i}, column {j}")
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        return RowSumViolation(f"row {i} sums to {sums[i]}, off by more than {ROW_SUM_TOLERANCE}")
+    i = int(np.argmax((values > 0).sum(axis=1) < 2))
+    return DegenerateRow(f"row {i} has fewer than 2 positive components")
 
 
 def zero_pattern(ds: CompositionDataset) -> np.ndarray:
@@ -154,19 +181,20 @@ def alr(ds_or_values, ref_index: int = 0) -> np.ndarray:
     """Additive log-ratio transform z_i = log(y_i / y_ref), i != ref.
 
     Requires strictly positive input; callers must filter to zero-free rows.
-    Column order preserves the order of the non-reference components.
+    Column order preserves the order of the non-reference components. A
+    stack of value matrices (R x n x D) gives a stack of transforms.
     """
     values = ds_or_values.values if isinstance(ds_or_values, CompositionDataset) else np.asarray(ds_or_values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
-    D = values.shape[1]
+    D = values.shape[-1]
     if not 0 <= ref_index < D:
         raise IndexError(f"ref_index {ref_index} out of range for D={D}")
     if np.any(values <= 0.0):
         raise ZeroInTransform("alr requires strictly positive compositions")
     logs = np.log(values)
     keep = [j for j in range(D) if j != ref_index]
-    return logs[:, keep] - logs[:, [ref_index]]
+    return logs[..., keep] - logs[..., [ref_index]]
 
 
 def alr_inv(

@@ -35,21 +35,40 @@ stack.
 The replicates of a bootstrap, and those of each sample size of a study,
 are cut into near-equal batches of at most `_BATCH_CELLS` response cells, a
 larger replicate alone, so a large n x B cannot exhaust memory. A batch
-(`_replicate_batch`) draws its responses in generator order, from the
-model's means and precisions computed once, and fits them together with
-`model.fit_batch` on the bootstrap's one design or the stack of the
-batch's own, whose Newton loop serves every replicate still fitting. A
-replicate's numbers are bit for bit those of its draw and `fit` alone,
-whatever the batches and wherever they run. A batch of two or more
-reports each replicate stage through a one-response `minimize` restarted
-where the batch stopped and answered there from the batch's own result:
-the traced benchmark reads its counts and probe point from that
-`minimize`, and the restart goes once the fit records those itself
-(ROADMAP item 1).
+(`_replicate_batch`) works on stacks from the draw to T. Each replicate
+draws with its own generator, in generator order, into one R x n x D array,
+from the model's means and precisions computed once (`_draw_responses`,
+whose one-replicate case is `simulate_response`); the array is floored,
+normalized and checked as a whole with the checks of `load_dataset`
+(`compositions._check_rows`). The responses that pass are fitted together
+by `model.fit_batch` on the bootstrap's one design or the stack of the
+batch's own: its Newton loop serves every replicate still fitting, and
+each stage checks and inverts its informations as one stack. T of every
+replicate whose stages both converged comes from one stacked solve
+(`_quadratic_forms`, which `diagnostic_T` also uses). A replicate that
+fails a step is counted under the error it raises alone, and the others go
+on as a stack. numpy runs LAPACK one matrix at a time on a stack, and
+every elementwise step and row sum keeps its order, so a replicate's
+numbers are bit for bit those of its draw, `fit` and `diagnostic_T` alone,
+whatever the batches and wherever they run. What still runs once per
+replicate stage is its report through a one-response `minimize`
+restarted where the batch stopped and answered there from the batch's own
+result: the traced benchmark reads its counts and probe point
+from that `minimize`, and the restart goes once the fit records those
+itself (ROADMAP item 1).
 
-The batches are the tasks of `_map_indexed`, which runs them in this
-process or in a pool of at most `ZADR_THREADS` processes, the simulation
-study's largest samples first; the records go back to replicate order.
+The batches are the tasks of `_map_indexed`, the simulation study's largest
+samples first; the records go back to replicate order. It starts a pool of
+W processes, at most `ZADR_THREADS`, only when the pool can save more than
+one batch's time, ceil(N / W) + 1 < N for N batches. Measured on 2 vCPUs on
+the bootstrap of 30 rows and B = 199 (3 batches): a batch alone in this
+process took 22-41 ms; a pool took 11-27 ms to start its first batch and
+4-7 ms to join after its last, and its two concurrent workers took 50-89 ms
+per batch, twice as long as alone or more. The pool's 3 batches took
+100-154 ms against 72-109 ms in this process, so 3 batches on 2 workers,
+and the 2 batches of the default B = 99 at that size, run in this process,
+while B = 999 at that size (15 batches) and a study with more than three
+batches keep the pool.
 """
 
 from __future__ import annotations
@@ -66,6 +85,7 @@ from scipy import special
 from .compositions import (
     CompositionDataset,
     CovariateMatrix,
+    _check_rows,
     _write_csv,
     load_dataset,
     zero_pattern,
@@ -80,8 +100,8 @@ from .errors import (
 from .model import (
     ModelKind,
     ZadrModel,
+    _not_positive_definite,
     _row_parameters,
-    check_positive_definite,
     fit,
     fit_batch,
     prepare_design,
@@ -144,9 +164,55 @@ def diagnostic_T(initial: ZadrModel, final: ZadrModel) -> DiagnosticResult:
         raise ValueError("both models need covariance matrices")
     delta = initial.parameter_vector() - final.parameter_vector()
     sigma2 = initial.covariance + final.covariance
-    check_positive_definite(sigma2, "the sum of the two stages' covariances")
-    T = float(delta @ np.linalg.solve(sigma2, delta))
+    [T] = _quadratic_forms(delta[None], sigma2[None])
+    if isinstance(T, Exception):
+        raise T
     return DiagnosticResult(T=T, delta=delta, sigma2=sigma2)
+
+
+def _quadratic_forms(delta: np.ndarray, sigma2: np.ndarray) -> list:
+    """T = delta^T sigma2^-1 delta of each pair of a stack of differences
+    delta (R x m) and covariance sums sigma2 (R x m x m), the diagnostic's
+    statistic: per pair T, or the NotPositiveDefinite of a sigma2 that fails
+    `_not_positive_definite`. The sums that pass are solved as one stack,
+    which LAPACK solves matrix by matrix, and each product runs per pair,
+    so a pair's T has the bits of its own solve."""
+    errors = _not_positive_definite(sigma2, "the sum of the two stages' covariances")
+    passed = [error is None for error in errors]
+    if not all(passed):
+        delta, sigma2 = delta[passed], sigma2[passed]
+    Ts = iter((delta[:, None, :] @ np.linalg.solve(sigma2, delta[:, :, None]))[:, 0, 0].tolist())
+    return [next(Ts) if error is None else error for error in errors]
+
+
+def _draw_responses(A: np.ndarray, phis: np.ndarray, U: np.ndarray, rngs) -> np.ndarray:
+    """R response matrices (R x n x D) drawn with the zero pattern U (n x
+    D) from the means A (D x n) and precisions phis (n,) of a model at its
+    covariates, response k with the generator rngs[k], in generator order;
+    stacks of patterns (R x n x D), means (R x D x n) and precisions (R x n)
+    give response k its own.
+
+    Rows marked zero-free come from the full Dirichlet at their covariates;
+    rows with zeros come from the renormalized sub-Dirichlet on their
+    positive set, which is the Dirichlet marginality-consistent mechanism.
+    Every retained cell stays positive, at least the smallest normal double,
+    so the draw keeps U at any precision. Flooring and normalizing run
+    elementwise and per row on the whole stack, so a response's numbers do
+    not depend on the others.
+    """
+    # A is component-major; the transposed view keeps the draws in row-major cell order.
+    shapes = (phis[..., None, :] * A).swapaxes(-1, -2)
+    shapes = np.broadcast_to(shapes, (len(rngs),) + shapes.shape[-2:])
+    g = np.empty(shapes.shape)
+    for k, rng in enumerate(rngs):
+        rng.standard_gamma(shapes[k], out=g[k])
+    keep = U.astype(bool)
+    tiny = np.finfo(float).tiny
+    g = np.where(keep, np.maximum(g, tiny), 0.0)
+    values = g / g.sum(axis=-1, keepdims=True)
+    # A row sum past about 1e16 divides a floored draw to 0, so floor again.
+    np.maximum(values, tiny, out=values, where=keep)
+    return values
 
 
 def simulate_response(
@@ -154,30 +220,12 @@ def simulate_response(
     X: CovariateMatrix,
     U: np.ndarray,
     rng: np.random.Generator,
-    params: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CompositionDataset:
-    """Draw one response matrix from the model, preserving the pattern U.
-
-    Rows marked zero-free come from the full Dirichlet at their covariates;
-    rows with zeros come from the renormalized sub-Dirichlet on their
-    positive set, which is the Dirichlet marginality-consistent mechanism.
-    Every retained cell stays positive, at least the smallest normal double,
-    so the draw keeps U at any precision. `params` are the model's means and
-    precisions at X (`model._row_parameters`), computed here when None, so
-    that many draws from one model and design compute them once; X is read
-    only then.
-    """
-    A, phis = (_row_parameters(X.design, model.B, model.precision, model.link)
-               if params is None else params)
-    keep = U.astype(bool)
-    tiny = np.finfo(float).tiny
-    # A is component-major; the transposed view keeps the draws in row-major cell order.
-    g = rng.standard_gamma((phis * A).T)
-    g = np.where(keep, np.maximum(g, tiny), 0.0)
-    values = g / g.sum(axis=1, keepdims=True)
-    # A row sum past about 1e16 divides a floored draw to 0, so floor again.
-    np.maximum(values, tiny, out=values, where=keep)
-    return load_dataset(values, names=model.component_names)
+    """Draw one response matrix from the model at the covariates X,
+    preserving the zero pattern U: `_draw_responses` of one generator,
+    validated by `load_dataset`."""
+    A, phis = _row_parameters(X.design, model.B, model.precision, model.link)
+    return load_dataset(_draw_responses(A, phis, U, [rng])[0], names=model.component_names)
 
 
 def _replicate_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
@@ -186,15 +234,20 @@ def _replicate_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
 
 
 def _map_indexed(func, args_list):
-    """Order-preserving map, optionally across processes.
+    """Order-preserving map, in this process or across a process pool.
 
-    The pool has min(ZADR_THREADS, usable CPUs, tasks) workers. An unset or
-    blank ZADR_THREADS means the usable CPUs, a value below 1 counts as 1,
-    and one that is not an integer is a ValueError that names it; with one
-    worker the map runs in this process. Tasks reach the pool in chunks of
-    ceil(tasks / (_CHUNKS_PER_WORKER * workers)), so each worker gets about
-    that many chunks: few round trips, each pickling the shared model and
-    design once, and still enough chunks to even out replicates of uneven cost.
+    The pool has W = min(ZADR_THREADS, usable CPUs, tasks) workers. An
+    unset or blank ZADR_THREADS means the usable CPUs, a value below 1
+    counts as 1, and one that is not an integer is a ValueError that names
+    it. The map runs in this process unless the pool can save more than one
+    task's time on N near-equal tasks, ceil(N / W) + 1 < N: starting and
+    joining a pool cost about one small task, and on 2 CPUs two concurrent
+    workers each run a task at half the speed of one process alone or less
+    (the module docstring gives the measurements). Tasks reach the pool in
+    chunks of ceil(tasks / (_CHUNKS_PER_WORKER * workers)), so each worker
+    gets about that many chunks: few round trips, each pickling the shared
+    model and design once, and still enough chunks to even out tasks of
+    uneven cost.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("ZADR_THREADS", "").strip()
@@ -202,27 +255,17 @@ def _map_indexed(func, args_list):
         threads = max(1, int(env)) if env else cpus
     except ValueError:
         raise ValueError(f"ZADR_THREADS must be an integer, got {env!r}") from None
-    workers = min(threads, cpus, len(args_list))
-    if workers <= 1:
+    tasks = len(args_list)
+    workers = min(threads, cpus, tasks)
+    if workers <= 1 or -(-tasks // workers) + 1 >= tasks:
         return [func(a) for a in args_list]
-    chunksize = -(-len(args_list) // (_CHUNKS_PER_WORKER * workers))
+    chunksize = -(-tasks // (_CHUNKS_PER_WORKER * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, args_list, chunksize=chunksize))
 
 
 def _failure(exc: Exception):
     return type(exc).__name__, None, None
-
-
-def _outcome(initial: ZadrModel, final: ZadrModel):
-    """A refitted replicate's record: (failure cause or None, T or None,
-    final parameters or None)."""
-    if not (initial.converged and final.converged):
-        return "NotConverged", None, None
-    try:
-        return None, diagnostic_T(initial, final).T, final.parameter_vector()
-    except (ZadrError, np.linalg.LinAlgError) as exc:
-        return _failure(exc)
 
 
 def _replicate_batch(args) -> list:
@@ -234,25 +277,40 @@ def _replicate_batch(args) -> list:
     replicate k its own.
 
     Returns each replicate's record, (failure cause or None, T or None,
-    final parameters or None), bit for bit that of `simulate_response` and
-    `fit` alone, with all the refits in one `fit_batch`. The responses are
-    drawn first, in generator order, from the model's means and precisions
-    computed once for the batch.
+    final parameters or None), bit for bit that of `simulate_response`,
+    `fit` and `diagnostic_T` alone. The batch works on stacks: the
+    responses are drawn in generator order into one R x n x D array from
+    the model's means and precisions computed once (`_draw_responses`),
+    checked as one (`compositions._check_rows`), refitted in one
+    `fit_batch`, and the replicates whose stages both converged get T from
+    one stacked solve (`_quadratic_forms`). A replicate that fails a step
+    is counted under the error it raises alone and leaves the stack for the
+    next step to the others. A replicate counts only when both fit stages
+    converged and its T could be formed.
     """
     model, design, U, rngs = args
-    records, drawn = [None] * len(rngs), {}
     A, phis = _row_parameters(design.design, model.B, model.precision, model.link)
-    # Per replicate: views of the shared arrays, or the stack's own rows.
-    A, U = (np.broadcast_to(a, (len(rngs),) + a.shape[-2:]) for a in (A, U))
-    phis = np.broadcast_to(phis, (len(rngs), phis.shape[-1]))
-    for k, rng in enumerate(rngs):
-        try:
-            drawn[k] = simulate_response(model, design, U[k], rng, (A[k], phis[k]))
-        except (ZadrError, np.linalg.LinAlgError) as exc:
-            records[k] = _failure(exc)
-    fits = fit_batch(list(drawn.values()), design.take(list(drawn)))
+    values, errors = _check_rows(_draw_responses(A, phis, U, rngs))
+    records = [None if error is None else _failure(error) for error in errors]
+    drawn = [k for k, error in enumerate(errors) if error is None]
+    fits = fit_batch(values if len(drawn) == len(values) else values[drawn],
+                     design.take(drawn), model.component_names)
+    pairs = {}
     for k, fitted in zip(drawn, fits):
-        records[k] = _failure(fitted) if isinstance(fitted, Exception) else _outcome(*fitted)
+        if isinstance(fitted, Exception):
+            records[k] = _failure(fitted)
+        elif not (fitted[0].converged and fitted[1].converged):
+            records[k] = "NotConverged", None, None
+        else:
+            pairs[k] = fitted
+    if pairs:
+        initials, finals = zip(*pairs.values())
+        theta = np.stack([final.parameter_vector() for final in finals])
+        delta = np.stack([initial.parameter_vector() for initial in initials]) - theta
+        sigma2 = (np.stack([initial.covariance for initial in initials])
+                  + np.stack([final.covariance for final in finals]))
+        for k, params, T in zip(pairs, theta, _quadratic_forms(delta, sigma2)):
+            records[k] = _failure(T) if isinstance(T, Exception) else (None, T, params)
     return records
 
 

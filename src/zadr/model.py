@@ -57,7 +57,6 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -722,12 +721,23 @@ class _Objective:
         return negloglik, negderivatives
 
 
-def check_positive_definite(matrix: np.ndarray, name: str) -> None:
-    """Raise NotPositiveDefinite, naming the matrix, unless it has a finite Cholesky factor."""
-    with suppress(np.linalg.LinAlgError):
-        if np.isfinite(np.linalg.cholesky(matrix)).all():
-            return
-    raise NotPositiveDefinite(f"{name} is not positive definite")
+def _not_positive_definite(matrices: np.ndarray, name: str) -> list:
+    """Per matrix of a stack (R x m x m), None when it has a finite Cholesky
+    factor, else a NotPositiveDefinite naming it `name`. One Cholesky factors
+    the whole stack, which LAPACK runs matrix by matrix; only when it raises,
+    because some matrix has no factor, is each matrix factored alone, as
+    `numerics._newton_steps` does."""
+    try:
+        finite = np.isfinite(np.linalg.cholesky(matrices)).all(axis=(-2, -1)).tolist()
+    except np.linalg.LinAlgError:
+        finite = []
+        for matrix in matrices:
+            try:
+                finite.append(bool(np.isfinite(np.linalg.cholesky(matrix)).all()))
+            except np.linalg.LinAlgError:
+                finite.append(False)
+    return [None if ok else NotPositiveDefinite(f"{name} is not positive definite")
+            for ok in finite]
 
 
 def _stage_options(n: int) -> OptimizerOptions:
@@ -771,32 +781,50 @@ def _fit_stages(logY: np.ndarray, stage_design: _StageDesign, theta0: np.ndarray
     ran out of iterations, and otherwise where the batch stopped, answered
     there from the batch's `OptimResult` (`_answered_at`), so that it
     computes nothing at that point again and stops there, bit for bit.
+
+    The informations of the restarts that end are checked as one (R, m, m)
+    stack and those that pass are inverted as one: LAPACK factors and
+    inverts a stack matrix by matrix, so each covariance has the bits of
+    its inversion alone. A stack with a matrix that has no Cholesky factor
+    is checked one matrix at a time (`_not_positive_definite`), and only that
+    response fails, with NotPositiveDefinite. A matrix with a finite
+    Cholesky factor is nonsingular, so the inversion raises for none.
     """
     link = stage_design.link
     opts = _stage_options(stage_design.Xd.shape[-2])
     objective = _Objective(logY, stage_design)
     batch = (minimize_batch(objective.value, theta0, objective.derivatives, opts)
              if len(theta0) > 1 else [None])
-    models = []
+    models, ended = [None] * len(theta0), {}
     for k, (start, stopped) in enumerate(zip(theta0, batch)):
         if isinstance(stopped, NonFiniteObjective):
-            models.append(stopped)
+            models[k] = stopped
             continue
         negloglik, negderivatives = objective.pair(k)
         if stopped is not None and stopped.termination_reason is not TerminationReason.MAX_ITER:
             start = stopped.argmin
             negloglik, negderivatives = _answered_at(stopped, negloglik, negderivatives)
         try:
-            res = minimize(negloglik, start, gradient=negderivatives, opts=opts)
-            B, precision = unpack_params(res.argmin, objective.d, objective.q, link.model_kind)
-            check_positive_definite(res.hessian, f"the {stage.value} stage's observed information")
-            models.append(ZadrModel(
-                B=B, precision=precision, p_hat=p_hat[k], covariance=np.linalg.inv(res.hessian),
-                loglik=-res.value + float(loglik_offset[k]), converged=res.converged, stage=stage,
-                link=link, zero_mode=fit_mode, component_names=names[0], covariate_names=names[1],
-            ))
+            ended[k] = minimize(negloglik, start, gradient=negderivatives, opts=opts)
         except (ZadrError, np.linalg.LinAlgError) as exc:
-            models.append(exc)
+            models[k] = exc
+    if not ended:
+        return models
+    informations = _stack([res.hessian for res in ended.values()])
+    errors = _not_positive_definite(informations,
+                                    f"the {stage.value} stage's observed information")
+    passed = [error is None for error in errors]
+    covariances = iter(np.linalg.inv(informations if all(passed) else informations[passed]))
+    for (k, res), error in zip(ended.items(), errors):
+        if error is not None:
+            models[k] = error
+            continue
+        B, precision = unpack_params(res.argmin, objective.d, objective.q, link.model_kind)
+        models[k] = ZadrModel(
+            B=B, precision=precision, p_hat=p_hat[k], covariance=next(covariances),
+            loglik=-res.value + float(loglik_offset[k]), converged=res.converged, stage=stage,
+            link=link, zero_mode=fit_mode, component_names=names[0], covariate_names=names[1],
+        )
     return models
 
 
@@ -895,8 +923,8 @@ def fit(
     the response half fits the values of `ds` on it. The design half builds
     both stages, each carrying the link and the zero mode it is fitted under:
     as written for stage one, `zero_mode` for stage two. `fit` is `fit_batch`
-    of the one dataset on the design half it prepares, and raises the error
-    that batch gives for it.
+    of the one dataset's values on the design half it prepares, and raises
+    the error that batch gives for it.
 
     Every stage ends the same way: its optimizer stops, and counts as
     converged, only once max|gradient| < 1e-6 per row fitted in that stage,
@@ -909,7 +937,8 @@ def fit(
     precision (each row with zeros contributes ~phi*(1-S)*log(phi) for
     large phi, S < 1 the retained mean mass), so no MLE exists.
     """
-    [fitted] = fit_batch([ds], prepare_design(X, zero_pattern(ds), link, zero_mode))
+    [fitted] = fit_batch(ds.values[None], prepare_design(X, zero_pattern(ds), link, zero_mode),
+                         ds.component_names)
     if isinstance(fitted, Exception):
         raise fitted
     return fitted
@@ -935,31 +964,31 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def fit_batch(datasets: list[CompositionDataset], design: FitDesign) -> list:
-    """`fit` of many datasets on a prepared design, under the link and zero
-    mode it was prepared for: entry k is, bit for bit, what `fit(datasets[k],
-    X, link, zero_mode)` returns for the covariates X of its design, or the
-    error it raises; `fit` is this of one dataset. Every dataset has the
-    same components and the zero pattern of its design: on one design, the
-    one it was prepared for, as bootstrap replicates drawn at one model and
-    design have; on a stack of designs (`stack_designs`), one per dataset,
-    that of design k.
+def fit_batch(values: np.ndarray, design: FitDesign, component_names: list[str]) -> list:
+    """`fit` of many responses on a prepared design, under the link and
+    zero mode it was prepared for: `values` stacks R response matrices (R x
+    n x D) of the components `component_names`, each checked and normalized
+    as `load_dataset` does, and entry k is, bit for bit, what `fit` returns
+    for the dataset of values[k] at the covariates X of its design, or the
+    error it raises; `fit` passes the values of its one dataset. Every
+    response has the zero pattern of its design: on one design, the one it
+    was prepared for, as bootstrap replicates drawn at one model and design
+    have; on a stack of designs (`stack_designs`), one per response, that of
+    design k.
 
     The least-squares starts come from one stacked solve, and each stage
-    fits the datasets still fitting together (`_fit_stages`). Memory grows
-    with the datasets' cells, so callers pass them in chunks.
+    fits the responses still fitting together (`_fit_stages`). Memory grows
+    with the responses' cells, so callers pass them in chunks.
     """
-    if not datasets:
+    if not len(values):
         return []
     link, zero_mode = design.final.link, design.final.zero_mode
-    values = _stack([ds.values for ds in datasets])
     R, D = len(values), values.shape[-1]
-    # Each dataset's zero-free rows, the same number for every design of a stack.
+    # Each response's zero-free rows, the same number for every design of a stack.
     free = np.broadcast_to(design.final.U.all(axis=-2), values.shape[:-1])
     values_free = values[free].reshape(R, -1, D)
-    B0 = _least_squares(design.XtX, design.initial.Xd,
-                        _stack([alr(v, link.ref_index) for v in values_free]))
-    names = (datasets[0].component_names, design.covariate_names)
+    B0 = _least_squares(design.XtX, design.initial.Xd, alr(values_free, link.ref_index))
+    names = (component_names, design.covariate_names)
     initial = _fit_stages(_log_response(values_free, design.initial.U), design.initial,
                           _starts(B0, link.model_kind), zero_mode, FitStage.ZERO_FREE_INITIAL,
                           np.ones((R, D)), names, np.zeros(R))

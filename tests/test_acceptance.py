@@ -244,7 +244,9 @@ def fit_in_batches(data, link):
             results[k] = exc
     for part in _batches(len(prepared), data[0][2].size):
         ks, designs = zip(*prepared[part])
-        for k, fitted in zip(ks, fit_batch([data[k][0] for k in ks], stack_designs(designs))):
+        values = np.stack([data[k][0].values for k in ks])
+        names = data[0][0].component_names
+        for k, fitted in zip(ks, fit_batch(values, stack_designs(designs), names)):
             results[k] = fitted
     return results
 

@@ -53,36 +53,37 @@ def data_csv(tmp_path):
 
 
 def count_replicate_fits(monkeypatch, fail_every=0):
-    """Log the replicates' draws (zadr.inference.simulate_response) and refits
-    (`fit_batch`, in the bootstrap and the simulation study) in this
+    """Log the replicates' checked draws (`zadr.inference._check_rows`) and
+    refits (`fit_batch`, in the bootstrap and the simulation study) in this
     process, failing every `fail_every`-th refit with NonFiniteObjective.
-    Returns the log: `drawn` and `fitted` list the drawn responses and the
-    refitted ones, in order."""
+    Returns the log: `drawn` lists the drawn responses that pass their
+    checks and `fitted` the refitted ones, in order, as value matrices."""
     monkeypatch.setenv("ZADR_THREADS", "1")
     inference = zadr.inference
-    real_draw, real_fit_batch = inference.simulate_response, inference.fit_batch
+    real_check, real_fit_batch = inference._check_rows, inference.fit_batch
     log = SimpleNamespace(drawn=[], fitted=[])
 
-    def fails(ds):
-        log.fitted.append(ds)
+    def fails(values):
+        log.fitted.append(values)
         return fail_every and len(log.fitted) % fail_every == 0
 
-    def counted_draw(*args):
-        log.drawn.append(real_draw(*args))
-        return log.drawn[-1]
+    def counted_check(values):
+        checked, errors = real_check(values)
+        log.drawn.extend(v for v, error in zip(checked, errors) if error is None)
+        return checked, errors
 
-    def counted_fit_batch(datasets, design):
-        return [NonFiniteObjective("injected") if fails(ds) else fitted
-                for ds, fitted in zip(datasets, real_fit_batch(datasets, design))]
+    def counted_fit_batch(values, design, names):
+        return [NonFiniteObjective("injected") if fails(v) else fitted
+                for v, fitted in zip(values, real_fit_batch(values, design, names))]
 
-    monkeypatch.setattr(inference, "simulate_response", counted_draw)
+    monkeypatch.setattr(inference, "_check_rows", counted_check)
     monkeypatch.setattr(inference, "fit_batch", counted_fit_batch)
     return log
 
 
 def refitted_once_each(log) -> bool:
     """Whether every drawn replicate was refitted exactly once, in draw order."""
-    return list(map(id, log.fitted)) == list(map(id, log.drawn))
+    return [v.tobytes() for v in log.fitted] == [v.tobytes() for v in log.drawn]
 
 
 COMP_ARG = ",".join(COMPONENTS)

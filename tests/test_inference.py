@@ -31,7 +31,6 @@ from zadr.errors import (
 from zadr.inference import (
     BootstrapResult,
     DiagnosticResult,
-    _outcome,
     _replicate_batch,
     _replicate_rngs,
     bootstrap_bias,
@@ -179,12 +178,17 @@ class TestBootstrap:
         assert np.array_equal(one_pass.bias, bootstrap_bias(final, ds, X, B=19, seed=5).bias)
 
     def test_seeded_results_do_not_depend_on_worker_count(self, small_dataset, monkeypatch):
+        # Four batches: in this process at one worker, over a pool at two.
+        import zadr.inference as inference_mod
+
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK)
-        results = []
+        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", 5 * zero_pattern(ds).size)
+        mapped, results = record_pool_maps(monkeypatch), []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZADR_THREADS", threads)
             results.append(bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0))
+        assert mapped == [(inference_mod._replicate_batch, 4)]
         one, two = results
         assert one.pvalue == two.pvalue
         assert np.array_equal(one.replicate_stats, two.replicate_stats)
@@ -196,9 +200,9 @@ class TestBootstrap:
         ds, X = small_dataset
         seen = []
 
-        def recording_fit_batch(datasets, design):
-            seen.extend([(design.final.link, design.final.zero_mode)] * len(datasets))
-            return fit_batch(datasets, design)
+        def recording_fit_batch(values, design, names):
+            seen.extend([(design.final.link, design.final.zero_mode)] * len(values))
+            return fit_batch(values, design, names)
 
         monkeypatch.setattr(inference_mod, "fit_batch", recording_fit_batch)
         for link in (SIMPLE_LINK, LinkSpec(2, ModelKind.MIXED)):
@@ -217,9 +221,9 @@ class TestBootstrap:
         _, final = fit(ds, X, SIMPLE_LINK)
         fitted = []
 
-        def every_fourth_fails(datasets, design):
-            results = fit_batch(datasets, design)
-            for k in range(len(datasets)):
+        def every_fourth_fails(values, design, names):
+            results = fit_batch(values, design, names)
+            for k in range(len(values)):
                 fitted.append(1)
                 if len(fitted) % 4 == 0:
                     results[k] = NonFiniteObjective("injected")
@@ -235,20 +239,23 @@ class TestBootstrap:
 
     def test_replicates_without_T_counted_by_cause(self, small_dataset, monkeypatch):
         # Both stages converged, but the sum of their covariances is not
-        # positive definite: the replicate counts under that cause.
+        # positive definite: the replicate counts under that cause. Every
+        # other refit's final covariance is replaced by -3 times itself.
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK)
-        real, calls = inference_mod.diagnostic_T, []
+        calls = []
 
-        def every_other_fails(initial, final):
-            calls.append(1)
-            if len(calls) % 2 == 0:
-                raise NotPositiveDefinite("injected")
-            return real(initial, final)
+        def every_other_fails(values, design, names):
+            results = fit_batch(values, design, names)
+            for k, (initial, final) in enumerate(results):
+                calls.append(1)
+                if len(calls) % 2 == 0:
+                    results[k] = initial, replace(final, covariance=-3 * final.covariance)
+            return results
 
-        monkeypatch.setattr(inference_mod, "diagnostic_T", every_other_fails)
+        monkeypatch.setattr(inference_mod, "fit_batch", every_other_fails)
         result = bootstrap_pvalue(final, ds, X, B=38, seed=5, t_observed=1.0)
         assert result.failure_causes == {"NotPositiveDefinite": 19}
         assert result.B == 19 and len(calls) == 38
@@ -306,30 +313,25 @@ class TestBootstrap:
     @pytest.mark.parametrize("link", [SIMPLE_LINK, MIXED_LINK], ids=["simple", "mixed"])
     def test_batches_go_through_the_pool(self, small_dataset, monkeypatch, link):
         # A bootstrap cut into three batches runs them in this process at one
-        # worker and maps them over the pool at two, and the outputs do not
-        # change: they equal those of one batch.
+        # worker and at two, where a pool would save no batch's time
+        # (ceil(3 / 2) + 1 = 3); cut into four, it maps them over the pool at
+        # two. The outputs do not change: they equal those of one batch.
         import zadr.inference as inference_mod
 
         ds, X = small_dataset
         _, final = fit(ds, X, link)
         batched = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-        mapped = []
-
-        class RecordingPool(inference_mod.ProcessPoolExecutor):
-            def map(self, func, tasks, **kwargs):
-                mapped.append((func, len(tasks)))
-                return super().map(func, tasks, **kwargs)
-
-        monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(inference_mod.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(inference_mod, "_BATCH_CELLS", 7 * zero_pattern(ds).size)
-        for threads, pools in (("1", []), ("2", [(inference_mod._replicate_batch, 3)])):
-            monkeypatch.setenv("ZADR_THREADS", threads)
-            mapped.clear()
-            chunked = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
-            assert bootstrap_outputs(chunked) == bootstrap_outputs(batched), threads
-            assert mapped == pools, threads
+        mapped = record_pool_maps(monkeypatch)
+        for per_batch, batches, pooled in ((7, 3, False), (5, 4, True)):
+            monkeypatch.setattr(inference_mod, "_BATCH_CELLS", per_batch * zero_pattern(ds).size)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ZADR_THREADS", threads)
+                mapped.clear()
+                chunked = bootstrap_pvalue(final, ds, X, B=19, seed=5, t_observed=1.0)
+                assert bootstrap_outputs(chunked) == bootstrap_outputs(batched), threads
+                pooled_here = pooled and threads == "2"
+                assert mapped == ([(inference_mod._replicate_batch, batches)] if pooled_here
+                                  else []), (batches, threads)
 
     def test_every_restart_ends_where_its_batch_stage_ended(self, monkeypatch):
         # Each replicate stage is reported through `minimize`, restarted at
@@ -429,7 +431,8 @@ class TestBootstrap:
         U = zero_pattern(ds)
         responses = [simulate_response(final, X, U, rng) for rng in _replicate_rngs(5, 19)]
         runs.clear()
-        batch = fit_batch(responses, prepare_design(X, U, final.link, final.zero_mode))
+        batch = fit_batch(np.stack([r.values for r in responses]),
+                          prepare_design(X, U, final.link, final.zero_mode), final.component_names)
         maxed = [res for res in runs if res.termination_reason is TerminationReason.MAX_ITER]
         assert maxed and all(res.iterations == 4 for res in maxed)
         for ds_k, fitted in zip(responses, batch):
@@ -450,26 +453,21 @@ class TestBootstrap:
         assert "NonFiniteObjective" in [cause for cause, _, _ in alone]
 
     def test_draw_failures_counted_by_cause(self, small_dataset, monkeypatch):
-        # A replicate whose draw fails is counted under its cause and never
-        # fitted, also when it leaves its chunk with nothing to fit.
+        # A replicate whose draw fails its check is counted under the error
+        # `load_dataset` raises for it and never fitted, also when it leaves
+        # its chunk with nothing to fit.
         import zadr.inference as inference_mod
 
         monkeypatch.setenv("ZADR_THREADS", "1")
         ds, X = small_dataset
         _, final = fit(ds, X, SIMPLE_LINK)
-        real, draws = inference_mod.simulate_response, []
-
-        def every_third_fails(*args):
-            draws.append(1)
-            if len(draws) % 3 == 0:
-                raise ShapeMismatch("injected")
-            return real(*args)
-
-        monkeypatch.setattr(inference_mod, "simulate_response", every_third_fails)
+        draws, fitted = every_third_draw_negative(monkeypatch), []
+        monkeypatch.setattr(inference_mod, "fit_batch",
+                            lambda values, *args: fitted.extend(values) or fit_batch(values, *args))
         monkeypatch.setattr(inference_mod, "_BATCH_CELLS", zero_pattern(ds).size)
         result = bootstrap_bias(final, ds, X, B=30, seed=5)
-        assert result.failure_causes == {"ShapeMismatch": 10}
-        assert result.B == 20 and len(draws) == 30
+        assert result.failure_causes == {"NegativeEntry": 10}
+        assert result.B == 20 and len(draws) == 30 and len(fitted) == 20
 
     @pytest.mark.parametrize("zero_free, cause", [(0, "NoZeroFreeRows"), (2, "InsufficientRows")])
     def test_design_failure_counted_per_replicate(self, small_dataset, monkeypatch, zero_free,
@@ -486,8 +484,8 @@ class TestBootstrap:
         values[zero_free:, 1] = 0.0
         ds_few = load_dataset(values / values.sum(axis=1, keepdims=True))
         assert int(ds_few.zero_free_mask().sum()) == zero_free
-        real, drawn = inference_mod.simulate_response, []
-        monkeypatch.setattr(inference_mod, "simulate_response",
+        real, drawn = inference_mod._draw_responses, []
+        monkeypatch.setattr(inference_mod, "_draw_responses",
                             lambda *args: drawn.append(1) or real(*args))
         message = f"only 0 converged replicates out of 19; failures by cause: {{'{cause}': 19}}"
         with pytest.raises(TooFewSuccessfulReplicates, match=f"^{re.escape(message)}$"):
@@ -533,15 +531,143 @@ class TestBootstrap:
         assert np.array_equal(rep.values, expected)
 
 
+class TestOneReplicateFails:
+    """A batch in which exactly one replicate, J, fails a step counts it
+    under the error that its draw, `fit` and T raise alone, and gives every
+    other replicate, byte for byte, its record alone: one failure neither
+    rejects the rest of the stack nor has it drawn or fitted again."""
+
+    J, SEED, B = 7, 5, 19
+
+    @pytest.fixture
+    def fitted(self, small_dataset):
+        ds, X = small_dataset
+        _, final = fit(ds, X, SIMPLE_LINK)
+        return final, X, zero_pattern(ds)
+
+    def alone_J(self, final, X, U):
+        """Replicate J's stages, drawn and fitted alone, before any failure is injected."""
+        rng = _replicate_rngs(self.SEED, self.B)[self.J]
+        return fit(simulate_response(final, X, U, rng), X, final.link, final.zero_mode)
+
+    def assert_only_J_fails(self, final, X, U, cause):
+        """Run one batch of all B replicates and each replicate alone."""
+        design = prepare_design(X, U, final.link, final.zero_mode)
+        batch = _replicate_batch((final, design, U, _replicate_rngs(self.SEED, self.B)))
+        alone = [replicate_alone(final, X, U, rng) for rng in _replicate_rngs(self.SEED, self.B)]
+        assert [record_bytes(r) for r in batch] == [record_bytes(r) for r in alone]
+        assert [(k, r[0]) for k, r in enumerate(batch) if r[0] is not None] == [(self.J, cause)]
+
+    def test_draw_check(self, fitted, monkeypatch):
+        # Replicate J's row 3 is doubled after its draw, so it sums to 2.
+        import zadr.inference as inference_mod
+
+        real, draws, fits = inference_mod._draw_responses, [], []
+
+        def draw(A, phis, U, rngs):
+            draws.append(len(rngs))
+            values = real(A, phis, U, rngs)
+            for response, rng in zip(values, rngs):
+                if rng.bit_generator.seed_seq.spawn_key == (self.J,):
+                    response[3] *= 2.0
+            return values
+
+        monkeypatch.setattr(inference_mod, "_draw_responses", draw)
+        monkeypatch.setattr(inference_mod, "fit_batch",
+                            lambda values, *rest: fits.append(len(values))
+                            or fit_batch(values, *rest))
+        self.assert_only_J_fails(*fitted, "RowSumViolation")
+        assert draws == [self.B] + [1] * self.B and fits == [self.B - 1]
+
+    @pytest.mark.parametrize("stage", [0, 1], ids=["initial", "final"])
+    def test_stage_positive_definiteness_check(self, fitted, monkeypatch, stage):
+        # The restart that ends at replicate J's optimum of the stage returns
+        # its information negated; the stacked Cholesky of the stage's
+        # informations then raises, and each matrix is factored alone.
+        import zadr.model as model_mod
+
+        target = self.alone_J(*fitted)[stage].parameter_vector().tobytes()
+        real, restarts = model_mod.minimize, []
+
+        def negated(*args, **kwargs):
+            res = real(*args, **kwargs)
+            restarts.append(res.iterations)
+            return replace(res, hessian=-res.hessian) if res.argmin.tobytes() == target else res
+
+        monkeypatch.setattr(model_mod, "minimize", negated)
+        self.assert_only_J_fails(*fitted, "NotPositiveDefinite")
+        # Each replicate stage runs once in the batch and once alone.
+        assert len(restarts) == 2 * (2 * self.B - (stage == 0))
+
+    def test_covariance_sum_check(self, fitted, monkeypatch):
+        # Replicate J's final covariance is replaced by -3 times itself, in
+        # the batch's `fit_batch` and in `fit`'s, so the sum of its stages'
+        # covariances is not positive definite.
+        import zadr.inference as inference_mod
+        import zadr.model as model_mod
+
+        target = self.alone_J(*fitted)[1].parameter_vector().tobytes()
+        real = model_mod.fit_batch
+
+        def injected(*args):
+            return [(f[0], replace(f[1], covariance=-3 * f[1].covariance))
+                    if f[1].parameter_vector().tobytes() == target else f for f in real(*args)]
+
+        monkeypatch.setattr(model_mod, "fit_batch", injected)
+        monkeypatch.setattr(inference_mod, "fit_batch", injected)
+        self.assert_only_J_fails(*fitted, "NotPositiveDefinite")
+
+
 def replicate_alone(model, X, U, rng) -> tuple:
-    """A replicate's record from its draw and its fit alone: the response
-    that `simulate_response` draws with rng at the covariates X with the
-    zero pattern U, refitted by `fit` on X; or the failure's cause."""
+    """A replicate's record from its draw, its fit and its T alone: the
+    response that `simulate_response` draws with rng at the covariates X
+    with the zero pattern U, refitted by `fit` on X, and `diagnostic_T` of
+    its stages once both converged; or the failure's cause."""
     try:
-        fitted = fit(simulate_response(model, X, U, rng), X, model.link, model.zero_mode)
+        initial, final = fit(simulate_response(model, X, U, rng), X, model.link, model.zero_mode)
+        if not (initial.converged and final.converged):
+            return "NotConverged", None, None
+        return None, diagnostic_T(initial, final).T, final.parameter_vector()
     except (ZadrError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__, None, None
-    return _outcome(*fitted)
+
+
+def record_pool_maps(monkeypatch) -> list:
+    """Record each map that `zadr.inference` hands a real process pool, as
+    (function, task count), on a process that may use two CPUs."""
+    import zadr.inference as inference_mod
+
+    mapped = []
+
+    class RecordingPool(inference_mod.ProcessPoolExecutor):
+        def map(self, func, tasks, **kwargs):
+            mapped.append((func, len(tasks)))
+            return super().map(func, tasks, **kwargs)
+
+    monkeypatch.setattr(inference_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(inference_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return mapped
+
+
+def every_third_draw_negative(monkeypatch) -> list:
+    """Make every third response drawn (`zadr.inference._draw_responses`)
+    fail its check: its first cell is negated, which `load_dataset` rejects
+    with NegativeEntry. Returns the list of draws, one entry per response."""
+    import zadr.inference as inference_mod
+
+    real, draws = inference_mod._draw_responses, []
+
+    def drawn(*args):
+        values = real(*args)
+        for response in values:
+            draws.append(1)
+            if len(draws) % 3 == 0:
+                response[0, 0] = -response[0, 0]
+        return values
+
+    monkeypatch.setattr(inference_mod, "_draw_responses", drawn)
+    return draws
 
 
 def assert_bootstrap_equals_the_fits_alone(final, ds, X, B: int, seed: int) -> BootstrapResult:
@@ -839,11 +965,12 @@ class TestSimulationStudy:
                                      zero_fraction=0.1, seed=1)
 
     def test_one_pool_for_all_sizes(self, serial_pool, monkeypatch):
+        # One batch per size: four batches on two workers start one pool.
         monkeypatch.setenv("ZADR_THREADS", "2")
-        report = run_simulation_study(truth_model(), depth_design(), sizes=[20, 30, 40],
+        report = run_simulation_study(truth_model(), depth_design(), sizes=[20, 30, 40, 50],
                                       reps=2, zero_fraction=1.0 / 6.0, seed=3)
         assert serial_pool == [2]
-        assert sorted(report.mse) == [20, 30, 40]
+        assert sorted(report.mse) == [20, 30, 40, 50]
 
     def test_pool_takes_largest_samples_first_and_records_return_home(self, monkeypatch):
         # Each size's replicates go in near-equal batches of at most
@@ -873,15 +1000,20 @@ class TestSimulationStudy:
             assert np.array_equal(report.mse[n], expected)
 
     def test_report_does_not_depend_on_worker_count(self, monkeypatch):
-        reports = []
+        # One batch per size: in this process at one worker, over a pool at two.
+        import zadr.inference as inference_mod
+
+        mapped, reports = record_pool_maps(monkeypatch), []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZADR_THREADS", threads)
-            reports.append(run_simulation_study(truth_model(), depth_design(), sizes=[20, 30],
-                                                reps=2, zero_fraction=1.0 / 6.0, seed=3))
+            reports.append(run_simulation_study(truth_model(), depth_design(),
+                                                sizes=[20, 30, 40, 50], reps=2,
+                                                zero_fraction=1.0 / 6.0, seed=3))
+        assert mapped == [(inference_mod._study_batch, 4)]
         one, two = reports
         assert one.successes == two.successes
         assert one.failure_causes == two.failure_causes
-        for n in (20, 30):
+        for n in (20, 30, 40, 50):
             assert np.array_equal(one.mse[n], two.mse[n])
 
     def test_replicate_needs_positive_definite_information(self, monkeypatch):
@@ -911,8 +1043,9 @@ class TestSimulationStudy:
         cells = {"one": 1, "three": 3 * max(self.STUDY["sizes"]) * model.D}
         if batch in cells:
             monkeypatch.setattr(inference_mod, "_BATCH_CELLS", cells[batch])
-        batched = record_batches(monkeypatch)
+        mapped, batched = record_pool_maps(monkeypatch), record_batches(monkeypatch)
         report = run_simulation_study(model, depth_design(), **self.STUDY)
+        assert len(mapped) == (threads == "2")
         alone = study_alone(kind)
         assert batched() == dict(enumerate(alone.records))
         for n in self.STUDY["sizes"]:
@@ -921,36 +1054,27 @@ class TestSimulationStudy:
             assert report.failure_causes[n] == alone.report.failure_causes[n]
 
     def test_draw_failures_leave_the_batch_to_the_others(self, monkeypatch):
-        # A replicate whose draw fails is counted under its cause and never
-        # fitted; the others of its batch are fitted each on its own design,
-        # as alone. Every third draw fails, one or two in each size's batch.
-        import zadr.inference as inference_mod
-
+        # A replicate whose draw fails its check is counted under its cause
+        # and never fitted; the others of its batch are fitted each on its
+        # own design, as alone. Every third draw fails, one or two in each
+        # size's batch.
         monkeypatch.setenv("ZADR_THREADS", "1")
-        real, draws = inference_mod.simulate_response, []
-
-        def every_third_fails(*args):
-            draws.append(1)
-            if len(draws) % 3 == 0:
-                raise ShapeMismatch("injected")
-            return real(*args)
-
-        monkeypatch.setattr(inference_mod, "simulate_response", every_third_fails)
+        draws = every_third_draw_negative(monkeypatch)
         batched = record_batches(monkeypatch)
         report = run_simulation_study(truth_model(), depth_design(), **self.STUDY)
         records, alone = batched(), study_alone("simple").records
-        failed = {k for k, record in records.items() if record[0] == "ShapeMismatch"}
+        failed = {k for k, record in records.items() if record[0] == "NegativeEntry"}
         assert len(draws) == 20 and len(records) == 25 and len(failed) == 6
         assert {k: alone[k] for k in records if k not in failed} == {
             k: record for k, record in records.items() if k not in failed}
-        assert sum(report.failure_causes[n].get("ShapeMismatch", 0) for n in report.sizes) == 6
+        assert sum(report.failure_causes[n].get("NegativeEntry", 0) for n in report.sizes) == 6
 
     def test_replicate_needs_both_stages_converged(self, monkeypatch):
         import zadr.inference as inference_mod
 
-        def zero_free_stage_unconverged(datasets, design):
+        def zero_free_stage_unconverged(values, design, names):
             return [(replace(initial, converged=False), final)
-                    for initial, final in fit_batch(datasets, design)]
+                    for initial, final in fit_batch(values, design, names)]
 
         monkeypatch.setenv("ZADR_THREADS", "1")
         monkeypatch.setattr(inference_mod, "fit_batch", zero_free_stage_unconverged)

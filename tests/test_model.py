@@ -734,6 +734,11 @@ def with_zeros_of(ds, seed: int):
     return load_dataset(Y / Y.sum(axis=1, keepdims=True), names=ds.component_names)
 
 
+def stacked(datasets):
+    """The datasets' values behind a leading axis, as `fit_batch` takes them."""
+    return np.stack([ds.values for ds in datasets])
+
+
 def model_bytes(model):
     """Every number of a fitted model as bytes, with its flags and names."""
     return (model.parameter_vector().tobytes(), model.covariance.tobytes(), model.p_hat.tobytes(),
@@ -759,7 +764,7 @@ class TestFitDesign:
         design = prepare_design(X, zero_pattern(ds), link, mode)
         expected = [[model_bytes(m) for m in fit(d, X, link, mode)] for d in datasets]
         for _ in range(2):  # a design is not changed by the fits it serves
-            batch = fit_batch(datasets, design)
+            batch = fit_batch(stacked(datasets), design, ds.component_names)
             assert [[model_bytes(m) for m in fitted] for fitted in batch] == expected
 
     def test_only_a_batch_of_several_runs_the_batched_loop(self, small_dataset, monkeypatch):
@@ -777,11 +782,11 @@ class TestFitDesign:
 
         monkeypatch.setattr(model_mod, "minimize_batch", refused)
         assert [model_bytes(m) for m in fit(ds, X, SIMPLE_LINK)] == expected
-        [fitted] = fit_batch([ds], design)
+        [fitted] = fit_batch(ds.values[None], design, ds.component_names)
         assert [model_bytes(m) for m in fitted] == expected
         monkeypatch.setattr(model_mod, "minimize_batch",
                             lambda *args: calls.append(len(args[1])) or real(*args))
-        fit_batch([ds, with_zeros_of(ds, 13)], design)
+        fit_batch(stacked([ds, with_zeros_of(ds, 13)]), design, ds.component_names)
         assert calls == [2, 2]
 
     def test_fit_prepares_the_design_half_of_every_call(self, small_dataset, monkeypatch):
@@ -831,7 +836,7 @@ class TestFitDesign:
         design = prepare_design(X, zero_pattern(datasets[0]), SIMPLE_LINK, ZeroMode.RENORMALIZED)
         monkeypatch.setattr(model_mod, "minimize_batch", capture)
         with pytest.raises(Started):
-            fit_batch(datasets, design)
+            fit_batch(stacked(datasets), design, datasets[0].component_names)
         for ds, start in zip(datasets, starts[0], strict=True):
             alone = model_mod._least_squares(design.XtX, design.initial.Xd, alr(ds, 0))
             assert start[:-1].tobytes() == alone.ravel().tobytes()
